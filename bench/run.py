@@ -1,12 +1,15 @@
 """homodyn benchmark: closed-loop CLI workloads, a traced in-process pass,
 and an mpmath accuracy probe.
 
-    python3 bench/run.py --workload sparse-orbit --seed 0 --seconds 35 --trace 0
-    python3 bench/run.py --workload all --seed 0 --seconds 35 --trace 0   # every metric by name
+    python3 bench/run.py --workload sparse-orbit --seed 0 --seconds 40 --trace 0
+    python3 bench/run.py --workload all --seed 0 --seconds 40 --trace 0   # every metric by name
 
 With ``--trace 0`` the workload's commands run as child processes, one at a
 time, each started after the previous one exits, in passes until
 ``--seconds`` have gone by; the end-to-end metrics are medians over passes.
+A fixed reference task runs after every command, and the gated time is a
+pass's CPU time over the reference task's, so that the machine's drift in
+speed cancels.
 With ``--trace 1`` the same commands run in this process through
 ``homodyn.cli.main``, alternating untraced and traced passes, and the
 per-layer metrics are medians over the traced passes.  Either way every
@@ -47,13 +50,24 @@ from workloads import (DEFAULT_SEED, SIZES, WORKLOADS, base_for_seed,  # noqa: E
                        commands, kernel_elements)
 
 SETUP_REPEATS = 3
+# The reference task: a fresh interpreter that imports numpy and makes 25
+# passes over a 10^6-float array, about 0.3 CPU seconds in all.  It does
+# not touch homodyn, so its cost moves only with the machine's speed.  Its
+# mix of interpreter start, imports and memory-bound array work slows with
+# the machine about as much as the workloads' commands do; a pure-Python
+# loop slowed less.
+REFERENCE_TASK = ["-c", "\n".join([
+    "import numpy",
+    "a = numpy.arange(1_000_000, dtype=float)",
+    "for _ in range(25): a = numpy.sqrt(a * a + 1.0)",
+])]
 CMD_TIMEOUT_S = 150.0
 PROBE_N_MAX = {"full": 10_000, "tiny": 1_000}
 # the float kernel reaches 1.7e-4 at t = 1e6 and an exact re-evaluation 1e-16;
 # a wrong reduction puts points O(1) away
 PROBE_LIMIT = 1e-3
 
-END_TO_END = {"cpu_s": "s", "setup_s": "s", "peak_rss_mb": "MB", "orbit_err_max": "hyp_dist"}
+END_TO_END = {"cpu_rel": "ratio", "setup_s": "s", "peak_rss_mb": "MB", "orbit_err_max": "hyp_dist"}
 COUNT_METRICS = {"report.svg_points", "orbits.points", "orbits.nodes", "lattice.vectors",
                  "fractal.intervals", "diophantine.vectors_checked"}
 
@@ -124,6 +138,14 @@ def setup_times(env: dict, workdir: Path, repeats: int) -> list:
     return out
 
 
+def reference_time(env: dict, workdir: Path) -> float:
+    """CPU seconds of one run of the reference task."""
+    r = spawn(REFERENCE_TASK, workdir, env, subprocess.DEVNULL, None)
+    if r["code"] != 0:
+        raise RuntimeError(f"the reference task exited {r['code']}")
+    return r["cpu"]
+
+
 def run_child(argv: list, workdir: Path, key: str, env: dict) -> dict:
     """Run one CLI command; its stdout and stderr go to <key>.out and .err."""
     with open(workdir / f"{key}.out", "w") as out, open(workdir / f"{key}.err", "w") as err:
@@ -186,13 +208,24 @@ def measure(workload: str, seed: int, seconds: float, size: str, reference, tall
         tally.failed += 1
         tally.problems.append(f"orbit_err_max {err:.3g} above {PROBE_LIMIT}")
     per_cmd = {f"{key}{kind}": [] for key, _ in cmds for kind in ("_s", "_cpu_s")}
-    passes = {"cpu_s": [], "wall_s": [], "peak_rss_mb": []}
+    passes = {"cpu_rel": [], "cpu_s": [], "wall_s": [], "peak_rss_mb": []}
+    reference_cpu = []
     deadline = time.perf_counter() + seconds
-    while not passes["wall_s"] or time.perf_counter() + passes["wall_s"][-1] <= deadline:
+    elapsed = 0.0  # of the last pass, reference tasks included
+    while not passes["wall_s"] or time.perf_counter() + elapsed <= deadline:
         t0 = time.perf_counter()
-        results = {key: run_child(argv, workdir, key, env) for key, argv in cmds}
-        passes["wall_s"].append(time.perf_counter() - t0)
-        passes["cpu_s"].append(sum(r["cpu"] for r in results.values()))
+        results, pass_reference = {}, []
+        for key, argv in cmds:
+            results[key] = run_child(argv, workdir, key, env)
+            pass_reference.append(reference_time(env, workdir))
+        elapsed = time.perf_counter() - t0
+        reference_cpu += pass_reference
+        cpu = sum(r["cpu"] for r in results.values())
+        # each command is followed by a reference task, so both sample the
+        # same stretch of the machine's speed
+        passes["cpu_rel"].append(cpu / statistics.mean(pass_reference))
+        passes["cpu_s"].append(cpu)
+        passes["wall_s"].append(sum(r["wall"] for r in results.values()))
         passes["peak_rss_mb"].append(max(r["rss_mb"] for r in results.values()))
         for key, r in results.items():
             per_cmd[f"{key}_s"].append(r["wall"])
@@ -200,8 +233,10 @@ def measure(workload: str, seed: int, seconds: float, size: str, reference, tall
         stdout = {key: _read(workdir / f"{key}.out") or "" for key, _ in cmds}
         codes = {key: r["code"] for key, r in results.items()}
         tally.add(gate.check_pass(collect(cmds, workdir, codes, stdout), reference, base))
-    rows = {"setup_s": setup, **passes, "orbit_err_max": [err], **per_cmd}
-    units = {**END_TO_END, "wall_s": "s", **{k: "s" for k in per_cmd}}
+    rows = {"setup_s": setup, **passes, "reference_cpu_s": reference_cpu,
+            "orbit_err_max": [err], **per_cmd}
+    units = {**END_TO_END, "cpu_s": "s", "wall_s": "s", "reference_cpu_s": "s",
+             **{k: "s" for k in per_cmd}}
     print(f"# base {base}")
     print_table(f"{workload}: end-to-end (medians over passes)", rows, units)
     return {name: statistics.median(rows[name]) for name in END_TO_END}
@@ -271,7 +306,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=SIZES, default="full",
                         help="tiny: smoke-test sizes, checked without references")
