@@ -147,6 +147,8 @@ def run_prog(args) -> ExperimentReport:
         params={"base": args.base, "K_exponent": args.K_exponent, "band": args.band},
         columns=["T", "K", "centered_average"],
     )
+    if not args.K_exponent and args.K is None:
+        raise ConfigError("prog needs --K when --K-exponent is 0")
     for T in args.T:
         K = T ** args.K_exponent if args.K_exponent else args.K
         rep.add_row(T, K, progression_average(p, K, T, f))
@@ -278,6 +280,14 @@ _RUNNERS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --threads and of its default, HOMODYN_THREADS."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer "
+                                         "(--threads or HOMODYN_THREADS)")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homodyn",
@@ -290,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None, help="CSV output path")
         p.add_argument("--svg", type=str, default=None, help="SVG scatter path")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("HOMODYN_THREADS", "1")))
+        p.add_argument("--threads", type=positive_int,
+                       default=os.environ.get("HOMODYN_THREADS", "1"))
         p.add_argument("--config", type=str, default=None,
                        help="key=value defaults file")
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .report import ExperimentReport
-from .surface import SurfacePoint, cusp_norm_entries
+from .surface import SurfacePoint, lattice_min_sq
 
 _WINDOW_CAP = 1e8
 ALPHA = 0.5  # sublevel exponent of this family
@@ -220,6 +220,16 @@ def verify_good(params: GoodFnParams, eps_grid, window_count: int = 50) -> Exper
     return rep
 
 
+def curve_entries(rep, xv, gamma: float):
+    """Entries of the curve matrices rep (x^(1/4), x^(3/4+gamma); 0, x^(-1/4))
+    at the array of parameters x."""
+    r11, r12, r21, r22 = rep
+    quarter = xv ** 0.25
+    shear = xv ** (0.75 + gamma)
+    return (r11 * quarter, r11 * shear + r12 / quarter,
+            r21 * quarter, r21 * shear + r22 / quarter)
+
+
 def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.ndarray:
     """Per-index ratio d(curve point) / n^(-1/4 + 1/(kappa+4)) for n in [1, N].
 
@@ -228,19 +238,10 @@ def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.
     """
     if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
         raise ValueError("need 0 < gamma < 1/(kappa+4)")
-    r11, r12, r21, r22 = p.rep.entries
-    expo = -0.25 + 1.0 / (kappa + 4.0)
-    out = np.empty(N)
-    q_exp = 0.75 + gamma
-    for n in range(1, N + 1):
-        quarter = n ** 0.25
-        shear = n ** q_exp
-        h11 = r11 * quarter
-        h12 = r11 * shear + r12 / quarter
-        h21 = r21 * quarter
-        h22 = r21 * shear + r22 / quarter
-        out[n - 1] = cusp_norm_entries(h11, h12, h21, h22) / n ** expo
-    return out
+    n = np.arange(1, N + 1, dtype=float)
+    h11, h12, h21, h22 = curve_entries(p.rep.entries, n, gamma)
+    # the lattice g^{-1} Z^2 of g = (h11, h12; h21, h22), as in cusp_norm_entries
+    return np.sqrt(lattice_min_sq(h22, -h21, -h12, h11)) / n ** (-0.25 + 1.0 / (kappa + 4.0))
 
 
 def hitting_frequency(p: SurfacePoint, gamma: float, kappa: float, eps: float,

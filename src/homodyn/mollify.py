@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .orbits import TestFunction, _orbit_value
+from .orbits import TestFunction, horocycle_points
 from .report import ExperimentReport
-from .surface import SurfacePoint, cusp_norm
+from .surface import SurfacePoint, cusp_norm, geodesic_flow
 
 _BOX_DIM_CAP = 3
 INJECTIVITY_FACTOR = 0.5  # declared comparability convention, not measured
@@ -140,11 +140,7 @@ def box_average(p: SurfacePoint, T: float, f: TestFunction, step: float = 0.02) 
         raise ValueError("need T >= 10")
     m = int(math.ceil(T / step))
     h = T / m
-    rep = p.rep.entries
-    total = 0.0
-    for i in range(m):
-        total += _orbit_value(rep, (i + 0.5) * h, f)
-    return total / m
+    return float(f.values(*horocycle_points(p, (np.arange(m) + 0.5) * h)).sum()) / m
 
 
 def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
@@ -162,11 +158,8 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
     lo, hi = -spec.delta * T, (spec.gamma + spec.delta) * T
     m = int(math.ceil((hi - lo) / step))
     h = (hi - lo) / m
-    rep = p.rep.entries
-    total = 0.0
-    for i in range(m):
-        t = lo + (i + 0.5) * h
-        total += _orbit_value(rep, t, f) * mollifier_profile(spec, t / T)
+    t = lo + (np.arange(m) + 0.5) * h
+    total = float((f.values(*horocycle_points(p, t)) * mollifier_profile(spec, t / T)).sum())
     return total * h / T
 
 
@@ -179,7 +172,6 @@ def box_decay_report(p: SurfacePoint, f: TestFunction, T_list,
     for T in T_list:
         avg = box_average(p, T, f, step=step)
         err = abs(avg - f.haar_mean)
-        from .surface import geodesic_flow  # local import to avoid a cycle
         eta = injectivity_radius_estimate(geodesic_flow(p, math.log(T)))
         rows.append((T, avg, err, eta))
     errs = np.array([r[2] for r in rows])

@@ -6,19 +6,18 @@ index ranges around cusp visits."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .psl2 import unipotent
 from .report import ExperimentReport
-from .surface import SurfacePoint, _reduce_xy, reduce, r_factor
-from .goodfn import curve_hit_ratios
+from .surface import SurfacePoint, base_point_image, height_distance, reduce_points
+from .goodfn import curve_entries, curve_hit_ratios
+from .surface import reduce, r_factor  # noqa: F401  (bench/tracing.py wraps them here)
 
 FUNDAMENTAL_AREA = math.pi / 3.0
 _Y_CUT = 1e6          # cusp truncation for the Haar quadrature
-_CHUNK = 8192         # fixed work-partition size, independent of thread count
+_CHUNK = 8192         # points per kernel call: bounds the kernels' temporaries
 
 golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -159,53 +158,28 @@ class OrbitSeries:
             raise ValueError("times must be strictly increasing")
 
 
-def _fill_sparse(rep, times, xs, ys, thetas, lo, hi):
-    r11, r12, r21, r22 = rep
-    atan2 = math.atan2
-    pi = math.pi
-    for i in range(lo, hi):
-        t = times[i]
-        h12 = r11 * t + r12
-        h22 = r21 * t + r22
-        den = r21 * r21 + h22 * h22
-        x = (r11 * r21 + h12 * h22) / den
-        y = 1.0 / den
-        x, y, m11, m12, m21, m22 = _reduce_xy(x, y)
-        xs[i] = x
-        ys[i] = y
-        thetas[i] = atan2(m21 * r11 + m22 * r21, m21 * h12 + m22 * h22) % pi
+def _points(entries, times):
+    """Reduced (x, y, theta) of the points entries(t) i, in blocks of _CHUNK."""
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    xs, ys, thetas = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        block = slice(lo, lo + _CHUNK)
+        g = g11, g12, g21, g22 = entries(times[block])
+        xs[block], ys[block], m11, m12, m21, m22 = reduce_points(*base_point_image(*g))
+        thetas[block] = np.arctan2(m21 * g11 + m22 * g21, m21 * g12 + m22 * g22) % math.pi
+    return xs, ys, thetas
 
 
-def _fill_curve(rep, times, xs, ys, thetas, lo, hi, gamma):
-    r11, r12, r21, r22 = rep
-    atan2 = math.atan2
-    pi = math.pi
-    q_exp = 0.75 + gamma
-    for i in range(lo, hi):
-        xv = times[i]
-        quarter = xv ** 0.25
-        shear = xv ** q_exp
-        h11 = r11 * quarter
-        h12 = r11 * shear + r12 / quarter
-        h21 = r21 * quarter
-        h22 = r21 * shear + r22 / quarter
-        den = h21 * h21 + h22 * h22
-        x = (h11 * h21 + h12 * h22) / den
-        y = 1.0 / den
-        x, y, m11, m12, m21, m22 = _reduce_xy(x, y)
-        xs[i] = x
-        ys[i] = y
-        thetas[i] = atan2(m21 * h11 + m22 * h21, m21 * h12 + m22 * h22) % pi
+def horocycle_points(p: SurfacePoint, times):
+    """Reduced (x, y, theta) of the points p u(t) for the array of times t."""
+    r11, r12, r21, r22 = p.rep.entries
+    return _points(lambda t: (r11, r11 * t + r12, r21, r21 * t + r22), times)
 
 
-def _run_chunks(fill, n, threads):
-    chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda c: fill(*c), chunks))
-    else:
-        for c in chunks:
-            fill(*c)
+def curve_points(p: SurfacePoint, gamma: float, x_grid):
+    """Reduced (x, y, theta) of the expanding-translate curve points at x_grid."""
+    return _points(lambda xv: curve_entries(p.rep.entries, xv, gamma), x_grid)
 
 
 def sample_sparse(p: SurfacePoint, gamma: float, N: int, threads: int = 1) -> OrbitSeries:
@@ -213,13 +187,7 @@ def sample_sparse(p: SurfacePoint, gamma: float, N: int, threads: int = 1) -> Or
     if not (0.0 <= gamma <= 0.5) or N < 1:
         raise ValueError("need 0 <= gamma <= 0.5 and N >= 1")
     times = np.arange(N, dtype=float) ** (1.0 + gamma)
-    xs = np.empty(N)
-    ys = np.empty(N)
-    thetas = np.empty(N)
-    rep = p.rep.entries
-    _run_chunks(lambda lo, hi: _fill_sparse(rep, times, xs, ys, thetas, lo, hi),
-                N, threads)
-    return OrbitSeries(p, gamma, times, xs, ys, thetas,
+    return OrbitSeries(p, gamma, times, *horocycle_points(p, times),
                        meta={"kind": "sparse", "N": N, "threads": threads})
 
 
@@ -230,16 +198,8 @@ def sample_curve(p: SurfacePoint, gamma: float, x_grid, threads: int = 1) -> Orb
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size < 1 or x_grid[0] < 1.0 or (np.diff(x_grid) <= 0).any():
         raise ValueError("x_grid must be increasing with x >= 1")
-    n = x_grid.size
-    xs = np.empty(n)
-    ys = np.empty(n)
-    thetas = np.empty(n)
-    rep = p.rep.entries
-    _run_chunks(
-        lambda lo, hi: _fill_curve(rep, x_grid, xs, ys, thetas, lo, hi, gamma),
-        n, threads)
-    return OrbitSeries(p, gamma, x_grid, xs, ys, thetas,
-                       meta={"kind": "curve", "N": n, "threads": threads})
+    return OrbitSeries(p, gamma, x_grid, *curve_points(p, gamma, x_grid),
+                       meta={"kind": "curve", "N": x_grid.size, "threads": threads})
 
 
 def discrepancy(series: OrbitSeries, suite, dyadic: bool = True) -> ExperimentReport:
@@ -265,17 +225,6 @@ def discrepancy(series: OrbitSeries, suite, dyadic: bool = True) -> ExperimentRe
     return rep
 
 
-def _orbit_value(rep_entries, t, f: TestFunction) -> float:
-    r11, r12, r21, r22 = rep_entries
-    h12 = r11 * t + r12
-    h22 = r21 * t + r22
-    den = r21 * r21 + h22 * h22
-    x = (r11 * r21 + h12 * h22) / den
-    x, y, m11, m12, m21, m22 = _reduce_xy(x, 1.0 / den)
-    theta = math.atan2(m21 * r11 + m22 * r21, m21 * h12 + m22 * h22) % math.pi
-    return float(f.values(x, y, theta))
-
-
 def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction,
                     quad_points: int = 1000) -> complex:
     """(1/T) int_0^T e^(2 pi i freq t) f(q u(t)) dt by composite midpoint.
@@ -289,12 +238,9 @@ def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction
     step_cap = 0.05 if frequency == 0.0 else min(0.05, 0.1 / abs(frequency))
     m = max(quad_points, int(math.ceil(T / step_cap)))
     h = T / m
-    rep = q.rep.entries
+    t = (np.arange(m) + 0.5) * h
     w = 2.0 * math.pi * frequency
-    total = 0.0 + 0.0j
-    for i in range(m):
-        t = (i + 0.5) * h
-        total += complex(math.cos(w * t), math.sin(w * t)) * _orbit_value(rep, t, f)
+    total = complex((np.exp(1j * w * t) * f.values(*horocycle_points(q, t))).sum())
     return total * (h / T)
 
 
@@ -303,10 +249,7 @@ def progression_average(q: SurfacePoint, K: float, T: float, f: TestFunction) ->
     if not (T > K > 0.0):
         raise ValueError("need T > K > 0")
     count = int(math.ceil(T / K))
-    rep = q.rep.entries
-    total = 0.0
-    for j in range(count):
-        total += _orbit_value(rep, K * j, f)
+    total = float(f.values(*horocycle_points(q, K * np.arange(count))).sum())
     return total / count - f.haar_mean
 
 
@@ -387,13 +330,23 @@ def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,
                  "taylor_bound"],
     )
     one_plus = 1.0 + gamma
-    for start, end in blocks:
+    for (start, end), r_i in zip(blocks, _block_r_factors(p, gamma, blocks)):
         M = float(start)
-        q_i = reduce(p.rep.compose(unipotent(M ** one_plus)))
-        r_i = r_factor(q_i, math.sqrt(M))
         ks = np.arange(0, end - start + 1, dtype=float)
         resid = np.abs((M + ks) ** one_plus - M ** one_plus - one_plus * M ** gamma * ks)
         bound = gamma / (2.0 * one_plus) * M ** (-gamma)
-        rep.add_row(start, end, end - start + 1, r_i,
+        rep.add_row(start, end, end - start + 1, float(r_i),
                     float(resid.max()), bound * (1.0 + 1e-9))
     return rep
+
+
+def _block_r_factors(p: SurfacePoint, gamma: float, blocks) -> np.ndarray:
+    """r_factor(p u(M^(1+gamma)), sqrt(M)) for every block start M, in one
+    kernel call: the points p u(M^(1+gamma)) a(log sqrt(M)) i, reduced."""
+    M = np.array([start for start, _ in blocks], dtype=float)
+    r11, r12, r21, r22 = p.rep.entries
+    t, T = M ** (1.0 + gamma), np.sqrt(M)
+    e = np.exp(0.5 * np.log(T))
+    g = r11 * e, (r11 * t + r12) * (1.0 / e), r21 * e, (r21 * t + r22) * (1.0 / e)
+    x, y = reduce_points(*base_point_image(*g))[:2]
+    return T * np.exp(-height_distance(x, y))

@@ -34,6 +34,7 @@ SEPARATION_RADIUS = 0.5
 CUSP_GATE = 0.5
 
 _MAX_REDUCE_STEPS = 10_000
+_EXACT = 2.0**53  # float64 holds every integer below this exactly
 
 
 class ReductionError(RuntimeError):
@@ -57,49 +58,84 @@ def standard_cusp() -> CuspData:
     return CuspData(identity(), 1.0, SEPARATION_RADIUS)
 
 
-def _reduce_xy(x: float, y: float):
-    """Drive z = x + iy into {|Re| <= 1/2, |z| >= 1} by T/S moves.
+def reduce_points(x, y):
+    """Drive the points z = x + iy into {|Re| <= 1/2, |z| >= 1} by T/S moves.
 
-    Returns (x', y', m11, m12, m21, m22) where the m's are the exact integer
-    word matrix applied on the left.  Deterministic: same floats, same path.
+    Returns float64 arrays (x', y', m11, m12, m21, m22): the reduced points and
+    the integer words applied on the left.  A point takes the same moves in
+    any batch: shift by the nearest integer (ties to even), then invert while
+    |z|^2 < 1 - 1e-12; each pass touches only the points still moving.  A
+    word entry or product reaching 2^53, where float64 integers stop being
+    exact, raises ReductionError.
     """
-    m11 = 1
-    m12 = 0
-    m21 = 0
-    m22 = 1
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
+        raise ReductionError("degenerate orbit point: non-finite, or y <= 0")
+    n = x.size
+    out = np.empty((6, n))
+    m11, m12, m21, m22 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
+    idx = np.arange(n)  # where the moving points go in out
+    bound = 1.0  # no word entry of a moving point exceeds this
     for _ in range(_MAX_REDUCE_STEPS):
-        k = round(x)
-        if k:
-            x -= k
-            m11 -= k * m21
-            m12 -= k * m22
+        k = np.rint(x) + 0.0  # + 0.0 maps -0.0 to 0.0, so x - k keeps x = -0.0
+        x = x - k
+        p1, p2 = k * m21, k * m22
+        m11, m12 = m11 - p1, m12 - p2
+        bound *= 1.0 + np.abs(k).max(initial=0.0)  # |m - k m'| <= (1 + |k|) bound
+        if bound >= _EXACT:  # the bound proves nothing: look at the entries
+            if max(np.abs(a).max(initial=0.0) for a in (p1, p2, m11, m12)) >= _EXACT:
+                raise ReductionError("word entry reached 2^53: the point is too deep in the cusp")
+            bound = max(np.abs(a).max(initial=0.0) for a in (m11, m12, m21, m22))
         n2 = x * x + y * y
-        if n2 < 1.0 - 1e-12:
-            x, y = -x / n2, y / n2
-            m11, m12, m21, m22 = -m21, -m22, m11, m12
-        else:
-            return x, y, m11, m12, m21, m22
-    raise ReductionError(f"no convergence after {_MAX_REDUCE_STEPS} steps (y ~ {y:.3g})")
+        move = n2 < 1.0 - 1e-12
+        moving = np.count_nonzero(move)
+        state = (x, y, m11, m12, m21, m22)
+        if moving < n:
+            done = np.flatnonzero(~move)
+            out[:, idx[done]] = [a.take(done) for a in state]
+        if not moving:
+            return tuple(out)
+        if moving < n:
+            keep = np.flatnonzero(move)
+            x, y, m11, m12, m21, m22, n2, idx = (a.take(keep) for a in state + (n2, idx))
+            n = moving
+        x, y = -x / n2, y / n2
+        m11, m12, m21, m22 = 0.0 - m21, 0.0 - m22, m11, m12  # S; 0.0 - m avoids -0.0
+    raise ReductionError(f"no convergence after {_MAX_REDUCE_STEPS} steps (y ~ {y.min():.3g})")
 
 
-def _lattice_min_sq(u1: float, u2: float, v1: float, v2: float) -> float:
-    """Squared length of the shortest nonzero vector of the lattice (u, v).
+def lattice_min_sq(u1, u2, v1, v2):
+    """Squared length of the shortest nonzero vector of each lattice (u, v).
 
-    Plain Lagrange/Gauss reduction of a planar basis; O(log) iterations.
+    Lagrange-Gauss reduction of planar bases, O(log) passes over the bases
+    still reducing (Nguyen & Stehle, ACM TALG 2009).
     """
-    nu = u1 * u1 + u2 * u2
-    nv = v1 * v1 + v2 * v2
+    u1, u2, v1, v2 = (np.asarray(a, dtype=float).ravel() for a in (u1, u2, v1, v2))
+    if not all(np.isfinite(a).all() for a in (u1, u2, v1, v2)):
+        raise ReductionError("non-finite lattice basis")
+    nu, nv = u1 * u1 + u2 * u2, v1 * v1 + v2 * v2
+    out = np.empty(nu.size)
+    idx = np.arange(nu.size)
     for _ in range(256):
-        if nu < nv:
-            u1, u2, v1, v2 = v1, v2, u1, u2
-            nu, nv = nv, nu
-        mu = round((u1 * v1 + u2 * v2) / nv)
-        if mu == 0:
-            return nv
-        u1 -= mu * v1
-        u2 -= mu * v2
+        swap = nu < nv
+        u1, u2, nu, v1, v2, nv = (np.where(swap, b, a) for a, b in (
+            (u1, v1), (u2, v2), (nu, nv), (v1, u1), (v2, u2), (nv, nu)))
+        if not nv.all():
+            raise ReductionError("degenerate lattice basis: a zero vector")
+        mu = np.rint((u1 * v1 + u2 * v2) / nv)
+        done = mu == 0.0
+        if done.all():
+            out[idx] = nv
+            return out
+        if done.any():
+            out[idx[done]] = nv[done]
+            keep = ~done
+            u1, u2, v1, v2, nv, mu, idx = (a[keep] for a in (u1, u2, v1, v2, nv, mu, idx))
+        u1, u2 = u1 - mu * v1, u2 - mu * v2
         nu = u1 * u1 + u2 * u2
-    return min(nu, nv)
+    out[idx] = np.minimum(nu, nv)
+    return out
 
 
 def cusp_norm_entries(a: float, b: float, c: float, d: float) -> float:
@@ -110,7 +146,7 @@ def cusp_norm_entries(a: float, b: float, c: float, d: float) -> float:
     by Gauss reduction of the columns of g^{-1}.
     """
     # g^{-1} = (d, -b; -c, a); columns (d, -c) and (-b, a)
-    return math.sqrt(_lattice_min_sq(d, -c, -b, a))
+    return math.sqrt(float(lattice_min_sq(d, -c, -b, a)[0]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +176,8 @@ def reduce(g: GroupElement) -> SurfacePoint:
         z = g.mobius(BASE_POINT)
     except ZeroDivisionError:
         raise ReductionError("orbit point under/overflows double range") from None
-    if not (z.imag > 0.0 and math.isfinite(z.imag) and math.isfinite(z.real)):
-        raise ReductionError(f"degenerate orbit point {z}")
-    x, y, m11, m12, m21, m22 = _reduce_xy(z.real, z.imag)
-    word = GroupElement(float(m11), float(m12), float(m21), float(m22))
-    reduced = word.compose(g)
+    x, y, *word = (float(v[0]) for v in reduce_points(z.real, z.imag))
+    reduced = GroupElement(*word).compose(g)
     return SurfacePoint(g, reduced, complex(x, y), reduced.iwasawa())
 
 
@@ -184,6 +217,18 @@ def r_factor(q: SurfacePoint, T: float) -> float:
     return T * math.exp(-geodesic_flow(q, math.log(T)).dist())
 
 
+def base_point_image(a, b, c, d):
+    """(x, y) of the points g i, g = (a, b; c, d) of determinant one (arrays)."""
+    den = c * c + d * d
+    return (a * c + b * d) / den, 1.0 / den
+
+
+def height_distance(x, y):
+    """Hyperbolic distance from the base point i to the points x + iy (arrays)."""
+    arg = 1.0 + (x * x + (1.0 - y) ** 2) / (2.0 * y)
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
 def excursion_profile(p: SurfacePoint, t_max: float, steps: int):
     """Sampled cusp-excursion height along the geodesic orbit.
 
@@ -193,20 +238,14 @@ def excursion_profile(p: SurfacePoint, t_max: float, steps: int):
     if t_max <= 0.0 or steps < 2:
         raise ValueError("need t_max > 0 and steps >= 2")
     ts = np.linspace(0.0, t_max, steps)
-    vals = np.empty(steps)
+    e = np.exp(0.5 * ts)
     g = p.rep
-    for i, t in enumerate(ts):
-        e = math.exp(0.5 * t)
-        # right-translate by diag(e, 1/e) without building objects
-        a, b, c, d = g.a * e, g.b / e, g.c * e, g.d / e
-        if cusp_norm_entries(a, b, c, d) <= CUSP_GATE:
-            den = c * c + d * d
-            x = (a * c + b * d) / den
-            y = 1.0 / den
-            xr, yr, *_ = _reduce_xy(x, y)
-            vals[i] = hyperbolic_distance(BASE_POINT, complex(xr, yr))
-        else:
-            vals[i] = 0.0
+    # right-translate by diag(e, 1/e)
+    a, b, c, d = g.a * e, g.b / e, g.c * e, g.d / e
+    near = np.sqrt(lattice_min_sq(d, -c, -b, a)) <= CUSP_GATE
+    vals = np.zeros(steps)
+    x, y = reduce_points(*base_point_image(a[near], b[near], c[near], d[near]))[:2]
+    vals[near] = height_distance(x, y)
     return ts, vals
 
 
@@ -214,7 +253,8 @@ def random_points(sample_count: int, rng: np.random.Generator):
     """Iwasawa-coordinate samples approximating truncated Haar measure.
 
     x uniform on [-1/2, 1/2], theta uniform on [0, pi), y with density 1/y^2
-    on [sqrt(3)/2, 100].
+    on [sqrt(3)/2, 100].  Returns the entry arrays (a, b, c, d) of the
+    representatives n(x) a(sqrt y) k(theta).
     """
     xs = rng.uniform(-0.5, 0.5, sample_count)
     thetas = rng.uniform(0.0, math.pi, sample_count)
@@ -222,11 +262,10 @@ def random_points(sample_count: int, rng: np.random.Generator):
     bnd = 100.0
     u = rng.uniform(0.0, 1.0, sample_count)
     ys = 1.0 / (1.0 / a - u * (1.0 / a - 1.0 / bnd))
-    points = []
-    for x, y, th in zip(xs, ys, thetas):
-        g = IwasawaNAK(float(x), math.sqrt(float(y)), float(th)).recompose()
-        points.append(reduce(g))
-    return points
+    alpha = np.sqrt(ys)
+    inv = 1.0 / alpha
+    ct, st = np.cos(thetas), np.sin(thetas)
+    return alpha * ct + xs * inv * st, -alpha * st + xs * inv * ct, inv * st, inv * ct
 
 
 def dist_vs_norm_check(sample_count: int, seed: int = 0) -> ExperimentReport:
@@ -239,27 +278,26 @@ def dist_vs_norm_check(sample_count: int, seed: int = 0) -> ExperimentReport:
     if sample_count < 100:
         raise ValueError("need sample_count >= 100")
     rng = np.random.default_rng(np.random.Philox(seed))
-    ratios = []
-    for p in random_points(sample_count, rng):
-        dn = p.cusp_norm()
-        if dn <= 0.5:
-            ratios.append(math.exp(p.dist()) * dn * dn)
+    a, b, c, d = random_points(sample_count, rng)
+    dn = np.sqrt(lattice_min_sq(d, -c, -b, a))
+    x, y = reduce_points(*base_point_image(a, b, c, d))[:2]
+    cusp = dn <= 0.5
+    ratios = np.exp(height_distance(x[cusp], y[cusp])) * dn[cusp] * dn[cusp]
     rep = ExperimentReport(
         name="dist_vs_norm",
-        params={"sample_count": sample_count, "seed": seed, "used": len(ratios)},
+        params={"sample_count": sample_count, "seed": seed, "used": int(ratios.size)},
         columns=["used", "ratio_min", "ratio_max", "ratio_mean", "spread"],
         notes=(
             "sampling law: x ~ U[-1/2,1/2], theta ~ U[0,pi), "
             "y ~ 1/y^2 on [sqrt(3)/2, 100]; restricted to d(p) <= 0.5"
         ),
     )
-    if ratios:
-        arr = np.asarray(ratios)
+    if ratios.size:
         rep.add_row(
-            len(ratios),
-            float(arr.min()),
-            float(arr.max()),
-            float(arr.mean()),
-            float(arr.max() / arr.min()),
+            int(ratios.size),
+            float(ratios.min()),
+            float(ratios.max()),
+            float(ratios.mean()),
+            float(ratios.max() / ratios.min()),
         )
     return rep

@@ -85,3 +85,43 @@ def brute_force_cusp_norm(g: GroupElement, bound: int = 60) -> float:
             y = g.a * n - g.c * m
             best = min(best, math.hypot(x, y))
     return best
+
+
+def reduce_xy_reference(x: float, y: float):
+    """Scalar reference for surface.reduce_points: the former pure-Python loop.
+
+    Drives x + iy into {|Re| <= 1/2, |z| >= 1} by T/S moves and returns
+    (x', y', m11, m12, m21, m22) with the word as exact Python integers.
+    """
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for _ in range(10_000):
+        k = round(x)
+        if k:
+            x -= k
+            m11 -= k * m21
+            m12 -= k * m22
+        n2 = x * x + y * y
+        if n2 < 1.0 - 1e-12:
+            x, y = -x / n2, y / n2
+            m11, m12, m21, m22 = -m21, -m22, m11, m12
+        else:
+            return x, y, m11, m12, m21, m22
+    raise RuntimeError("reference reduction did not converge")
+
+
+def lattice_min_sq_reference(u1: float, u2: float, v1: float, v2: float) -> float:
+    """Scalar reference for surface.lattice_min_sq: plain Lagrange/Gauss
+    reduction of one planar basis (the former pure-Python loop)."""
+    nu = u1 * u1 + u2 * u2
+    nv = v1 * v1 + v2 * v2
+    for _ in range(256):
+        if nu < nv:
+            u1, u2, v1, v2 = v1, v2, u1, u2
+            nu, nv = nv, nu
+        mu = round((u1 * v1 + u2 * v2) / nv)
+        if mu == 0:
+            return nv
+        u1 -= mu * v1
+        u2 -= mu * v2
+        nu = u1 * u1 + u2 * u2
+    return min(nu, nv)

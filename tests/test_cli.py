@@ -176,3 +176,24 @@ def test_cli_csv_standard_reader(tmp_path, monkeypatch):
     for row in rows[2:]:
         assert len(row) == len(header)
         float(row[2]); float(row[3]); float(row[4])
+
+
+def test_cli_threads_must_be_positive(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for bad in ("0", "-3", "two"):
+        assert run_cli(["constants", "--threads", bad]) == 1
+        assert "positive integer" in capsys.readouterr().err
+    monkeypatch.setenv("HOMODYN_THREADS", "0")
+    assert run_cli(["constants"]) == 1
+    assert "HOMODYN_THREADS" in capsys.readouterr().err
+    assert run_cli(["constants", "--threads", "2"]) == 0  # the flag wins
+    monkeypatch.setenv("HOMODYN_THREADS", "3")
+    assert run_cli(["orbit", "--N", "100"]) == 0
+    assert "# threads = 3" in capsys.readouterr().out
+
+
+def test_cli_prog_zero_exponent_needs_K(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["prog", "--K-exponent", "0", "--T", "100"]) == 1
+    assert "--K" in capsys.readouterr().err
+    assert run_cli(["prog", "--K-exponent", "0", "--K", "2", "--T", "100"]) == 0

@@ -8,6 +8,7 @@ import pytest
 from homodyn.psl2 import GroupElement, IwasawaNAK, identity, unipotent, diagonal_flow
 from homodyn.surface import (
     SEPARATION_RADIUS,
+    ReductionError,
     cusp_norm,
     dist,
     dist_vs_norm_check,
@@ -15,8 +16,10 @@ from homodyn.surface import (
     geodesic_flow,
     horocycle_flow,
     in_S_delta,
+    lattice_min_sq,
     r_factor,
     reduce,
+    reduce_points,
     standard_cusp,
 )
 
@@ -24,8 +27,10 @@ from helpers import (
     brute_force_cusp_norm,
     brute_force_reduce,
     gamma_to_element,
+    lattice_min_sq_reference,
     random_element,
     random_gamma_word,
+    reduce_xy_reference,
     rng,
 )
 
@@ -202,3 +207,121 @@ def test_reduce_rejects_degenerate_input():
     g = GroupElement(1e200, 0.0, 0.0, 1e-200)  # orbit point overflows
     with _pytest.raises(ReductionError):
         reduce(g)
+
+
+def _assert_kernel_matches_reference(x, y):
+    want = [reduce_xy_reference(float(a), float(b)) for a, b in zip(x, y)]
+    exact = np.array([max(abs(m) for m in w[2:]) < 2**53 for w in want])
+    for i in np.flatnonzero(~exact):  # words float64 cannot hold: refused
+        with pytest.raises(ReductionError):
+            reduce_points(x[i], y[i])
+    x, y = x[exact], y[exact]
+    want = [w for w, ok in zip(want, exact) if ok]
+    got = reduce_points(x, y)
+    want_x = np.array([w[0] for w in want])
+    want_y = np.array([w[1] for w in want])
+    # bitwise: same bits, signed zeros included
+    assert np.array_equal(got[0].view(np.int64), want_x.view(np.int64))
+    assert np.array_equal(got[1].view(np.int64), want_y.view(np.int64))
+    for j in range(4):
+        assert np.array_equal(got[2 + j], np.array([w[2 + j] for w in want], dtype=float))
+    return int((~exact).sum())
+
+
+def test_reduce_points_matches_scalar_reference_bitwise():
+    r = rng(20)
+    n = 20_000
+    x = r.uniform(-1e4, 1e4, n)
+    y = np.exp(r.uniform(math.log(1e-12), math.log(1e3), n))
+    x[: n // 4] = r.uniform(-3.0, 3.0, n // 4)  # shallow reductions
+    # deep in the cusp, word entries up to ~|x| / sqrt(y)
+    deep = slice(n // 4, n // 2)
+    x[deep] = r.uniform(-1.0, 1.0, n // 4)
+    y[deep] = np.exp(r.uniform(math.log(1e-30), math.log(1e-12), n // 4))
+    x[-10:], y[-10:] = -0.0, 1e-30  # signed zero at the deepest y
+    refused = _assert_kernel_matches_reference(x, y)
+    assert refused < n // 100
+
+
+def test_reduce_points_ties_and_unit_circle():
+    r = rng(21)
+    # |x| = 1/2 and half-integers: translation ties go to even, like round()
+    ks = r.integers(-1000, 1000, 2000).astype(float)
+    x = np.concatenate([[0.5, -0.5, 1.5, -1.5, 2.5], ks + 0.5, ks - 0.5])
+    y = np.concatenate([[0.9, 0.9, 0.2, 1e-3, 1.0], r.uniform(1e-6, 2.0, 4000)])
+    _assert_kernel_matches_reference(x, y)
+    # |z|^2 at the inversion threshold 1 - 1e-12 and its float neighbours
+    xs = r.uniform(-0.5, 0.5, 2000)
+    ys = np.sqrt(1.0 - 1e-12 - xs * xs)
+    x = np.concatenate([xs, xs, xs, [0.0, 0.5, -0.5]])
+    y = np.concatenate([ys, np.nextafter(ys, 0.0), np.nextafter(ys, 2.0),
+                        [math.sqrt(1.0 - 1e-12), math.sqrt(0.75 - 1e-12),
+                         math.sqrt(0.75 - 1e-12)]])
+    _assert_kernel_matches_reference(x, y)
+
+
+def test_reduce_points_batching_and_empty_input():
+    r = rng(22)
+    x = r.uniform(-50.0, 50.0, 300)
+    y = np.exp(r.uniform(math.log(1e-8), 1.0, 300))
+    whole = reduce_points(x, y)
+    for i in (0, 17, 299):
+        one = reduce_points(x[i], y[i])
+        assert all(a[i] == b[0] for a, b in zip(whole, one))
+    assert all(a.size == 0 for a in reduce_points([], []))
+
+
+def test_reduce_points_refuses_inexact_words():
+    golden_x = (math.sqrt(5.0) - 1.0) / 2.0
+    # the scalar loop returns word entries ~1.4e17 here, past float64's 2^53
+    assert max(abs(m) for m in reduce_xy_reference(golden_x, 1e-34)[2:]) > 2**53
+    with pytest.raises(ReductionError, match="2\\^53"):
+        reduce_points([0.1, golden_x], [1.0, 1e-34])
+    for x, y in ((math.nan, 1.0), (0.0, math.inf), (0.3, 0.0), (0.3, -1.0)):
+        with pytest.raises(ReductionError):
+            reduce_points(x, y)
+
+
+def test_lattice_min_sq_matches_scalar_reference():
+    r = rng(23)
+    n = 100_000
+    u1, u2, v1, v2 = r.normal(size=(4, n)) * np.exp(r.uniform(-8.0, 8.0, (4, n)))
+    # near-degenerate: v = m u + a vector 1e-8..1e-2 times as long as u
+    deg = slice(0, n // 2)
+    m = r.integers(-10**5, 10**5, n // 2).astype(float)
+    tiny = np.hypot(u1[deg], u2[deg]) * np.exp(r.uniform(math.log(1e-8), math.log(1e-2), n // 2))
+    v1[deg] = m * u1[deg] + tiny * r.normal(size=n // 2)
+    v2[deg] = m * u2[deg] + tiny * r.normal(size=n // 2)
+    # exact ties of the Gauss coefficient: (u . v) / |v|^2 = k + 1/2
+    u1[:8], u2[:8] = [0.5, 1.5, 2.5, -0.5, -1.5, 3.5, 0.5, 7.5], 1.0
+    v1[:8], v2[:8] = 1.0, 0.0
+    got = lattice_min_sq(u1, u2, v1, v2)
+    want = np.array([lattice_min_sq_reference(*map(float, b)) for b in zip(u1, u2, v1, v2)])
+    assert np.array_equal(got, want)
+    assert lattice_min_sq([], [], [], []).size == 0
+    with pytest.raises(ReductionError):
+        lattice_min_sq(1.0, math.inf, 0.0, 1.0)
+    with pytest.raises(ReductionError):
+        lattice_min_sq(1.0, 2.0, 3.0, 6.0)  # dependent basis
+
+
+def test_sample_sparse_blocks_concatenate():
+    from homodyn.diophantine import slope_base
+    from homodyn.orbits import _CHUNK, golden_ratio, horocycle_points, sample_sparse
+
+    p = reduce(slope_base(golden_ratio))
+    n = 2 * _CHUNK + 1
+    series = sample_sparse(p, 0.01, n)
+    blocks = [horocycle_points(p, series.times[lo:lo + _CHUNK]) for lo in (0, _CHUNK, 2 * _CHUNK)]
+    for got, part in zip((series.xs, series.ys, series.thetas), zip(*blocks)):
+        assert np.array_equal(got, np.concatenate(part))
+    # each point as the scalar loop reduces it, from the same float time
+    r11, r12, r21, r22 = p.rep.entries
+    for i in (0, 1, _CHUNK - 1, _CHUNK, n - 1):
+        t = float(series.times[i])
+        h12, h22 = r11 * t + r12, r21 * t + r22
+        den = r21 * r21 + h22 * h22
+        x, y, m11, m12, m21, m22 = reduce_xy_reference((r11 * r21 + h12 * h22) / den, 1.0 / den)
+        assert (series.xs[i], series.ys[i]) == (x, y)
+        theta = math.atan2(m21 * r11 + m22 * r21, m21 * h12 + m22 * h22) % math.pi
+        assert series.thetas[i] == pytest.approx(theta, abs=1e-15)
