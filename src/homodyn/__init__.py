@@ -7,19 +7,13 @@ from .psl2 import (  # noqa: F401
     GroupError,
     IwasawaNAK,
     UpperHalfPoint,
-    compose,
     diagonal_flow,
     hyperbolic_distance,
     identity,
-    inverse,
-    iwasawa_nak,
-    mobius_act,
     rotation,
     unipotent,
-    vector_act,
 )
 from .surface import (  # noqa: F401
-    CuspData,
     ReductionError,
     SurfacePoint,
     cusp_norm,

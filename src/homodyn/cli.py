@@ -48,7 +48,7 @@ from .orbits import (
 )
 from .psl2 import GroupElement, GroupError, identity
 from .report import ExperimentReport, emit_csv, emit_svg
-from .surface import ReductionError, reduce
+from .surface import reduce
 
 DEFAULT_SEED = 20250809
 
@@ -98,14 +98,10 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _suite_means_report(series, suite, dyadic):
-    return discrepancy(series, suite, dyadic=dyadic)
-
-
 def run_orbit(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
     series = sample_sparse(p, args.gamma, args.N, threads=args.threads)
-    rep = _suite_means_report(series, default_suite(), args.dyadic)
+    rep = discrepancy(series, default_suite())
     if args.svg:
         emit_svg(series.xs, series.ys, args.svg)
     return rep
@@ -115,7 +111,7 @@ def run_curve(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
     grid = np.geomspace(1.0, args.xmax, args.points)
     series = sample_curve(p, args.gamma, grid, threads=args.threads)
-    rep = _suite_means_report(series, default_suite(), args.dyadic)
+    rep = discrepancy(series, default_suite())
     rep.name = "curve_discrepancy"
     if args.svg:
         emit_svg(series.xs, series.ys, args.svg)
@@ -310,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--N", type=int, default=100000)
     p.add_argument("--suite", choices=["default"], default="default")
-    p.add_argument("--dyadic", action="store_true", default=True)
     common(p)
 
     p = sub.add_parser("curve", help="expanding-translate curve discrepancy")
@@ -319,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, default=1e6)
     p.add_argument("--points", type=int, default=100000)
     p.add_argument("--suite", choices=["default"], default="default")
-    p.add_argument("--dyadic", action="store_true", default=True)
     common(p)
 
     p = sub.add_parser("twist", help="oscillation-twisted time averages")
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="golden")
     p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
     p.add_argument("--band", type=float, default=2.0)
-    p.add_argument("--weighted", action="store_true")
+    p.add_argument("--weighted", action=argparse.BooleanOptionalAction, default=False)
     common(p)
 
     p = sub.add_parser("constants", help="exponent tables")
@@ -403,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser, argv):
-    """Config-file values become defaults; explicit flags win."""
+    """Config-file values become defaults; explicit flags win.  A value of
+    true or false turns into the switch --key or --no-key."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -413,9 +408,11 @@ def _apply_config(parser, argv):
     sub = argv[0]
     extra = []
     for key, value in cfg.items():
-        flag = f"--{key}"
-        if flag not in argv:
-            extra.extend([flag, value] if value.lower() not in ("true",) else [flag])
+        flag, no_flag = f"--{key}", f"--no-{key}"
+        if flag in argv or no_flag in argv:
+            continue
+        switch = {"true": [flag], "false": [no_flag]}.get(value.lower())
+        extra.extend(switch or [flag, value])
     return [sub] + extra + argv[1:]
 
 
@@ -426,7 +423,7 @@ def main(argv=None) -> int:
         if argv and argv[0] in _RUNNERS:
             argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
@@ -434,11 +431,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         report = _RUNNERS[args.experiment](args)
-    except (ConfigError, GroupError) as exc:
+    except ValueError as exc:  # bad parameters: every parameter check raises one
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ReductionError, DivergentOrbitError, ArithmeticError, ValueError,
-            OSError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError, OSError) as exc:  # numeric failure
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     for key, value in report.params.items():

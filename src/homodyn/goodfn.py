@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .report import ExperimentReport
 from .surface import SurfacePoint, lattice_min_sq
@@ -103,6 +102,39 @@ def sublevel_floor(params: GoodFnParams) -> float:
     return 0.0
 
 
+def _root(fn, lo, hi) -> float:
+    """A root of fn in the bracket [lo, hi] by bisection, to the width
+    1e-10 + 1e-14 |x|; ArithmeticError if fn does not change sign."""
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return float(lo if f_lo == 0.0 else hi)
+    if not f_lo * f_hi < 0.0:
+        raise ArithmeticError(f"root not bracketed by [{lo:g}, {hi:g}]")
+    while hi - lo > 1e-10 + 1e-14 * abs(lo):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return float(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
+def _sublevel_hull(params: GoodFnParams, eps: float, xs: np.ndarray):
+    """Hull of {f <= eps} sampled on the grid xs; an end inside the grid is
+    refined to a root of f - eps between its grid neighbours."""
+    inside = eval_f(params, xs) <= eps
+    if not inside.any():
+        return None
+    i0, i1 = int(np.argmax(inside)), len(xs) - 1 - int(np.argmax(inside[::-1]))
+    fn = lambda x: eval_f(params, x) - eps  # noqa: E731
+    lo = xs[i0] if i0 == 0 else _root(fn, xs[i0 - 1], xs[i0])
+    hi = xs[i1] if i1 == len(xs) - 1 else _root(fn, xs[i1], xs[i1 + 1])
+    return lo, hi
+
+
 def _sublevel_interval(params: GoodFnParams, eps: float):
     """The set {x >= 1 : f(x) <= eps} for the generic case, as an interval.
 
@@ -116,38 +148,16 @@ def _sublevel_interval(params: GoodFnParams, eps: float):
     g_top = eval_g(params, _WINDOW_CAP)
     if g1 > s or g_top < -s:
         return None
-    lo = 1.0 if g1 >= -s else brentq(lambda x: eval_g(params, x) + s, 1.0, _WINDOW_CAP,
-                                     xtol=1e-10, rtol=1e-14)
-    hi = _WINDOW_CAP if g_top <= s else brentq(lambda x: eval_g(params, x) - s, lo,
-                                               _WINDOW_CAP, xtol=1e-10, rtol=1e-14)
+    lo = 1.0 if g1 >= -s else _root(lambda x: eval_g(params, x) + s, 1.0, _WINDOW_CAP)
+    hi = _WINDOW_CAP if g_top <= s else _root(lambda x: eval_g(params, x) - s, lo,
+                                              _WINDOW_CAP)
     # trim by f itself (the second factor can push f above eps inside)
-    xs = np.linspace(lo, hi, 4096)
-    inside = eval_f(params, xs) <= eps
-    if not inside.any():
-        return None
-    i0, i1 = int(np.argmax(inside)), len(xs) - 1 - int(np.argmax(inside[::-1]))
-    x_lo = xs[i0] if i0 == 0 else brentq(lambda x: eval_f(params, x) - eps,
-                                         xs[i0 - 1], xs[i0], xtol=1e-10, rtol=1e-14)
-    x_hi = xs[i1] if i1 == len(xs) - 1 else brentq(lambda x: eval_f(params, x) - eps,
-                                                   xs[i1], xs[i1 + 1], xtol=1e-10,
-                                                   rtol=1e-14)
-    return x_lo, x_hi
+    return _sublevel_hull(params, eps, np.linspace(lo, hi, 4096))
 
 
 def _sublevel_measure_grid(params: GoodFnParams, eps: float):
     """Grid-scanned sublevel hull for the non-monotone (a < 0) regime."""
-    xs = np.geomspace(1.0, _WINDOW_CAP, 200001)
-    inside = eval_f(params, xs) <= eps
-    if not inside.any():
-        return None
-    i0 = int(np.argmax(inside))
-    i1 = len(xs) - 1 - int(np.argmax(inside[::-1]))
-    lo = xs[i0] if i0 == 0 else brentq(lambda x: eval_f(params, x) - eps,
-                                       xs[i0 - 1], xs[i0], xtol=1e-10, rtol=1e-14)
-    hi = xs[i1] if i1 == len(xs) - 1 else brentq(lambda x: eval_f(params, x) - eps,
-                                                 xs[i1], xs[i1 + 1], xtol=1e-10,
-                                                 rtol=1e-14)
-    return lo, hi
+    return _sublevel_hull(params, eps, np.geomspace(1.0, _WINDOW_CAP, 200001))
 
 
 def _anchors(params: GoodFnParams):
@@ -163,8 +173,7 @@ def _anchors(params: GoodFnParams):
         if v1 == 0.0:
             anchors.append(float(x1))
         elif v1 * v2 < 0.0:
-            anchors.append(brentq(lambda x: eval_f(params, x) - rho, x1, x2,
-                                  xtol=1e-10, rtol=1e-14))
+            anchors.append(_root(lambda x: eval_f(params, x) - rho, x1, x2))
     return anchors
 
 

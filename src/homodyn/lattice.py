@@ -1,5 +1,5 @@
 """Primitive integer vectors modulo sign: enumeration, annular sector counts,
-gap constants, and the slope-interval packing used by the fractal builder.
+and gap constants.
 
 The vector set is the orbit of (1, 0) under the modular group acting on R^2,
 which is exactly the primitive integer pairs identified with their negatives.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class PrimitiveVectorSet:
 
     def __len__(self) -> int:
         return int(self.alphas.size)
-
-    def norms(self) -> np.ndarray:
-        return np.hypot(self.alphas.astype(float), self.betas.astype(float))
-
-    def angles(self) -> np.ndarray:
-        return np.arctan2(self.betas.astype(float), self.alphas.astype(float))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,82 +109,3 @@ def gap_constants(vecs: PrimitiveVectorSet) -> tuple[float, float]:
     cross = cross[cross != 0]
     c_cross = float(cross.min()) if cross.size else math.inf
     return c_second, c_cross
-
-
-@dataclass(frozen=True, slots=True)
-class PackResult:
-    """Child slope intervals packed inside one parent interval."""
-
-    parent: tuple
-    intervals: tuple   # ((lo, hi), ...) sorted by slope
-    count: int
-    disjoint: bool
-    ratio: float       # count / (l^2 / beta^(kappa+1))
-    l: float
-    exact: bool        # endpoints compared in rational arithmetic
-
-
-def _half_width(beta, kappa: float, C, exact: bool):
-    if exact:
-        return Fraction(C, 18) / Fraction(int(beta)) ** (int(kappa) + 1)
-    return (C / 18.0) * float(beta) ** (-(kappa + 1.0))
-
-
-def pack_subintervals(alpha: int, beta: int, kappa: float, l: float, C: float,
-                      vecs: PrimitiveVectorSet) -> PackResult:
-    """Intervals [a/b +- (C/18) b^-(kappa+1)] from sector vectors whose slope
-    falls in the parent interval around alpha/beta; verifies disjointness.
-
-    Endpoint arithmetic is exact (Fractions) when kappa and C are integral
-    and the denominators stay small enough; float otherwise.
-    """
-    if beta <= 0 or not (0 < alpha / beta < 1):
-        raise ValueError("parent slope must lie in (0, 1)")
-    if 2.0 * l > vecs.radius:
-        raise SectorError("sector needs 2l <= enumeration radius")
-    exact = float(kappa).is_integer() and float(C).is_integer() and vecs.radius <= 1e4
-    if exact:
-        kappa_i, C_i = int(kappa), int(C)
-        w = _half_width(beta, kappa_i, C_i, True)
-        lo, hi = Fraction(alpha, beta) - w, Fraction(alpha, beta) + w
-    else:
-        w = _half_width(beta, kappa, C, False)
-        lo, hi = alpha / beta - w, alpha / beta + w
-    if not (0 < lo and hi < 1):
-        raise ValueError("parent interval must sit inside (0, 1)")
-
-    a = vecs.alphas.astype(float)
-    b = vecs.betas.astype(float)
-    r2 = a * a + b * b
-    theta = np.arctan2(b, a)
-    mask = (r2 >= l * l) & (r2 <= 4.0 * l * l)
-    mask &= (theta > math.pi / 4.0) & (theta < math.pi / 2.0)
-    mask &= (a > float(lo) * b - 1.0) & (a < float(hi) * b + 1.0)  # coarse cut
-    cand_a = vecs.alphas[mask]
-    cand_b = vecs.betas[mask]
-
-    children = []
-    for ca, cb in zip(cand_a.tolist(), cand_b.tolist()):
-        if exact:
-            slope = Fraction(ca, cb)
-            if not (lo <= slope <= hi):
-                continue
-            cw = _half_width(cb, kappa_i, C_i, True)
-        else:
-            slope = ca / cb
-            if not (lo <= slope <= hi):
-                continue
-            cw = _half_width(cb, kappa, C, False)
-        children.append((slope - cw, slope + cw))
-    children.sort()
-    disjoint = all(x1_hi <= x2_lo for (_, x1_hi), (x2_lo, _) in zip(children, children[1:]))
-    ratio = len(children) / (l * l / float(beta) ** (kappa + 1.0))
-    return PackResult(
-        parent=(lo, hi),
-        intervals=tuple(children),
-        count=len(children),
-        disjoint=disjoint,
-        ratio=ratio,
-        l=float(l),
-        exact=exact,
-    )

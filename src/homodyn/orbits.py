@@ -60,10 +60,6 @@ class TestFunction:
             return w * w
         raise ValueError(f"unknown kind {kind}")
 
-    def at_point(self, p: SurfacePoint) -> float:
-        z = p.z_reduced
-        return float(self.values(z.real, z.imag, p.iwasawa.k_angle))
-
 
 def _check_disc_embedded(x0, y0, r):
     # Euclidean picture of the hyperbolic disc: center (x0, y0 cosh r),

@@ -11,10 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# |det - 1| tolerated after any operation; beyond the trigger the matrix is
-# rescaled by 1/sqrt(det) (long orbit loops accumulate rounding, so we repair
-# drift instead of rejecting).
-DET_TOL = 1e-9
+# Beyond this |det - 1| the matrix is rescaled by 1/sqrt(det) (long orbit
+# loops accumulate rounding, so we repair drift instead of rejecting).
 _RENORM_TRIGGER = 1e-12
 
 
@@ -172,27 +170,6 @@ def rotation(theta: float) -> GroupElement:
     if not math.isfinite(theta):
         raise GroupError(f"non-finite angle {theta}")
     return GroupElement(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g.compose(h)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
-def mobius_act(g: GroupElement, z: UpperHalfPoint) -> UpperHalfPoint:
-    w = g.mobius(z.as_complex)
-    return UpperHalfPoint(w.real, w.imag)
-
-
-def vector_act(g: GroupElement, v: tuple[float, float]) -> tuple[float, float]:
-    return g.vector_act(v)
-
-
-def iwasawa_nak(g: GroupElement) -> IwasawaNAK:
-    return g.iwasawa()
 
 
 def hyperbolic_distance(z1, z2) -> float:

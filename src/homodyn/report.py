@@ -32,9 +32,6 @@ class ExperimentReport:
             )
         self.rows.append(tuple(values))
 
-    def to_csv(self, path: str, seed: int = 0, version: str = "0.1.0") -> None:
-        emit_csv(self, path, seed=seed, version=version)
-
 
 def emit_csv(report: ExperimentReport, path: str, seed: int = 0, version: str = "0.1.0") -> None:
     """Write the report with a fixed header; always LF endings, dot decimals."""

@@ -5,8 +5,7 @@ shortest-cusp-vector norm d(p), cusp regions S_delta, and the geodesic and
 horocycle flows projected to the quotient.
 
 The lattice is fixed to PSL(2,Z): one cusp at i*infinity, represented by the
-identity scaling matrix, width one.  The CuspData record keeps the k-cusp
-shape of the interfaces so finite-index subgroups can be added later.
+identity scaling matrix, width one.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .psl2 import (
     IwasawaNAK,
     diagonal_flow,
     hyperbolic_distance,
-    identity,
     unipotent,
 )
 from .report import ExperimentReport
@@ -39,23 +37,6 @@ _EXACT = 2.0**53  # float64 holds every integer below this exactly
 
 class ReductionError(RuntimeError):
     """Fundamental-domain reduction failed to converge (degenerate input)."""
-
-
-@dataclass(frozen=True, slots=True)
-class CuspData:
-    """Per-cusp data: scaling matrix, horocyclic width, separation radius."""
-
-    sigma: GroupElement
-    omega_width: float
-    d_j: float
-
-    def __post_init__(self):
-        if self.d_j <= 0.0:
-            raise ValueError("separation radius must be positive")
-
-
-def standard_cusp() -> CuspData:
-    return CuspData(identity(), 1.0, SEPARATION_RADIUS)
 
 
 def reduce_points(x, y):

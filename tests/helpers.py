@@ -5,6 +5,7 @@ check (brute-force searches, direct formula evaluation, numpy matmul).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,3 +126,24 @@ def lattice_min_sq_reference(u1: float, u2: float, v1: float, v2: float) -> floa
         u2 -= mu * v2
         nu = u1 * u1 + u2 * u2
     return min(nu, nv)
+
+
+def sector_children_reference(parent_lo: Fraction, parent_hi: Fraction, l: float, e: int):
+    """Brute-force slope packing in exact arithmetic: the intervals
+    [a/b - (1/18) b^-e, a/b + (1/18) b^-e], sorted, of every primitive (a, b)
+    with 0 < a < b and l^2 <= a^2 + b^2 <= 4 l^2 whose interval lies inside
+    [parent_lo, parent_hi].  For each b only the numerators with a/b in the
+    parent are tried; a child inside the parent has its slope there.
+    """
+    out = []
+    for b in range(1, int(2.0 * l) + 1):
+        w = Fraction(1, 18 * b**e)
+        a_min = max(1, math.ceil(parent_lo * b))
+        a_max = min(b - 1, math.floor(parent_hi * b))
+        for a in range(a_min, a_max + 1):
+            if not (l * l <= a * a + b * b <= 4.0 * l * l) or math.gcd(a, b) != 1:
+                continue
+            lo, hi = Fraction(a, b) - w, Fraction(a, b) + w
+            if parent_lo <= lo and hi <= parent_hi:
+                out.append((lo, hi))
+    return sorted(out)

@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homodyn
 from homodyn.cli import main, parse_base
@@ -121,17 +124,21 @@ def test_cli_dim_and_mollify_smoke(tmp_path, capsys, monkeypatch):
                     "--gamma-box", "0.5"]) == 0
 
 
-def test_cli_entrypoint_subprocess(tmp_path):
-    # The child runs in tmp_path, where a relative PYTHONPATH (such as
+def _child_env() -> dict:
+    # A child run in tmp_path, where a relative PYTHONPATH (such as
     # PYTHONPATH=src for an uninstalled checkout) no longer points at the
     # package; prepend the absolute directory of the homodyn imported here.
     pkg_root = str(Path(homodyn.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_entrypoint_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "homodyn.cli", "constants", "--s", "0.5"],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "gamma0" in proc.stdout
@@ -197,3 +204,90 @@ def test_cli_prog_zero_exponent_needs_K(tmp_path, capsys, monkeypatch):
     assert run_cli(["prog", "--K-exponent", "0", "--T", "100"]) == 1
     assert "--K" in capsys.readouterr().err
     assert run_cli(["prog", "--K-exponent", "0", "--K", "2", "--T", "100"]) == 0
+
+
+def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["orbit", "--N", "0"], ["orbit", "--gamma", "nan", "--N", "100"],
+                 ["box", "--T", "5"], ["dim", "--schedule", "100,50"],
+                 ["mollify", "--delta", "nan"], ["mollify", "--delta", "inf"],
+                 ["mollify", "--gamma-box", "inf"],
+                 ["orbit", "--config", str(tmp_path / "missing.cfg")]):
+        assert run_cli(argv) == 1, argv
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_numeric_failures_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # EmptyLevelError: a parent interval gets no children at kappa = 3
+    assert run_cli(["dim", "--kappa", "3", "--schedule", "50,2500"]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+    # finite parameters whose knots overflow: the mass is NaN, not gamma
+    for n in ("1", "2"):
+        assert run_cli(["mollify", "--delta", "1e308", "--gamma-box", "1e308",
+                        "--n", n]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_config_booleans(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "box.cfg"
+    for value, shown in (("true", True), ("false", False)):
+        cfg.write_text(f"weighted={value}\nband=2.0\n")
+        assert run_cli(["box", "--config", str(cfg), "--T", "100", "200"]) == 0
+        assert ("weighted_average" in capsys.readouterr().out) == shown
+    # an explicit switch wins over the config value
+    assert run_cli(["box", "--config", str(cfg), "--weighted", "--T", "100", "200"]) == 0
+    assert "weighted_average" in capsys.readouterr().out
+    assert run_cli(["orbit", "--N", "100", "--dyadic"]) == 1  # the no-op flag is gone
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the product path needs numpy only; scipy is a test-only oracle
+    code = ("import sys, homodyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "abc"]
+# subcommand -> (fixed arguments that keep it cheap, flags to draw)
+_FUZZ_COMMANDS = {
+    "constants": ([], ["--s", "--kappa", "--eps"]),
+    "mollify": ([], ["--delta", "--n", "--gamma-box"]),
+    "goodfn": ([], ["--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho",
+                    "--windows"]),
+    "count": (["--l", "50"], ["--l", "--theta1", "--theta2"]),
+    "dio": (["--bound", "20"], ["--x", "--depth", "--kappa", "--tmax"]),
+    "orbit": (["--N", "50"], ["--gamma", "--base", "--threads"]),
+    "pieces": (["--N", "50"], ["--gamma", "--eps", "--kappa", "--base"]),
+}
+
+
+@st.composite
+def _fuzz_runs(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    fixed, flags = _FUZZ_COMMANDS[sub]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(_FUZZ_VALUES)),
+                          max_size=3))
+    via_config = draw(st.booleans())
+    return sub, fixed, pairs, via_config
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_fuzz_runs())
+def test_cli_fuzz_exit_contract(run):
+    # whatever the values, main returns 0, 1 or 2 and raises nothing
+    sub, fixed, pairs, via_config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sub] + fixed + ["--out", os.path.join(tmp, "out.csv")]
+        if via_config:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{flag[2:]}={value}\n" for flag, value in pairs)
+            argv += ["--config", cfg]
+        else:
+            argv += [f"{flag}={value}" for flag, value in pairs]
+        assert main(argv) in (0, 1, 2)

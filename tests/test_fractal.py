@@ -1,4 +1,5 @@
-"""Tree families, the dimension lower bound, cover sums, closed forms."""
+"""Tree families, slope packing, the dimension lower bound, cover sums,
+closed forms."""
 
 import math
 from fractions import Fraction
@@ -7,12 +8,15 @@ import pytest
 
 from homodyn.fractal import (
     EmptyLevelError,
+    _child_endpoints_int,
+    _sector_children,
     assembled_dimension,
     build_tree,
     cover_sum,
     dimension_lower_bound,
 )
-from homodyn.lattice import enumerate_orbit
+
+from helpers import sector_children_reference
 
 
 def test_single_level_tree_is_root():
@@ -49,24 +53,40 @@ def test_tree_determinism():
     assert a.levels == b.levels
 
 
-def test_tree_matches_packing():
-    # level-2 children of one tree parent against the packing op on the same
-    # parent vector and sector scale: identical intervals up to the tree's
-    # stricter full-containment filter at the parent boundary
-    from homodyn.lattice import pack_subintervals
-
+def test_tree_matches_brute_force_packing():
+    # the level-2 children of every level-1 parent are exactly the
+    # brute-force packing of that parent at the same sector scale
     fam = build_tree(1.0, 0.0, 2, [10.0, 300.0])
-    lo, hi = fam.levels[1][0]
-    mid = (lo + hi) / 2  # parent slope a/b by construction
-    a, b = mid.numerator, mid.denominator
-    tree_children = {
-        iv for iv in fam.levels[2] if lo <= iv[0] and iv[1] <= hi
-    }
-    packed = pack_subintervals(a, b, 1.0, 300.0, 1.0, enumerate_orbit(600.0))
-    packed_set = set(packed.intervals)
-    assert tree_children <= packed_set
-    # only boundary-straddling intervals may differ
-    assert len(packed_set - tree_children) <= 4
+    matched = 0
+    for lo, hi in fam.levels[1]:
+        got = [iv for iv in fam.levels[2] if lo <= iv[0] and iv[1] <= hi]
+        assert got == sector_children_reference(lo, hi, 300.0, 2)
+        matched += len(got)
+    assert matched == len(fam.levels[2])
+
+
+def _half_parent_children(l):
+    # children of the parent interval around 1/2 for kappa = 1 (exponent 2)
+    parent = _child_endpoints_int(1, 2, 2)
+    return parent, _sector_children(l, parent, 2, True)
+
+
+def test_sector_children_disjoint_and_contained():
+    parent, children = _half_parent_children(500.0)
+    assert children
+    lo, hi = (Fraction(*end) for end in parent)
+    ivs = [tuple(Fraction(*end) for end in _child_endpoints_int(a, b, 2))
+           for a, b in children]
+    assert all(lo <= c_lo and c_hi <= hi for c_lo, c_hi in ivs)
+    assert all(a_hi <= b_lo for (_, a_hi), (b_lo, _) in zip(ivs, ivs[1:]))
+    # counted at least c0 * l^2 / beta^(kappa+1), beta = 2
+    assert len(children) / (500.0**2 / 2.0**2) > 0.05
+
+
+def test_sector_children_ratio_stability():
+    ratios = [len(_half_parent_children(l)[1]) / (l * l / 2.0**2)
+              for l in (250.0, 500.0, 1000.0)]
+    assert max(ratios) / min(ratios) <= 3.0
 
 
 def test_empty_level_raises():

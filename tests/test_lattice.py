@@ -1,4 +1,4 @@
-"""Primitive vector enumeration, sector counts, gaps, interval packing."""
+"""Primitive vector enumeration, sector counts, gaps."""
 
 import math
 
@@ -11,7 +11,6 @@ from homodyn.lattice import (
     SectorQuery,
     enumerate_orbit,
     gap_constants,
-    pack_subintervals,
     sector_count,
 )
 
@@ -157,25 +156,3 @@ def test_gap_constants():
     c2, cx = gap_constants(s)
     assert c2 == 1.0
     assert cx == 1.0
-
-
-def test_pack_subintervals_disjoint_and_contained():
-    s = enumerate_orbit(2000.0)
-    res = pack_subintervals(1, 2, 1.0, 500.0, 1.0, s)
-    assert res.exact
-    assert res.count > 0
-    assert res.disjoint
-    lo, hi = res.parent
-    for clo, chi in res.intervals:
-        mid = (clo + chi) / 2
-        assert lo <= mid <= hi
-    # counted at least c0 * l^2 / beta^(kappa+1)
-    assert res.ratio > 0.05
-
-
-def test_pack_ratio_stability():
-    s = enumerate_orbit(2000.0)
-    ratios = [
-        pack_subintervals(1, 2, 1.0, l, 1.0, s).ratio for l in (250.0, 500.0, 1000.0)
-    ]
-    assert max(ratios) / min(ratios) <= 3.0

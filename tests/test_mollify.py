@@ -69,6 +69,14 @@ def test_verify_mollifier_grid(n, gamma, delta):
     assert l1 <= 4.0 * n * delta * (gamma + delta) ** (n - 1)
 
 
+@pytest.mark.parametrize("delta, gamma", [(0.1, 0.7), (0.1, 0.2), (0.1, 0.15), (0.4, 0.05)])
+def test_verify_mollifier_one_d_mass_exact(delta, gamma):
+    # Gauss-Legendre on the knot intervals is exact for the degree-7 pieces,
+    # with the plateau (gamma > 2 delta), without it, and at gamma = 2 delta
+    integral, _ = verify_mollifier(MollifierSpec(delta=delta, n=1, gamma=gamma))
+    assert integral == pytest.approx(gamma, abs=1e-12)
+
+
 def test_l1_distance_linear_in_delta():
     l1s = []
     for delta in (0.1, 0.05, 0.025):

@@ -12,11 +12,8 @@ from homodyn.psl2 import (
     diagonal_flow,
     hyperbolic_distance,
     identity,
-    iwasawa_nak,
-    mobius_act,
     rotation,
     unipotent,
-    vector_act,
 )
 
 from helpers import np_mat, psl_allclose, random_element, rng
@@ -75,32 +72,32 @@ def test_sign_canonicalization():
 
 def test_mobius_translation_and_inversion():
     z = UpperHalfPoint(0.25, 2.0)
-    w = mobius_act(unipotent(3.0), z)
-    assert abs(w.x - 3.25) < 1e-12 and abs(w.y - 2.0) < 1e-12
+    w = unipotent(3.0).mobius(z.as_complex)
+    assert abs(w.real - 3.25) < 1e-12 and abs(w.imag - 2.0) < 1e-12
     s = GroupElement(0.0, -1.0, 1.0, 0.0)
-    fixed = mobius_act(s, UpperHalfPoint(0.0, 1.0))
-    assert abs(fixed.x) < 1e-12 and abs(fixed.y - 1.0) < 1e-12
+    fixed = s.mobius(UpperHalfPoint(0.0, 1.0).as_complex)
+    assert abs(fixed.real) < 1e-12 and abs(fixed.imag - 1.0) < 1e-12
     # complex-division oracle
-    w2 = mobius_act(s, UpperHalfPoint(0.3, 0.8))
+    w2 = s.mobius(UpperHalfPoint(0.3, 0.8).as_complex)
     zc = -1.0 / complex(0.3, 0.8)
-    assert abs(complex(w2.x, w2.y) - zc) < 1e-12
+    assert abs(w2 - zc) < 1e-12
 
 
 def test_vector_act_examples():
-    assert vector_act(identity(), (1.0, 0.0)) == (1.0, 0.0)
-    assert vector_act(unipotent(1.0), (0.0, 1.0)) == (1.0, 1.0)
+    assert identity().vector_act((1.0, 0.0)) == (1.0, 0.0)
+    assert unipotent(1.0).vector_act((0.0, 1.0)) == (1.0, 1.0)
     t = 1.7
-    va = vector_act(diagonal_flow(t), (2.0, 3.0))
+    va = diagonal_flow(t).vector_act((2.0, 3.0))
     assert abs(va[0] - math.exp(t / 2) * 2.0) < 1e-12
     assert abs(va[1] - math.exp(-t / 2) * 3.0) < 1e-12
 
 
 def test_iwasawa_examples_and_roundtrip():
-    iw = iwasawa_nak(identity())
+    iw = identity().iwasawa()
     assert iw == pytest.approx((0.0, 1.0, 0.0))
-    iw = iwasawa_nak(unipotent(5.0))
+    iw = unipotent(5.0).iwasawa()
     assert iw == pytest.approx((5.0, 1.0, 0.0))
-    iw = iwasawa_nak(rotation(0.3))
+    iw = rotation(0.3).iwasawa()
     assert iw.n_shift == pytest.approx(0.0, abs=1e-12)
     assert iw.a_scale == pytest.approx(1.0)
     assert iw.k_angle == pytest.approx(0.3)

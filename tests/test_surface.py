@@ -20,7 +20,6 @@ from homodyn.surface import (
     r_factor,
     reduce,
     reduce_points,
-    standard_cusp,
 )
 
 from helpers import (
@@ -139,7 +138,6 @@ def test_separation_at_most_one_short_vector():
                 if math.hypot(x, y) <= SEPARATION_RADIUS:
                     count += 1
         assert count <= 1
-    assert standard_cusp().d_j == SEPARATION_RADIUS
 
 
 def test_flows():
