@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .diophantine import (
     DivergentOrbitError,
+    OpenExcursionError,
     cf_expand,
     cf_from_quotients,
     excursion_type_estimate,
@@ -180,7 +181,7 @@ def run_dio(args) -> ExperimentReport:
     try:
         kappa_hat, _ = excursion_type_estimate(p, args.tmax)
         rep.add_row("excursion_type", kappa_hat)
-    except (DivergentOrbitError, ValueError):
+    except (DivergentOrbitError, OpenExcursionError):
         rep.add_row("excursion_type", float("nan"))
     return rep
 

@@ -10,6 +10,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .lattice import _COUNT_GUARD, CapacityError, canonical_pairs, coprime_mask
 from .psl2 import GroupElement
 from .surface import SurfacePoint, excursion_profile
 
@@ -19,6 +20,10 @@ _NOISE_FLOOR = 1e-15
 
 class DivergentOrbitError(RuntimeError):
     """Geodesic orbit escapes to the cusp linearly (rational direction)."""
+
+
+class OpenExcursionError(ValueError):
+    """No excursion completes below t_max: the horizon is too short."""
 
 
 # Horizon up to which a float base point tracks the true geodesic: the
@@ -193,17 +198,10 @@ class DiophantineWitness:
 
 def _primitive_pairs(bound: int):
     """Sign-canonical primitive integer pairs (m, n), |m|,|n| <= bound."""
-    ms, ns = [], []
-    # n = 0 row: only (1, 0)
-    ms.append(np.array([1], dtype=np.int64))
-    ns.append(np.array([0], dtype=np.int64))
-    m_range = np.arange(-bound, bound + 1, dtype=np.int64)
-    for n in range(1, bound + 1):
-        mask = np.gcd(np.abs(m_range), n) == 1
-        mm = m_range[mask]
-        ms.append(mm)
-        ns.append(np.full(mm.shape, n, dtype=np.int64))
-    return np.concatenate(ms), np.concatenate(ns)
+    est = 6.0 / math.pi**2 * (2 * bound + 1) * bound  # coprime share of the box
+    if est > _COUNT_GUARD:
+        raise CapacityError(f"~{est:.2g} vectors exceed the memory guard")
+    return canonical_pairs(coprime_mask(bound, bound), bound)
 
 
 def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
@@ -214,8 +212,8 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     largest symmetric pair value, and any vectors sitting on the b = 0 axis
     (those defeat every positive (mu, nu) outright: periodic horocycle).
     """
-    if kappa < 1.0 or search_bound < 10:
-        raise ValueError("need kappa >= 1 and search_bound >= 10")
+    if not (1.0 <= kappa < math.inf) or search_bound < 10:
+        raise ValueError("need finite kappa >= 1 and search_bound >= 10")
     g = p.rep
     m, n = _primitive_pairs(search_bound)
     # g^{-1} (m, n) = (d m - b n, a n - c m)
@@ -250,7 +248,7 @@ def excursion_type_estimate(p: SurfacePoint, t_max: float, steps: int = 0) -> tu
     orbit at this horizon).  A single never-completed excursion rising at
     unit slope raises DivergentOrbitError (rational direction).
     """
-    if t_max < 10.0:
+    if not (t_max >= 10.0):
         raise ValueError("need t_max >= 10")
     # beyond e^{-t} ~ machine epsilon the float orbit leaves the true one and
     # manufactures spurious excursions; the fit only uses samples before that
@@ -283,7 +281,7 @@ def excursion_type_estimate(p: SurfacePoint, t_max: float, steps: int = 0) -> tu
     if not peaks:
         if float(np.max(vals)) == 0.0:
             return 1.0, []  # never entered the gate: bounded, type 1
-        raise ValueError("no completed excursion below t_max; increase t_max")
+        raise OpenExcursionError("no completed excursion below t_max; increase t_max")
     if len(peaks) == 1:
         t1, v1 = peaks[0]
         slope = max(0.0, v1 / t1 if t1 > 0 else 0.0)

@@ -11,10 +11,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .lattice import primes_upto
+
 _LEVEL_GUARD = 5
 _L_GUARD = 5e4        # per-level sector radius guard (2l <= 1e5)
 _CHILD_GUARD = 2 * 10**6
 _FLOAT_MARGIN = 1e-11  # float pre-check band around exact comparisons
+_CELLS = 1 << 18       # (parent, beta) cells per block of a level build
+_CANDIDATES = 1 << 20  # candidate slopes expanded at once
 
 
 class EmptyLevelError(RuntimeError):
@@ -25,9 +29,12 @@ class EmptyLevelError(RuntimeError):
 class TreeLikeFamily:
     """Nested disjoint closed-interval levels with density/diameter data.
 
-    levels[j] is a list of (lo, hi) endpoint pairs (Fractions in exact mode,
-    floats otherwise); level 0 is [0, 1].  d_j is the largest diameter at
-    level j; Delta_j the smallest child-mass fraction over level-j parents.
+    levels[j] is an int64 array of shape (k_j, 2), sorted by slope: row
+    (a, b) is the interval [a/b - (1/18) b^-e, a/b + (1/18) b^-e] with
+    e = exponent.  Level 0, the root [0, 1], has no slope pair and is stored
+    empty; endpoints(j) gives the intervals themselves.  d_j is the largest
+    diameter at level j; Delta_j the smallest child-mass fraction over
+    level-j parents.
     """
 
     kappa: float
@@ -37,9 +44,23 @@ class TreeLikeFamily:
     diameters: list
     densities: list
     exact: bool
+    exponent: float  # e, an int in exact mode
 
     def level_count(self) -> int:
         return len(self.levels) - 1
+
+    def endpoints(self, j: int) -> list:
+        """Level j's (lo, hi) pairs: Fractions in exact mode, floats otherwise."""
+        j = range(len(self.levels))[j]
+        if j == 0:
+            return [(Fraction(0), Fraction(1))] if self.exact else [(0.0, 1.0)]
+        e = self.exponent
+        pairs = self.levels[j].tolist()
+        if self.exact:
+            return [(Fraction(*lo), Fraction(*hi))
+                    for lo, hi in (_child_endpoints_int(a, b, e) for a, b in pairs)]
+        return [(a / b - (1.0 / 18.0) * float(b) ** (-e),
+                 a / b + (1.0 / 18.0) * float(b) ** (-e)) for a, b in pairs]
 
 
 def _child_endpoints_int(a: int, b: int, e: int):
@@ -54,59 +75,147 @@ def _leq(p1, q1, p2, q2) -> bool:
     return p1 * q2 <= p2 * q1
 
 
-def _sector_children(l: float, parent, e, exact: bool):
-    """(a, b) pairs of S(l, pi/4, pi/2) whose child interval sits fully
-    inside the parent, sorted by slope.
+def _candidates(lo_f, hi_f, betas, rad_lo, rad_hi):
+    """Candidate slopes a/beta of the parents [lo_f, hi_f], in parent order
+    and in steps of at most _CANDIDATES (or one cell).
 
-    Targeted sieve over the second coordinate: the alpha-window per beta is
-    tiny, so this stays cheap even at sector scales where a full enumeration
-    would not fit in memory.  Filtering runs in floats with a safety margin;
-    candidates near a boundary are settled by exact integer comparison.
+    Yields (a, beta index, parent index, upto): every parent below upto has
+    had all its candidates.  The (parent, beta) grid is laid out in blocks
+    of _CELLS cells; the alpha-window [lo b - 1e-6, hi b + 1e-6] of a cell
+    is shorter than 1 in almost every cell, so the nonempty windows (floored
+    top >= bottom, then clipped to the annulus) are expanded with np.repeat.
     """
-    if exact:
-        (plo, qlo), (phi, qhi) = parent
-        lo_f, hi_f = plo / qlo, phi / qhi
-    else:
-        lo_f, hi_f = parent
+    nb = betas.size
+    bf = betas.astype(float)
+    step = max(1, _CELLS // nb)
+    for p0 in range(0, lo_f.size, step):
+        p1 = min(lo_f.size, p0 + step)
+        top = hi_f[p0:p1, None] * bf
+        top += 1e-6
+        np.floor(top, out=top)
+        bottom = lo_f[p0:p1, None] * bf
+        bottom -= 1e-6
+        cells = np.flatnonzero(top >= bottom)
+        bi = cells % nb
+        a_lo = np.maximum(np.ceil(bottom.ravel()[cells]), rad_lo[bi])
+        a_hi = np.minimum(top.ravel()[cells], rad_hi[bi])
+        nonempty = a_lo <= a_hi
+        cells, a_lo = cells[nonempty], a_lo[nonempty].astype(np.int64)
+        n_cand = a_hi[nonempty].astype(np.int64) - a_lo + 1
+        ends = np.cumsum(n_cand)
+        c0 = 0
+        while True:
+            base = int(ends[c0 - 1]) if c0 else 0
+            c1 = max(c0 + 1, int(np.searchsorted(ends, base + _CANDIDATES, side="right")))
+            c1 = min(c1, cells.size)
+            n = n_cand[c0:c1]
+            # a = the cell's a_lo + the candidate's rank within its cell
+            a = np.repeat(a_lo[c0:c1] - (ends[c0:c1] - n - base), n) + np.arange(n.sum())
+            owner, bi = np.divmod(np.repeat(cells[c0:c1], n), nb)
+            yield a, bi, owner + p0, (p0 + int(cells[c1]) // nb if c1 < cells.size else p1)
+            if c1 == cells.size:
+                break
+            c0 = c1
+
+
+def _level_children(l: float, parents, parent_pw, e, exact: bool, prior: int):
+    """Children of every parent at sector scale l: the primitive (a, b) of
+    S(l, pi/4, pi/2) whose child interval sits fully inside the parent.
+
+    parents is a (k, 2) array of slope pairs with their b^-e in parent_pw,
+    or None for the root [0, 1].  Returns the (n, 2) children sorted by
+    slope, their b^-e and each child's parent index.
+
+    Candidates are filtered in floats with a safety margin; those near a
+    boundary are settled by exact integer comparison.  After each candidate
+    step the completed parents are checked in order: EmptyLevelError for
+    one without children, ValueError once the tree, prior intervals
+    included, passes _CHILD_GUARD.
+    """
     b_min = max(1, int(math.floor(l * math.sqrt(0.5))))
     b_max = int(math.ceil(2.0 * l))
     betas = np.arange(b_min, b_max + 1, dtype=np.int64)
     bf = betas.astype(float)
-    a_lo = np.ceil(lo_f * bf - 1e-6)
-    a_lo = np.maximum(a_lo, 1.0)
-    a_lo = np.maximum(a_lo, np.ceil(np.sqrt(np.maximum(l * l - bf * bf, 0.0)) - 1e-9))
-    a_hi = np.floor(hi_f * bf + 1e-6)
-    a_hi = np.minimum(a_hi, bf - 1.0)
-    a_hi = np.minimum(a_hi, np.floor(np.sqrt(4.0 * l * l - bf * bf) + 1e-9))
-    sel = np.nonzero(a_lo <= a_hi)[0]
-    out = []
-    l2, l4 = l * l, 4.0 * l * l
-    for i in sel.tolist():
-        b = int(betas[i])
-        w = (1.0 / 18.0) * float(b) ** (-float(e))
-        for a in range(int(a_lo[i]), int(a_hi[i]) + 1):
-            r2 = a * a + b * b
-            if not (l2 <= r2 <= l4) or math.gcd(a, b) != 1:
-                continue
-            s = a / b
-            if s - w < lo_f - _FLOAT_MARGIN or s + w > hi_f + _FLOAT_MARGIN:
-                continue
-            if exact and (s - w < lo_f + _FLOAT_MARGIN or s + w > hi_f - _FLOAT_MARGIN):
-                (clo_p, clo_q), (chi_p, chi_q) = _child_endpoints_int(a, b, e)
-                if not (_leq(plo, qlo, clo_p, clo_q) and _leq(chi_p, chi_q, phi, qhi)):
-                    continue
-            elif not exact and (s - w < lo_f or s + w > hi_f):
-                continue
-            out.append((a, b))
-    out.sort(key=lambda ab: ab[0] / ab[1])
-    return out
+    neg_e = -float(e)
+    pw_beta = np.array([b ** neg_e for b in bf.tolist()])  # scalar pow, as endpoints()
+    # the annulus l <= r <= 2l and 0 < a < b, per beta
+    rad_lo = np.maximum(np.ceil(np.sqrt(np.maximum(l * l - bf * bf, 0.0)) - 1e-9), 1.0)
+    rad_hi = np.minimum(np.floor(np.sqrt(4.0 * l * l - bf * bf) + 1e-9), bf - 1.0)
+    if parents is None:
+        lo_f, hi_f = np.zeros(1), np.ones(1)
+    else:
+        s_p = parents[:, 0] / parents[:, 1]
+        w_p = (1.0 / 18.0) * parent_pw
+        lo_f, hi_f = s_p - w_p, s_p + w_p
+
+    def parent_ends(i):
+        if parents is None:
+            return (0, 1), (1, 1)
+        return _child_endpoints_int(int(parents[i, 0]), int(parents[i, 1]), e)
+
+    counts = np.zeros(lo_f.size, dtype=np.int64)
+    found = []
+    done, total = 0, prior  # parents below done are checked
+    for a, bi, owner, upto in _candidates(lo_f, hi_f, betas, rad_lo, rad_hi):
+        b = betas[bi]
+        r2 = a * a + b * b
+        keep = (r2 >= l * l) & (r2 <= 4.0 * l * l) & (np.gcd(a, b) == 1)
+        a, b, bi, owner = a[keep], b[keep], bi[keep], owner[keep]
+        s = a / b
+        w = (1.0 / 18.0) * pw_beta[bi]
+        c_lo, c_hi = s - w, s + w
+        p_lo, p_hi = lo_f[owner], hi_f[owner]
+        if exact:
+            keep = (c_lo >= p_lo - _FLOAT_MARGIN) & (c_hi <= p_hi + _FLOAT_MARGIN)
+            band = keep & ((c_lo < p_lo + _FLOAT_MARGIN) | (c_hi > p_hi - _FLOAT_MARGIN))
+            for j in np.flatnonzero(band).tolist():
+                (plo, qlo), (phi, qhi) = parent_ends(int(owner[j]))
+                (clo_p, c_q), (chi_p, _) = _child_endpoints_int(int(a[j]), int(b[j]), e)
+                keep[j] = _leq(plo, qlo, clo_p, c_q) and _leq(chi_p, c_q, phi, qhi)
+        else:
+            keep = (c_lo >= p_lo) & (c_hi <= p_hi)
+        found.append((a[keep], b[keep], pw_beta[bi[keep]], owner[keep]))
+        np.add.at(counts, owner[keep], 1)
+        total += int(keep.sum())
+        # the first empty parent, unless the guard is passed at an earlier
+        # one (that parent has children: it is at most the one at upto)
+        empty = done + np.flatnonzero(counts[done:upto] == 0)
+        if total > _CHILD_GUARD:
+            cross = int(np.searchsorted(np.cumsum(counts), _CHILD_GUARD - prior, side="right"))
+            if not empty.size or cross < empty[0]:
+                raise ValueError("tree exceeds the interval-count guard")
+        if empty.size:
+            raise EmptyLevelError(
+                f"parent ({lo_f[empty[0]]:.6g}, {hi_f[empty[0]]:.6g}) got no children "
+                f"at sector scale l={l:g}"
+            )
+        done = upto
+    a, b, pw, owner = (np.concatenate(cols) for cols in zip(*found))
+    order = np.argsort(a / b, kind="stable")
+    return np.stack([a, b], axis=1)[order], pw[order], owner[order]
+
+
+def _check_disjoint(pairs, pw, e, exact: bool) -> None:
+    """Sorted child intervals of one level must not overlap: float gap test,
+    exact integer fallback inside the margin band."""
+    gap = np.diff(pairs[:, 0] / pairs[:, 1])
+    w12 = (1.0 / 18.0) * (pw[:-1] + pw[1:])
+    if exact:
+        for i in np.flatnonzero(~(gap > w12 + _FLOAT_MARGIN)).tolist():
+            (a1, b1), (a2, b2) = pairs[i].tolist(), pairs[i + 1].tolist()
+            (_, _), (hi1_p, hi1_q) = _child_endpoints_int(a1, b1, e)
+            (lo2_p, lo2_q), (_, _) = _child_endpoints_int(a2, b2, e)
+            if not _leq(hi1_p, hi1_q, lo2_p, lo2_q):
+                raise RuntimeError("child intervals overlap across parents")
+    elif np.any(gap < w12 - _FLOAT_MARGIN):
+        raise RuntimeError("child intervals overlap across parents")
 
 
 def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLikeFamily:
     """Recursive slope-interval construction approximating the set of reals
     with approximation exponent kappa + eps, one sector scale per level."""
-    if kappa < 1.0 or eps < 0.0:
-        raise ValueError("need kappa >= 1 and eps >= 0")
+    if not (kappa >= 1.0 and eps >= 0.0 and math.isfinite(kappa + eps)):
+        raise ValueError("need finite kappa >= 1 and eps >= 0")
     if not (1 <= level_count <= _LEVEL_GUARD):
         raise ValueError(f"level_count must be in [1, {_LEVEL_GUARD}]")
     l_schedule = [float(l) for l in l_schedule]
@@ -118,86 +227,25 @@ def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLi
         raise ValueError(f"schedule exceeds the enumeration guard 2l <= {2 * _L_GUARD:g}")
     exact = float(kappa + eps).is_integer()
     e = int(kappa + eps) + 1 if exact else kappa + eps + 1.0
-    root = ((0, 1), (1, 1)) if exact else (0.0, 1.0)
-    parents = [root]
-    pair_levels = [[]]  # (a, b) per interval, per level; root has none
+    parents, parent_pw = None, None
+    levels = [np.empty((0, 2), dtype=np.int64)]
     diameters = [1.0]
     densities = []
-    total_children = 0
+    total = 0
     for l in l_schedule:
-        level_pairs = []
-        worst_density = math.inf
-        max_diam = 0.0
-        for parent in parents:
-            children = _sector_children(l, parent, e, exact)
-            if not children:
-                if exact:
-                    (plo, qlo), (phi, qhi) = parent
-                    span = (plo / qlo, phi / qhi)
-                else:
-                    span = parent
-                raise EmptyLevelError(
-                    f"parent ({span[0]:.6g}, {span[1]:.6g}) got no children "
-                    f"at sector scale l={l:g}"
-                )
-            total_children += len(children)
-            if total_children > _CHILD_GUARD:
-                raise ValueError("tree exceeds the interval-count guard")
-            widths = [2.0 / 18.0 * float(b) ** (-float(e)) for _, b in children]
-            if exact:
-                (plo, qlo), (phi, qhi) = parent
-                parent_len = phi / qhi - plo / qlo
-            else:
-                parent_len = parent[1] - parent[0]
-            worst_density = min(worst_density, sum(widths) / parent_len)
-            max_diam = max(max_diam, max(widths))
-            level_pairs.extend(children)
-        level_pairs.sort(key=lambda ab: ab[0] / ab[1])
-        # disjointness across parents: float gap with exact fallback
-        if exact:
-            for (a1, b1), (a2, b2) in zip(level_pairs, level_pairs[1:]):
-                gap = a2 / b2 - a1 / b1
-                w12 = (1.0 / 18.0) * (float(b1) ** (-e) + float(b2) ** (-e))
-                if gap > w12 + _FLOAT_MARGIN:
-                    continue
-                (_, _), (hi1_p, hi1_q) = _child_endpoints_int(a1, b1, e)
-                (lo2_p, lo2_q), (_, _) = _child_endpoints_int(a2, b2, e)
-                if not _leq(hi1_p, hi1_q, lo2_p, lo2_q):
-                    raise RuntimeError("child intervals overlap across parents")
-        else:
-            for (a1, b1), (a2, b2) in zip(level_pairs, level_pairs[1:]):
-                w12 = (1.0 / 18.0) * (float(b1) ** (-e) + float(b2) ** (-e))
-                if a2 / b2 - a1 / b1 < w12 - _FLOAT_MARGIN:
-                    raise RuntimeError("child intervals overlap across parents")
-        pair_levels.append(level_pairs)
-        densities.append(worst_density)
-        diameters.append(max_diam)
-        if exact:
-            parents = [_child_endpoints_int(a, b, e) for a, b in level_pairs]
-        else:
-            parents = [
-                (a / b - (1.0 / 18.0) * float(b) ** (-e),
-                 a / b + (1.0 / 18.0) * float(b) ** (-e))
-                for a, b in level_pairs
-            ]
-    # materialize stored endpoints
-    levels = [[(Fraction(0), Fraction(1))] if exact else [(0.0, 1.0)]]
-    for level_pairs in pair_levels[1:]:
-        if exact:
-            stored = []
-            for a, b in level_pairs:
-                (lo_p, lo_q), (hi_p, hi_q) = _child_endpoints_int(a, b, e)
-                stored.append((Fraction(lo_p, lo_q), Fraction(hi_p, hi_q)))
-        else:
-            stored = [
-                (a / b - (1.0 / 18.0) * float(b) ** (-e),
-                 a / b + (1.0 / 18.0) * float(b) ** (-e))
-                for a, b in level_pairs
-            ]
-        levels.append(stored)
+        pairs, pw, owner = _level_children(l, parents, parent_pw, e, exact, total)
+        total += len(pairs)
+        widths = (2.0 / 18.0) * pw
+        mass = np.bincount(owner, weights=widths)  # every parent has children
+        parent_len = 1.0 if parents is None else (2.0 / 18.0) * parent_pw
+        densities.append(float(np.min(mass / parent_len)))
+        diameters.append(float(widths.max()))
+        _check_disjoint(pairs, pw, e, exact)
+        levels.append(pairs)
+        parents, parent_pw = pairs, pw
     return TreeLikeFamily(
         kappa=kappa, eps=eps, l_schedule=l_schedule, levels=levels,
-        diameters=diameters, densities=densities, exact=exact,
+        diameters=diameters, densities=densities, exact=exact, exponent=e,
     )
 
 
@@ -250,16 +298,15 @@ def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:
     geometric tail calibrated on the last dyadic block; flags convergence by
     the sign of delta (kappa+1) - 2.
     """
-    if not (0.0 < delta <= 1.0) or kappa < 1.0:
-        raise ValueError("need delta in (0, 1] and kappa >= 1")
+    if not (0.0 < delta <= 1.0) or not (1.0 <= kappa < math.inf):
+        raise ValueError("need delta in (0, 1] and finite kappa >= 1")
     R = int(R)
     if not (4 <= R <= 10**5):
         raise ValueError("need 4 <= R <= 1e5")
     # totient sieve
     phi = np.arange(R + 1, dtype=np.int64)
-    for p in range(2, R + 1):
-        if phi[p] == p:  # prime
-            phi[p::p] -= phi[p::p] // p
+    for p in primes_upto(R).tolist():
+        phi[p::p] -= phi[p::p] // p
     b = np.arange(2, R + 1, dtype=float)
     terms = phi[2:].astype(float) * (2.0 * b ** (-(kappa + 1.0))) ** delta
     partial = float(terms.sum())
@@ -275,6 +322,6 @@ def assembled_dimension(kappa_list) -> float:
     """Hausdorff dimension of the locus of points failing the vector
     condition at exponents (kappa_1, ..., kappa_k): 2 + 2/min(kappa_j + 1)."""
     ks = [float(k) for k in kappa_list]
-    if not ks or any(k < 1.0 for k in ks):
-        raise ValueError("exponents must be >= 1")
+    if not ks or any(not (1.0 <= k < math.inf) for k in ks):
+        raise ValueError("exponents must be finite and >= 1")
     return 2.0 + 2.0 / (min(ks) + 1.0)

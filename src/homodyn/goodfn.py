@@ -44,8 +44,8 @@ class GoodFnParams:
     def __post_init__(self):
         if self.kappa < 1.0 or not (0.0 < self.gamma < 1.0 / (self.kappa + 4.0)):
             raise ValueError("need kappa >= 1 and 0 < gamma < 1/(kappa+4)")
-        if self.mu <= 0.0 or self.nu <= 0.0:
-            raise ValueError("witness constants must be positive")
+        if not (0.0 < self.mu < math.inf and 0.0 < self.nu < math.inf):
+            raise ValueError("witness constants must be finite and positive")
         if not (abs(self.b) >= self.mu or abs(self.a) ** self.kappa * abs(self.b) >= self.nu):
             raise ValueError("vector violates the |b| >= mu or |a|^k |b| >= nu condition")
         if self.b < 0.0:

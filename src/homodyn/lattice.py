@@ -50,26 +50,52 @@ class SectorQuery:
             raise SectorError("need l > 0 and 0 <= theta1 <= theta2 < 2*pi")
 
 
+def primes_upto(n: int) -> np.ndarray:
+    """The primes p <= n, ascending (sieve of Eratosthenes)."""
+    is_prime = np.ones(max(n + 1, 2), dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime)
+
+
+def coprime_mask(N: int, M: int) -> np.ndarray:
+    """mask[n - 1, m + M] = (gcd(|m|, n) == 1) over the box 1 <= n <= N,
+    -M <= m <= M: one strided strike per prime p <= N, at the rows n and
+    columns m divisible by p (the m = 0 column is struck for every n > 1)."""
+    mask = np.ones((N, 2 * M + 1), dtype=bool)
+    for p in primes_upto(N).tolist():
+        mask[p - 1::p, M % p::p] = False
+    return mask
+
+
+def canonical_pairs(mask: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alphas, betas) of the set entries of a coprime_mask(N, M)-shaped
+    mask, after (1, 0), ordered by (beta, alpha)."""
+    rows, cols = np.nonzero(mask)
+    rows += 1
+    cols -= M
+    return (np.concatenate([np.ones(1, dtype=np.int64), cols]),
+            np.concatenate([np.zeros(1, dtype=np.int64), rows]))
+
+
 def enumerate_orbit(R: float) -> PrimitiveVectorSet:
-    """All normalized primitive pairs of norm <= R, by gcd sieve."""
+    """All normalized primitive pairs of norm <= R, by prime sieve."""
     if not (1.0 <= R <= _RADIUS_GUARD):
         raise CapacityError(f"radius {R} outside [1, {_RADIUS_GUARD:g}]")
     est = 0.955 * R * R
     if est > _COUNT_GUARD:
         raise CapacityError(f"~{est:.2g} vectors exceed the memory guard")
-    alphas = [np.array([1], dtype=np.int64)]
-    betas = [np.array([0], dtype=np.int64)]
-    for b in range(1, int(R) + 1):
-        amax = int(math.isqrt(int(R * R - b * b)))
-        a = np.arange(-amax, amax + 1, dtype=np.int64)
-        a = a[np.gcd(np.abs(a), b) == 1]
-        alphas.append(a)
-        betas.append(np.full(a.shape, b, dtype=np.int64))
-    return PrimitiveVectorSet(
-        radius=float(R),
-        alphas=np.concatenate(alphas),
-        betas=np.concatenate(betas),
-    )
+    M = int(R)
+    b = np.arange(1, M + 1, dtype=np.int64)
+    # |a| <= isqrt(int(R^2 - b^2)), i.e. a^2 <= floor(R^2 - b^2), per row
+    room = np.floor(R * R - b * b)
+    a = np.arange(-M, M + 1, dtype=np.int64)
+    mask = coprime_mask(M, M)
+    mask &= (a * a)[None, :] <= room[:, None]
+    alphas, betas = canonical_pairs(mask, M)
+    return PrimitiveVectorSet(radius=float(R), alphas=alphas, betas=betas)
 
 
 def sector_count(vecs: PrimitiveVectorSet, q: SectorQuery) -> int:

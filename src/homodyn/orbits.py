@@ -297,8 +297,10 @@ def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,
     per-block quality factors r_i, and the sharp quadratic Taylor residual of
     the time parametrization over each block.
     """
-    if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
-        raise ValueError("need 0 < gamma < 1/(kappa+4)")
+    if not (1.0 <= kappa < math.inf) or not (0.0 < gamma < 1.0 / (kappa + 4.0)):
+        raise ValueError("need finite kappa >= 1 and 0 < gamma < 1/(kappa+4)")
+    if not (0.0 <= eps < math.inf):
+        raise ValueError("need finite eps >= 0")
     if N < 10:
         raise ValueError("need N >= 10")
     ratios = curve_hit_ratios(p, gamma, kappa, N)

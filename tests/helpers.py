@@ -147,3 +147,120 @@ def sector_children_reference(parent_lo: Fraction, parent_hi: Fraction, l: float
             if parent_lo <= lo and hi <= parent_hi:
                 out.append((lo, hi))
     return sorted(out)
+
+
+_REF_MARGIN = 1e-11  # the float pre-check band of the scalar tree build
+
+
+def _ref_endpoints_int(a: int, b: int, e: int):
+    q = 18 * b**e
+    core = 18 * a * b ** (e - 1)
+    return (core - 1, q), (core + 1, q)
+
+
+def _ref_leq(p1, q1, p2, q2) -> bool:
+    return p1 * q2 <= p2 * q1
+
+
+def _ref_sector_children(l: float, parent, e, exact: bool):
+    """One parent's children at sector scale l, sorted by slope: the former
+    per-parent loop of fractal.build_tree (numpy windows, Python candidates)."""
+    if exact:
+        (plo, qlo), (phi, qhi) = parent
+        lo_f, hi_f = plo / qlo, phi / qhi
+    else:
+        lo_f, hi_f = parent
+    b_min = max(1, int(math.floor(l * math.sqrt(0.5))))
+    b_max = int(math.ceil(2.0 * l))
+    betas = np.arange(b_min, b_max + 1, dtype=np.int64)
+    bf = betas.astype(float)
+    a_lo = np.ceil(lo_f * bf - 1e-6)
+    a_lo = np.maximum(a_lo, 1.0)
+    a_lo = np.maximum(a_lo, np.ceil(np.sqrt(np.maximum(l * l - bf * bf, 0.0)) - 1e-9))
+    a_hi = np.floor(hi_f * bf + 1e-6)
+    a_hi = np.minimum(a_hi, bf - 1.0)
+    a_hi = np.minimum(a_hi, np.floor(np.sqrt(4.0 * l * l - bf * bf) + 1e-9))
+    out = []
+    l2, l4 = l * l, 4.0 * l * l
+    for i in np.nonzero(a_lo <= a_hi)[0].tolist():
+        b = int(betas[i])
+        w = (1.0 / 18.0) * float(b) ** (-float(e))
+        for a in range(int(a_lo[i]), int(a_hi[i]) + 1):
+            r2 = a * a + b * b
+            if not (l2 <= r2 <= l4) or math.gcd(a, b) != 1:
+                continue
+            s = a / b
+            if s - w < lo_f - _REF_MARGIN or s + w > hi_f + _REF_MARGIN:
+                continue
+            if exact and (s - w < lo_f + _REF_MARGIN or s + w > hi_f - _REF_MARGIN):
+                (clo_p, clo_q), (chi_p, chi_q) = _ref_endpoints_int(a, b, e)
+                if not (_ref_leq(plo, qlo, clo_p, clo_q) and _ref_leq(chi_p, chi_q, phi, qhi)):
+                    continue
+            elif not exact and (s - w < lo_f or s + w > hi_f):
+                continue
+            out.append((a, b))
+    out.sort(key=lambda ab: ab[0] / ab[1])
+    return out
+
+
+def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int = 2 * 10**6):
+    """Scalar reference for fractal.build_tree: the former one-call-per-parent
+    loop.  Returns (pair levels, diameters, densities); pair level j lists the
+    (a, b) of level j (level 0, the root, has none).  Raises the same
+    EmptyLevelError message and guard ValueError.  A parent's length is its
+    exact width (2/18) b^-e, not a difference of rounded endpoints.
+    """
+    from homodyn.fractal import EmptyLevelError
+
+    exact = float(kappa + eps).is_integer()
+    e = int(kappa + eps) + 1 if exact else kappa + eps + 1.0
+    parents = [((0, 1), (1, 1)) if exact else (0.0, 1.0)]
+    parent_lens = [1.0]
+    pair_levels, diameters, densities = [[]], [1.0], []
+    total = 0
+    for l in l_schedule:
+        level_pairs, worst, max_diam = [], math.inf, 0.0
+        for parent, parent_len in zip(parents, parent_lens):
+            children = _ref_sector_children(l, parent, e, exact)
+            if not children:
+                if exact:
+                    (plo, qlo), (phi, qhi) = parent
+                    span = (plo / qlo, phi / qhi)
+                else:
+                    span = parent
+                raise EmptyLevelError(
+                    f"parent ({span[0]:.6g}, {span[1]:.6g}) got no children "
+                    f"at sector scale l={l:g}"
+                )
+            total += len(children)
+            if total > child_guard:
+                raise ValueError("tree exceeds the interval-count guard")
+            widths = [2.0 / 18.0 * float(b) ** (-float(e)) for _, b in children]
+            worst = min(worst, sum(widths) / parent_len)
+            max_diam = max(max_diam, max(widths))
+            level_pairs.extend(children)
+        level_pairs.sort(key=lambda ab: ab[0] / ab[1])
+        pair_levels.append(level_pairs)
+        densities.append(worst)
+        diameters.append(max_diam)
+        if exact:
+            parents = [_ref_endpoints_int(a, b, e) for a, b in level_pairs]
+        else:
+            parents = [(a / b - (1.0 / 18.0) * float(b) ** (-e),
+                        a / b + (1.0 / 18.0) * float(b) ** (-e)) for a, b in level_pairs]
+        parent_lens = [2.0 / 18.0 * float(b) ** (-float(e)) for _, b in level_pairs]
+    return pair_levels, diameters, densities
+
+
+def primitive_pairs_reference(bound: int):
+    """Reference for the sieve in diophantine._primitive_pairs: the former
+    per-row np.gcd loop.  Sign-canonical primitive (m, n), |m|, |n| <= bound,
+    (1, 0) first, then by (n, m)."""
+    ms = [np.array([1], dtype=np.int64)]
+    ns = [np.array([0], dtype=np.int64)]
+    m_range = np.arange(-bound, bound + 1, dtype=np.int64)
+    for n in range(1, bound + 1):
+        mm = m_range[np.gcd(np.abs(m_range), n) == 1]
+        ms.append(mm)
+        ns.append(np.full(mm.shape, n, dtype=np.int64))
+    return np.concatenate(ms), np.concatenate(ns)

@@ -150,6 +150,9 @@ def test_cli_pieces_and_box_smoke(capsys, tmp_path, monkeypatch):
                     "--eps", "0.1", "--N", "3000"]) == 0
     out = capsys.readouterr().out
     assert "covered_fraction" in out
+    # eps = 0 is the empty-obstruction limit, not a bad parameter
+    assert run_cli(["pieces", "--eps", "0", "--N", "100"]) == 0
+    assert "# obstructed_fraction = 0.0" in capsys.readouterr().out
     assert run_cli(["box", "--base", "golden", "--T", "100", "200",
                     "--weighted"]) == 0
     out = capsys.readouterr().out
@@ -212,7 +215,15 @@ def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
                  ["box", "--T", "5"], ["dim", "--schedule", "100,50"],
                  ["mollify", "--delta", "nan"], ["mollify", "--delta", "inf"],
                  ["mollify", "--gamma-box", "inf"],
-                 ["orbit", "--config", str(tmp_path / "missing.cfg")]):
+                 ["orbit", "--config", str(tmp_path / "missing.cfg")],
+                 ["dim", "--kappa", "nan"], ["dim", "--eps", "nan"],
+                 ["dim", "--kappa", "inf"], ["dim", "--eps", "inf"],
+                 ["dio", "--kappa", "nan", "--bound", "50"],
+                 ["dio", "--tmax", "nan", "--bound", "50"],
+                 ["dio", "--bound", "100000"], ["dio", "--bound", "9999"],
+                 ["pieces", "--eps", "nan", "--N", "100"],
+                 ["pieces", "--kappa", "-1", "--N", "100"],
+                 ["goodfn", "--mu", "nan"], ["goodfn", "--mu", "inf"]):
         assert run_cli(argv) == 1, argv
         assert "config error" in capsys.readouterr().err
 

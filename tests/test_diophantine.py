@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from homodyn.diophantine import (
     DivergentOrbitError,
+    OpenExcursionError,
+    _primitive_pairs,
     cf_expand,
     cf_from_quotients,
     excursion_type_estimate,
@@ -15,8 +18,11 @@ from homodyn.diophantine import (
     slope_base,
     type_estimate,
 )
+from homodyn.lattice import CapacityError
 from homodyn.psl2 import identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
+
+from helpers import primitive_pairs_reference
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -176,3 +182,31 @@ def test_excursion_profile_bounded_for_badly_approximable_slope():
     p = reduce(slope_base(GOLDEN))
     ts, vals = excursion_profile(p, 35.0, 1401)
     assert float(vals.max()) <= 3.0
+
+
+@pytest.mark.parametrize("bound", [10, 11, 1000])
+def test_primitive_pairs_sieve_matches_gcd_loop(bound):
+    m, n = _primitive_pairs(bound)
+    ref_m, ref_n = primitive_pairs_reference(bound)
+    assert np.array_equal(m, ref_m) and np.array_equal(n, ref_n)
+    assert (m[0], n[0]) == (1, 0)
+    assert m[n == 1].tolist() == list(range(-bound, bound + 1))  # n = 1 row
+    assert n[m == 0].tolist() == [1]  # m = 0 column: (0, 1) only
+
+
+@pytest.mark.parametrize("bound", [6500, 9999, 100000])
+def test_primitive_pairs_guarded(bound):
+    # ~0.61 (2N+1) N vectors over the count guard: refused before the sieve
+    with pytest.raises(CapacityError):
+        _primitive_pairs(bound)
+
+
+def test_bad_kappa_and_horizon_rejected():
+    p = reduce(slope_base(GOLDEN))
+    for kappa in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(ValueError):
+            point_type_check(p, kappa, 30)
+    for t_max in (float("nan"), 5.0):
+        with pytest.raises(ValueError) as exc:
+            excursion_type_estimate(p, t_max)
+        assert not isinstance(exc.value, OpenExcursionError)

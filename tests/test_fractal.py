@@ -4,24 +4,26 @@ closed forms."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from homodyn import fractal
 from homodyn.fractal import (
     EmptyLevelError,
     _child_endpoints_int,
-    _sector_children,
+    _level_children,
     assembled_dimension,
     build_tree,
     cover_sum,
     dimension_lower_bound,
 )
 
-from helpers import sector_children_reference
+from helpers import build_tree_reference, sector_children_reference
 
 
 def test_single_level_tree_is_root():
     fam = build_tree(1.0, 0.0, 1, [50.0])
-    assert fam.levels[0] == [(Fraction(0), Fraction(1))]
+    assert fam.endpoints(0) == [(Fraction(0), Fraction(1))]
     assert fam.level_count() == 1
     assert len(fam.levels[1]) > 0
 
@@ -33,7 +35,8 @@ def test_two_level_tree_kappa_one():
     # every level-1 interval received children (construction would raise)
     assert len(fam.levels[2]) >= len(fam.levels[1])
     # containment and disjointness at every level (parents are sorted)
-    for parents, children in zip(fam.levels, fam.levels[1:]):
+    levels = [fam.endpoints(j) for j in range(len(fam.levels))]
+    for parents, children in zip(levels, levels[1:]):
         lows = [float(lo) for lo, _ in parents]
         for c_lo, c_hi in children:
             i = bisect_right(lows, float(c_lo) + 1e-15) - 1
@@ -50,7 +53,7 @@ def test_two_level_tree_kappa_one():
 def test_tree_determinism():
     a = build_tree(1.0, 0.0, 2, [50.0, 2500.0])
     b = build_tree(1.0, 0.0, 2, [50.0, 2500.0])
-    assert a.levels == b.levels
+    assert [lv.tolist() for lv in a.levels] == [lv.tolist() for lv in b.levels]
 
 
 def test_tree_matches_brute_force_packing():
@@ -58,17 +61,19 @@ def test_tree_matches_brute_force_packing():
     # brute-force packing of that parent at the same sector scale
     fam = build_tree(1.0, 0.0, 2, [10.0, 300.0])
     matched = 0
-    for lo, hi in fam.levels[1]:
-        got = [iv for iv in fam.levels[2] if lo <= iv[0] and iv[1] <= hi]
+    level2 = fam.endpoints(2)
+    for lo, hi in fam.endpoints(1):
+        got = [iv for iv in level2 if lo <= iv[0] and iv[1] <= hi]
         assert got == sector_children_reference(lo, hi, 300.0, 2)
         matched += len(got)
-    assert matched == len(fam.levels[2])
+    assert matched == len(level2)
 
 
 def _half_parent_children(l):
     # children of the parent interval around 1/2 for kappa = 1 (exponent 2)
     parent = _child_endpoints_int(1, 2, 2)
-    return parent, _sector_children(l, parent, 2, True)
+    children, _, _ = _level_children(l, np.array([[1, 2]]), np.array([2.0**-2]), 2, True, 0)
+    return parent, children.tolist()
 
 
 def test_sector_children_disjoint_and_contained():
@@ -87,6 +92,123 @@ def test_sector_children_ratio_stability():
     ratios = [len(_half_parent_children(l)[1]) / (l * l / 2.0**2)
               for l in (250.0, 500.0, 1000.0)]
     assert max(ratios) / min(ratios) <= 3.0
+
+
+# (kappa, eps, schedule): exponent e = 2, 3, 4 and the float exponent 2.5,
+# one to three levels; the last three stop with EmptyLevelError
+_REFERENCE_CASES = [
+    (1.0, 0.0, [50.0]),
+    (1.0, 0.0, [10.0, 300.0]),
+    (1.0, 0.0, [10.0, 200.0, 4000.0]),
+    (2.0, 0.0, [3.0, 400.0]),
+    (3.0, 0.0, [2.0, 500.0]),
+    (1.0, 0.5, [20.0]),
+    (1.0, 0.5, [5.0, 300.0]),
+    (3.0, 0.0, [50.0, 2500.0]),
+    (1.0, 0.5, [3.0, 60.0, 3000.0]),
+    (3.0, 0.0, [2.0, 350.0, 49999.0]),
+]
+
+
+def _assert_matches_reference(kappa, eps, schedule, child_guard=fractal._CHILD_GUARD):
+    try:
+        ref = build_tree_reference(kappa, eps, schedule, child_guard)
+    except (EmptyLevelError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            build_tree(kappa, eps, len(schedule), schedule)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    pair_levels, diameters, densities = ref
+    fam = build_tree(kappa, eps, len(schedule), schedule)
+    assert fam.exact == float(kappa + eps).is_integer()
+    assert len(fam.levels) == len(pair_levels)
+    for level, pairs in zip(fam.levels, pair_levels):
+        assert level.dtype == np.int64 and level.shape == (len(pairs), 2)
+        assert level.tolist() == [list(ab) for ab in pairs]
+    assert fam.diameters == pytest.approx(diameters, rel=1e-9, abs=0.0)
+    assert fam.densities == pytest.approx(densities, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa,eps,schedule", _REFERENCE_CASES)
+def test_build_tree_matches_scalar_reference(kappa, eps, schedule):
+    _assert_matches_reference(kappa, eps, schedule)
+
+
+@pytest.mark.parametrize("guard", [1000, 5000, 60000])
+def test_build_tree_guard_matches_scalar_reference(guard, monkeypatch):
+    # kappa = 1: the guard trips on the root's level (1000), midway through
+    # the second level (5000) or not at all (60000); kappa = 3: an empty
+    # parent comes first from 5000 on.  Same error where the scalar loop
+    # raises it.
+    monkeypatch.setattr(fractal, "_CHILD_GUARD", guard)
+    _assert_matches_reference(1.0, 0.0, [50.0, 1200.0], guard)
+    _assert_matches_reference(3.0, 0.0, [50.0, 2500.0], guard)
+
+
+@pytest.mark.parametrize("guard", [300, 340])
+def test_build_tree_guard_before_empty_parent(guard, monkeypatch):
+    # level 2 of kappa = 2 at l = 250: the fifth of 7 parents is the first
+    # without children, and the tree holds 336 intervals before it.  Guard
+    # 300 trips on an earlier parent (ValueError); guard 340 reaches the
+    # empty parent first (EmptyLevelError), as in the scalar loop.
+    monkeypatch.setattr(fractal, "_CHILD_GUARD", guard)
+    _assert_matches_reference(2.0, 0.0, [3.0, 250.0], guard)
+
+
+def test_build_tree_guard_trips_before_level_is_expanded(monkeypatch):
+    # the root at l = 5e4 has ~1e9 candidate slopes; the guard stops the
+    # build within the first expansion step instead of after all of them
+    monkeypatch.setattr(fractal, "_CHILD_GUARD", 10**4)
+    with pytest.raises(ValueError, match="interval-count guard"):
+        build_tree(1.0, 0.0, 1, [5e4])
+
+
+def test_build_tree_independent_of_block_sizes(monkeypatch):
+    # tiny blocks and candidate steps: many blocks per level, many steps per
+    # block, guard and empty-parent checks between them
+    monkeypatch.setattr(fractal, "_CELLS", 1000)
+    monkeypatch.setattr(fractal, "_CANDIDATES", 64)
+    _assert_matches_reference(1.0, 0.0, [10.0, 300.0])
+    _assert_matches_reference(1.0, 0.5, [5.0, 300.0])
+    _assert_matches_reference(3.0, 0.0, [50.0, 2500.0])
+    monkeypatch.setattr(fractal, "_CHILD_GUARD", 3000)
+    _assert_matches_reference(1.0, 0.0, [10.0, 300.0], 3000)
+    _assert_matches_reference(1.0, 0.0, [300.0], 3000)
+
+
+def test_endpoints_float_exponent():
+    fam = build_tree(1.0, 0.5, 2, [5.0, 300.0])
+    assert not fam.exact and fam.endpoints(0) == [(0.0, 1.0)]
+    for j in (1, 2):
+        ends = fam.endpoints(j)
+        assert len(ends) == len(fam.levels[j])
+        for (a, b), (lo, hi) in zip(fam.levels[j].tolist(), ends):
+            assert (lo + hi) / 2 == pytest.approx(a / b, abs=1e-15)
+            assert hi - lo == pytest.approx(2.0 / 18.0 * b**-2.5, rel=1e-9)
+
+
+def test_bad_exponents_rejected():
+    nan, inf = float("nan"), float("inf")
+    for kappa, eps in ((nan, 0.0), (1.0, nan), (inf, 0.0), (1.0, inf), (0.5, 0.0), (1.0, -0.1)):
+        with pytest.raises(ValueError):
+            build_tree(kappa, eps, 1, [50.0])
+    for kappa in (nan, inf, 0.5):
+        with pytest.raises(ValueError):
+            cover_sum(kappa, 0.5, 100)
+        with pytest.raises(ValueError):
+            assembled_dimension([1.0, kappa])
+
+
+def test_cover_sum_totient_sieve_unchanged():
+    # partial sums from the former totient loop, bit for bit
+    for R in (4, 97, 1000, 10**4):
+        phi = np.arange(R + 1, dtype=np.int64)
+        for p in range(2, R + 1):
+            if phi[p] == p:
+                phi[p::p] -= phi[p::p] // p
+        b = np.arange(2, R + 1, dtype=float)
+        expected = float((phi[2:].astype(float) * (2.0 * b ** -4.0) ** 0.6).sum())
+        assert cover_sum(3.0, 0.6, R).partial == expected
 
 
 def test_empty_level_raises():
@@ -128,7 +250,7 @@ def test_deepest_level_certificate():
     # endpoints via the stored interval midpoints
     fam = build_tree(1.0, 0.0, 2, [50.0, 2500.0])
     l_last = fam.l_schedule[-1]
-    for lo, hi in fam.levels[-1][:200]:
+    for lo, hi in fam.endpoints(-1)[:200]:
         mid = (lo + hi) / 2  # = a/b by construction
         b = mid.denominator
         assert l_last * math.sqrt(0.5) - 1 <= b <= 2 * l_last

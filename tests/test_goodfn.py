@@ -46,6 +46,13 @@ def test_constructor_rejects_zero_b_without_witness():
         GoodFnParams(a=1.0, b=1.0, kappa=1.0, gamma=0.3, mu=0.5, nu=0.5)
 
 
+def test_constructor_rejects_non_finite_witness_constants():
+    for mu, nu in ((float("nan"), 0.5), (float("inf"), 0.5), (0.5, float("nan")),
+                   (0.5, float("inf")), (0.0, 0.5), (0.5, -1.0)):
+        with pytest.raises(ValueError):
+            GoodFnParams(a=1.0, b=1.0, kappa=1.0, gamma=0.1, mu=mu, nu=nu)
+
+
 def test_factorization_identity():
     p = GoodFnParams(a=1.0, b=0.01, kappa=1.0, gamma=0.05, mu=0.5, nu=0.005)
     xs = np.geomspace(1.0, 1e6, 500)

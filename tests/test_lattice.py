@@ -9,12 +9,14 @@ from homodyn.lattice import (
     CapacityError,
     SectorError,
     SectorQuery,
+    coprime_mask,
     enumerate_orbit,
     gap_constants,
+    primes_upto,
     sector_count,
 )
 
-from helpers import gamma_to_element, rng
+from helpers import gamma_to_element, primitive_pairs_reference, rng
 
 
 def brute_primitive_pairs(R):
@@ -156,3 +158,30 @@ def test_gap_constants():
     c2, cx = gap_constants(s)
     assert c2 == 1.0
     assert cx == 1.0
+
+
+def test_primes_upto():
+    naive = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    assert primes_upto(199).tolist() == naive
+    assert primes_upto(0).tolist() == [] and primes_upto(1).tolist() == []
+    assert primes_upto(2).tolist() == [2]
+
+
+@pytest.mark.parametrize("N,M", [(10, 10), (11, 11), (1000, 1000), (7, 3), (1, 5), (12, 0)])
+def test_coprime_mask_matches_gcd(N, M):
+    mask = coprime_mask(N, M)
+    n = np.arange(1, N + 1)[:, None]
+    m = np.arange(-M, M + 1)[None, :]
+    assert mask.shape == (N, 2 * M + 1)
+    assert np.array_equal(mask, np.gcd(np.abs(m), n) == 1)
+    assert mask[0].all()  # n = 1 row: every m
+    assert mask[:, M].tolist() == [True] + [False] * (N - 1)  # m = 0 column: n = 1 only
+
+
+@pytest.mark.parametrize("R", [1.0, 10.0, 11.0, 1000.0, 1000.5])
+def test_enumerate_matches_gcd_loop(R):
+    # same pairs, same (beta, alpha) order as the per-row np.gcd loop
+    s = enumerate_orbit(R)
+    m, n = primitive_pairs_reference(int(R))
+    inside = m * m + n * n <= R * R
+    assert np.array_equal(s.alphas, m[inside]) and np.array_equal(s.betas, n[inside])

@@ -215,10 +215,18 @@ def test_fejer_validation():
         fejer_coefficient_check(0.6, 1.0, 10000)
 
 
+def test_piece_decomposition_rejects_bad_parameters():
+    for eps, kappa in ((float("nan"), 1.0), (float("inf"), 1.0), (-0.1, 1.0),
+                       (0.1, -1.0), (0.1, float("nan"))):
+        with pytest.raises(ValueError):
+            piece_decomposition(GOLDEN_P, 0.1, eps, 100, kappa)
+
+
 def test_piece_decomposition_eps_zero_limit():
-    rep = piece_decomposition(GOLDEN_P, 0.1, 1e-9, 2000, 1.0)
-    assert rep.rows[0][0] == 1  # first block starts at 1
-    assert rep.params["covered_fraction"] == 1.0
+    for eps in (1e-9, 0.0):  # at eps = 0 the obstruction set is empty
+        rep = piece_decomposition(GOLDEN_P, 0.1, eps, 2000, 1.0)
+        assert rep.rows[0][0] == 1  # first block starts at 1
+        assert rep.params["covered_fraction"] == 1.0
 
 
 def test_piece_decomposition_taylor_residual():
