@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -50,8 +49,6 @@ from .orbits import (
 from .psl2 import GroupElement, GroupError, identity
 from .report import ExperimentReport, emit_csv, emit_svg
 from .surface import reduce
-
-DEFAULT_SEED = 20250809
 
 
 class ConfigError(ValueError):
@@ -99,23 +96,25 @@ def load_config(path: str) -> dict:
     return out
 
 
-def run_orbit(args) -> ExperimentReport:
-    p = reduce(parse_base(args.base))
-    series = sample_sparse(p, args.gamma, args.N, threads=args.threads)
+def _series_report(args, series) -> ExperimentReport:
+    """Discrepancy table of an orbit sample; --threads is recorded, --svg drawn."""
     rep = discrepancy(series, default_suite())
+    rep.params["threads"] = args.threads
     if args.svg:
         emit_svg(series.xs, series.ys, args.svg)
     return rep
 
 
+def run_orbit(args) -> ExperimentReport:
+    p = reduce(parse_base(args.base))
+    return _series_report(args, sample_sparse(p, args.gamma, args.N))
+
+
 def run_curve(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
     grid = np.geomspace(1.0, args.xmax, args.points)
-    series = sample_curve(p, args.gamma, grid, threads=args.threads)
-    rep = discrepancy(series, default_suite())
+    rep = _series_report(args, sample_curve(p, args.gamma, grid))
     rep.name = "curve_discrepancy"
-    if args.svg:
-        emit_svg(series.xs, series.ys, args.svg)
     return rep
 
 
@@ -278,10 +277,9 @@ _RUNNERS = {
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --threads and of its default, HOMODYN_THREADS."""
+    """argparse type of --threads."""
     if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer "
-                                         "(--threads or HOMODYN_THREADS)")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer (--threads)")
     return int(text)
 
 
@@ -294,28 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None, help="CSV output path")
-        p.add_argument("--svg", type=str, default=None, help="SVG scatter path")
-        p.add_argument("--threads", type=positive_int,
-                       default=os.environ.get("HOMODYN_THREADS", "1"))
         p.add_argument("--config", type=str, default=None,
                        help="key=value defaults file")
+
+    def orbit_common(p):
+        p.add_argument("--svg", type=str, default=None, help="SVG scatter path")
+        p.add_argument("--threads", type=positive_int, default=1)
+        common(p)
 
     p = sub.add_parser("orbit", help="sparse orbit discrepancy against Haar")
     p.add_argument("--base", default="golden")
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--N", type=int, default=100000)
-    p.add_argument("--suite", choices=["default"], default="default")
-    common(p)
+    orbit_common(p)
 
     p = sub.add_parser("curve", help="expanding-translate curve discrepancy")
     p.add_argument("--base", default="golden")
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--xmax", type=float, default=1e6)
     p.add_argument("--points", type=int, default=100000)
-    p.add_argument("--suite", choices=["default"], default="default")
-    common(p)
+    orbit_common(p)
 
     p = sub.add_parser("twist", help="oscillation-twisted time averages")
     p.add_argument("--base", default="golden")
@@ -397,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, argv):
+def _apply_config(argv):
     """Config-file values become defaults; explicit flags win.  A value of
     true or false turns into the switch --key or --no-key."""
     if "--config" not in argv:
@@ -422,7 +419,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         if argv and argv[0] in _RUNNERS:
-            argv = _apply_config(parser, argv)
+            argv = _apply_config(argv)
         args = parser.parse_args(argv)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -446,7 +443,7 @@ def main(argv=None) -> int:
         print(f"# ... {len(report.rows) - 40} more rows")
     out = args.out or f"homodyn_{args.experiment}.csv"
     try:
-        emit_csv(report, out, seed=args.seed, version=__version__)
+        emit_csv(report, out)
     except OSError as exc:
         print(f"numeric failure: cannot write {out}: {exc}", file=sys.stderr)
         return 2

@@ -118,7 +118,7 @@ def cf_from_quotients(quotients) -> ContinuedFraction:
     )
 
 
-def planted_quotients(zeta: float, q_cap: int = 10**9):
+def planted_quotients(zeta: float):
     """Quotient list with a_{n+1} ~ q_n^(zeta-1), so |q_n x - p_n| ~ q_n^-zeta."""
     if zeta < 1.0:
         raise ValueError("type exponent must be >= 1")
@@ -127,7 +127,7 @@ def planted_quotients(zeta: float, q_cap: int = 10**9):
     while True:
         a = max(1, round(q1 ** (zeta - 1.0)))
         q0, q1 = q1, a * q1 + q0
-        if q1 > q_cap:
+        if q1 > 10**9:  # the planted denominators stay below 10^9
             break
         quotients.append(a)
     return quotients
@@ -240,7 +240,7 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     return witness, a_comp, b_comp
 
 
-def excursion_type_estimate(p: SurfacePoint, t_max: float, steps: int = 0) -> tuple:
+def excursion_type_estimate(p: SurfacePoint, t_max: float) -> tuple:
     """Type exponent from the gated excursion profile of the geodesic orbit.
 
     Fits the record-peak envelope slope m and inverts kappa = (1+m)/(1-m).
@@ -253,8 +253,7 @@ def excursion_type_estimate(p: SurfacePoint, t_max: float, steps: int = 0) -> tu
     # beyond e^{-t} ~ machine epsilon the float orbit leaves the true one and
     # manufactures spurious excursions; the fit only uses samples before that
     t_fit = min(t_max, _T_RELIABLE)
-    if steps <= 0:
-        steps = max(500, int(t_fit / 0.05))
+    steps = max(500, int(t_fit / 0.05))
     ts, vals = excursion_profile(p, t_fit, steps)
     peaks = []
     run_best = None  # (t, v) best of the current excursion
@@ -318,8 +317,8 @@ def exponent_bundle(s: float, kappa_list, epsilon: float = 1e-3) -> ExponentBund
     if not (0.0 <= epsilon < 2.0 * s):
         raise ValueError("need 0 <= epsilon < 2s")
     kappa_list = tuple(float(k) for k in kappa_list)
-    if not kappa_list or any(k < 1.0 for k in kappa_list):
-        raise ValueError("cusp exponents must be >= 1")
+    if not kappa_list or any(not (1.0 <= k < math.inf) for k in kappa_list):
+        raise ValueError("cusp exponents must be finite and >= 1")
     kappa_mix = 2.0 * s - epsilon
     beta = s * kappa_mix / (2.0 * (8.0 + kappa_mix))
     g_spec = min(s * s / ((s + 4.0) * (k + 4.0)) for k in kappa_list)

@@ -254,10 +254,10 @@ class DimensionBound(NamedTuple):
     series: tuple  # per-depth bounds, one entry per usable level
 
 
-def dimension_lower_bound(fam_or_data, ambient_dim: float = 1.0) -> DimensionBound:
+def dimension_lower_bound(fam_or_data) -> DimensionBound:
     """Finite-depth evaluation of the density/diameter dimension bound.
 
-    dim >= ambient - sum_i log(1/Delta_i) / log(1/d_(j+1)), evaluated at each
+    dim >= 1 - sum_i log(1/Delta_i) / log(1/d_(j+1)), evaluated at each
     available depth; the reported value is the deepest one (the limsup of the
     infinite construction is replaced by the last finite level, and the whole
     series is returned so convergence is visible).
@@ -274,7 +274,7 @@ def dimension_lower_bound(fam_or_data, ambient_dim: float = 1.0) -> DimensionBou
     for j, delta in enumerate(densities):
         acc += math.log(1.0 / delta)
         d_next = diameters[j + 1]
-        series.append(ambient_dim - acc / math.log(1.0 / d_next))
+        series.append(1.0 - acc / math.log(1.0 / d_next))
     return DimensionBound(series[-1], tuple(series))
 
 

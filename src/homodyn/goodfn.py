@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import ExperimentReport
-from .surface import SurfacePoint, lattice_min_sq
+from .surface import SurfacePoint, cusp_norms
 
 _WINDOW_CAP = 1e8
 ALPHA = 0.5  # sublevel exponent of this family
@@ -248,9 +248,8 @@ def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.
     if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
         raise ValueError("need 0 < gamma < 1/(kappa+4)")
     n = np.arange(1, N + 1, dtype=float)
-    h11, h12, h21, h22 = curve_entries(p.rep.entries, n, gamma)
-    # the lattice g^{-1} Z^2 of g = (h11, h12; h21, h22), as in cusp_norm_entries
-    return np.sqrt(lattice_min_sq(h22, -h21, -h12, h11)) / n ** (-0.25 + 1.0 / (kappa + 4.0))
+    norms = cusp_norms(*curve_entries(p.rep.entries, n, gamma))
+    return norms / n ** (-0.25 + 1.0 / (kappa + 4.0))
 
 
 def hitting_frequency(p: SurfacePoint, gamma: float, kappa: float, eps: float,

@@ -19,6 +19,7 @@ from .report import ExperimentReport
 from .surface import SurfacePoint, cusp_norm, geodesic_flow
 
 _BOX_DIM_CAP = 3
+_STEP = 0.02  # node spacing of the box-average quadratures
 INJECTIVITY_FACTOR = 0.5  # declared comparability convention, not measured
 
 _C = 35.0 / 32.0  # normalizes the bump to unit mass
@@ -68,14 +69,6 @@ def mollifier_profile(spec: MollifierSpec, u):
     u = np.asarray(u, dtype=float)
     out = _cdf_array(u / spec.delta) - _cdf_array((u - spec.gamma) / spec.delta)
     return out if out.shape else float(out)
-
-
-def eval_mollifier(spec: MollifierSpec, u) -> float:
-    """Product of the n coordinate factors at the point u."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.size != spec.n:
-        raise ValueError(f"point has {u.size} coordinates, spec has n={spec.n}")
-    return float(np.prod(mollifier_profile(spec, u)))
 
 
 def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
@@ -130,17 +123,17 @@ def injectivity_radius_estimate(p: SurfacePoint) -> float:
     return INJECTIVITY_FACTOR * cusp_norm(p)
 
 
-def box_average(p: SurfacePoint, T: float, f: TestFunction, step: float = 0.02) -> float:
+def box_average(p: SurfacePoint, T: float, f: TestFunction) -> float:
     """(1/T) int_0^T f(p u(t)) dt by composite midpoint quadrature."""
-    if T < 10.0:
-        raise ValueError("need T >= 10")
-    m = int(math.ceil(T / step))
+    if not (10.0 <= T < math.inf):
+        raise ValueError("need finite T >= 10")
+    m = int(math.ceil(T / _STEP))
     h = T / m
     return float(f.values(*horocycle_points(p, (np.arange(m) + 0.5) * h)).sum()) / m
 
 
 def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
-                         spec: MollifierSpec, step: float = 0.02) -> float:
+                         spec: MollifierSpec) -> float:
     """(1/T) int f(p u(t)) w(t/T) dt with the 1-d mollifier profile weight.
 
     The weight's argument is the box coordinate rescaled by the flow time, so
@@ -149,24 +142,23 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
     """
     if spec.n != 1:
         raise ValueError("weighted averages implemented for the 1-d box")
-    if T < 10.0:
-        raise ValueError("need T >= 10")
+    if not (10.0 <= T < math.inf):
+        raise ValueError("need finite T >= 10")
     lo, hi = -spec.delta * T, (spec.gamma + spec.delta) * T
-    m = int(math.ceil((hi - lo) / step))
+    m = int(math.ceil((hi - lo) / _STEP))
     h = (hi - lo) / m
     t = lo + (np.arange(m) + 0.5) * h
     total = float((f.values(*horocycle_points(p, t)) * mollifier_profile(spec, t / T)).sum())
     return total * h / T
 
 
-def box_decay_report(p: SurfacePoint, f: TestFunction, T_list,
-                     step: float = 0.02) -> ExperimentReport:
+def box_decay_report(p: SurfacePoint, f: TestFunction, T_list) -> ExperimentReport:
     """Equidistribution error of box averages over a T sweep, with the
     fitted decay exponent (slope of log error against log T, negated)."""
     T_list = [float(T) for T in T_list]
     rows = []
     for T in T_list:
-        avg = box_average(p, T, f, step=step)
+        avg = box_average(p, T, f)
         err = abs(avg - f.haar_mean)
         eta = injectivity_radius_estimate(geodesic_flow(p, math.log(T)))
         rows.append((T, avg, err, eta))
@@ -178,7 +170,7 @@ def box_decay_report(p: SurfacePoint, f: TestFunction, T_list,
         slope = -math.inf
     rep = ExperimentReport(
         name="box_average_decay",
-        params={"function": f.name, "fitted_exponent": -slope, "step": step},
+        params={"function": f.name, "fitted_exponent": -slope, "step": _STEP},
         columns=["T", "average", "abs_error", "eta_at_logT"],
     )
     for r in rows:

@@ -16,8 +16,8 @@ from .goodfn import curve_entries, curve_hit_ratios
 from .surface import reduce, r_factor  # noqa: F401  (bench/tracing.py wraps them here)
 
 FUNDAMENTAL_AREA = math.pi / 3.0
-_Y_CUT = 1e6          # cusp truncation for the Haar quadrature
 _CHUNK = 8192         # points per kernel call: bounds the kernels' temporaries
+_QUAD_POINTS = 1000   # fewest midpoint nodes of a twisted average
 
 golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -71,8 +71,8 @@ def _check_disc_embedded(x0, y0, r):
 
 
 def height_band(h: float) -> TestFunction:
-    if h < 1.0:
-        raise ValueError("height band needs h >= 1")
+    if not (1.0 <= h < math.inf):
+        raise ValueError("height band needs finite h >= 1")
     return TestFunction(f"band{h:g}", "height_band", {"h": h},
                         haar_mean=3.0 / (math.pi * h))
 
@@ -103,31 +103,6 @@ def smooth_bump(x0: float, y0: float, r: float) -> TestFunction:
 def default_suite() -> list:
     return [height_band(2.0), hyperbolic_disc(0.0, 2.0, 0.2),
             smooth_bump(0.0, 1.8, 0.25), angle_weight()]
-
-
-def haar_integral(f: TestFunction, grid=(128, 128, 16), y_cut: float = _Y_CUT) -> float:
-    """Midpoint quadrature of f against the normalized invariant measure.
-
-    Coordinates (x, v=1/y, theta): the y-measure dy/y^2 is exactly dv, so the
-    cell weights are uniform per x-slab.  The cusp is truncated at y_cut
-    (omitted mass < 1e-6 of the total for bounded f).
-    """
-    nx, ny, ntheta = grid
-    if nx < 64 or ny < 64 or ntheta < 16:
-        raise ValueError("grid must be at least (64, 64, 16)")
-    xs = (np.arange(nx) + 0.5) / nx - 0.5
-    thetas = (np.arange(ntheta) + 0.5) * (math.pi / ntheta)
-    total = 0.0
-    v_cut = 1.0 / y_cut
-    for x in xs:
-        v_top = 1.0 / math.sqrt(1.0 - x * x)
-        v = v_cut + (np.arange(ny) + 0.5) * (v_top - v_cut) / ny
-        y = 1.0 / v
-        vals = f.values(np.full((ny, ntheta), x), y[:, None], thetas[None, :])
-        vals = np.broadcast_to(np.asarray(vals), (ny, ntheta))
-        total += vals.sum() * (v_top - v_cut) / ny
-    total *= (1.0 / nx) * (math.pi / ntheta)
-    return total / (FUNDAMENTAL_AREA * math.pi)
 
 
 @dataclass
@@ -178,16 +153,16 @@ def curve_points(p: SurfacePoint, gamma: float, x_grid):
     return _points(lambda xv: curve_entries(p.rep.entries, xv, gamma), x_grid)
 
 
-def sample_sparse(p: SurfacePoint, gamma: float, N: int, threads: int = 1) -> OrbitSeries:
+def sample_sparse(p: SurfacePoint, gamma: float, N: int) -> OrbitSeries:
     """The orbit points p u(n^(1+gamma)) for n = 0..N-1, reduced."""
     if not (0.0 <= gamma <= 0.5) or N < 1:
         raise ValueError("need 0 <= gamma <= 0.5 and N >= 1")
     times = np.arange(N, dtype=float) ** (1.0 + gamma)
     return OrbitSeries(p, gamma, times, *horocycle_points(p, times),
-                       meta={"kind": "sparse", "N": N, "threads": threads})
+                       meta={"kind": "sparse", "N": N})
 
 
-def sample_curve(p: SurfacePoint, gamma: float, x_grid, threads: int = 1) -> OrbitSeries:
+def sample_curve(p: SurfacePoint, gamma: float, x_grid) -> OrbitSeries:
     """The expanding-translate curve points p (x^(1/4), x^(3/4+gamma); 0, x^(-1/4))."""
     if not (0.0 <= gamma < 0.25):
         raise ValueError("need 0 <= gamma < 1/4")
@@ -195,18 +170,15 @@ def sample_curve(p: SurfacePoint, gamma: float, x_grid, threads: int = 1) -> Orb
     if x_grid.size < 1 or x_grid[0] < 1.0 or (np.diff(x_grid) <= 0).any():
         raise ValueError("x_grid must be increasing with x >= 1")
     return OrbitSeries(p, gamma, x_grid, *curve_points(p, gamma, x_grid),
-                       meta={"kind": "curve", "N": x_grid.size, "threads": threads})
+                       meta={"kind": "curve", "N": x_grid.size})
 
 
-def discrepancy(series: OrbitSeries, suite, dyadic: bool = True) -> ExperimentReport:
+def discrepancy(series: OrbitSeries, suite) -> ExperimentReport:
     """|empirical mean - Haar mean| per test function and dyadic prefix."""
     n = len(series)
     if n == 0:
         raise ValueError("empty series")
-    if dyadic:
-        prefixes = [2 ** k for k in range(3, 64) if 2 ** k < n] + [n]
-    else:
-        prefixes = [n]
+    prefixes = [2 ** k for k in range(3, 64) if 2 ** k < n] + [n]
     rep = ExperimentReport(
         name="discrepancy",
         params={"N": n, "gamma": series.gamma, **series.meta},
@@ -221,18 +193,17 @@ def discrepancy(series: OrbitSeries, suite, dyadic: bool = True) -> ExperimentRe
     return rep
 
 
-def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction,
-                    quad_points: int = 1000) -> complex:
+def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction) -> complex:
     """(1/T) int_0^T e^(2 pi i freq t) f(q u(t)) dt by composite midpoint.
 
     The step honors the oscillation: <= min(0.05, 0.1/|freq|).
     """
-    if T < 10.0 or quad_points < 1000:
-        raise ValueError("need T >= 10 and quad_points >= 1000")
-    if abs(frequency) * T / quad_points > 20.0:
-        raise ValueError("undersampled oscillation: raise quad_points")
+    if not (10.0 <= T < math.inf) or not (abs(frequency) < math.inf):
+        raise ValueError("need finite T >= 10 and a finite frequency")
+    if abs(frequency) * T / _QUAD_POINTS > 20.0:
+        raise ValueError("undersampled oscillation: need |frequency| * T <= 2e4")
     step_cap = 0.05 if frequency == 0.0 else min(0.05, 0.1 / abs(frequency))
-    m = max(quad_points, int(math.ceil(T / step_cap)))
+    m = max(_QUAD_POINTS, int(math.ceil(T / step_cap)))
     h = T / m
     t = (np.arange(m) + 0.5) * h
     w = 2.0 * math.pi * frequency
@@ -242,9 +213,9 @@ def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction
 
 def progression_average(q: SurfacePoint, K: float, T: float, f: TestFunction) -> float:
     """Centered discrete average of f along the progression {u(K j) : 0 <= Kj < T}."""
-    if not (T > K > 0.0):
-        raise ValueError("need T > K > 0")
-    count = int(math.ceil(T / K))
+    if not (0.0 < K < T < math.inf):
+        raise ValueError("need finite T > K > 0")
+    count = progression_point_count(K, T)
     total = float(f.values(*horocycle_points(q, K * np.arange(count))).sum())
     return total / count - f.haar_mean
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import __version__
+
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
@@ -33,9 +35,9 @@ class ExperimentReport:
         self.rows.append(tuple(values))
 
 
-def emit_csv(report: ExperimentReport, path: str, seed: int = 0, version: str = "0.1.0") -> None:
+def emit_csv(report: ExperimentReport, path: str) -> None:
     """Write the report with a fixed header; always LF endings, dot decimals."""
-    lines = [f"# homodyn v{version} seed={seed}"]
+    lines = [f"# homodyn v{__version__}"]
     lines.append(",".join(str(c) for c in report.columns))
     for row in report.rows:
         if len(row) != len(report.columns):
@@ -49,7 +51,7 @@ def emit_csv(report: ExperimentReport, path: str, seed: int = 0, version: str = 
 _SVG_VIEW = (-0.6, 0.8, 0.6, 4.0)  # x_min, y_min, x_max, y_max (math coords)
 
 
-def emit_svg(xs, ys, path: str, radius: float = 0.006) -> None:
+def emit_svg(xs, ys, path: str) -> None:
     """Scatter of fundamental-domain points; y > 4 is drawn on the top border.
 
     The viewBox is fixed to [-0.6, 0.6] x [0.8, 4]; exact duplicate points
@@ -66,7 +68,7 @@ def emit_svg(xs, ys, path: str, radius: float = 0.006) -> None:
             continue
         seen.add(key)
         # SVG y axis points down: plot (x, -y)
-        marks.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" r="{radius}"/>')
+        marks.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" r="0.006"/>')
     width = x1 - x0
     height = y1 - y0
     body = "\n".join(marks)

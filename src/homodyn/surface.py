@@ -119,15 +119,15 @@ def lattice_min_sq(u1, u2, v1, v2):
     return out
 
 
-def cusp_norm_entries(a: float, b: float, c: float, d: float) -> float:
-    """d(p) for the point with representative (a, b; c, d).
+def cusp_norms(a, b, c, d):
+    """d(p) for the points with representatives (a, b; c, d) (arrays).
 
     Equals the shortest-vector length of the lattice g^{-1} Z^2 (the minimum
     of the cusp-orbit vector set is attained on a primitive vector), computed
     by Gauss reduction of the columns of g^{-1}.
     """
     # g^{-1} = (d, -b; -c, a); columns (d, -c) and (-b, a)
-    return math.sqrt(float(lattice_min_sq(d, -c, -b, a)[0]))
+    return np.sqrt(lattice_min_sq(d, -c, -b, a))
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +144,7 @@ class SurfacePoint:
         return hyperbolic_distance(BASE_POINT, self.z_reduced)
 
     def cusp_norm(self) -> float:
-        g = self.rep
-        return cusp_norm_entries(g.a, g.b, g.c, g.d)
+        return cusp_norm(self.rep)
 
     def translate(self, h: GroupElement) -> "SurfacePoint":
         return reduce(self.rep.compose(h))
@@ -171,9 +170,8 @@ def cusp_norm(p) -> float:
 
     Accepts a SurfacePoint or a raw GroupElement representative.
     """
-    if isinstance(p, SurfacePoint):
-        return p.cusp_norm()
-    return cusp_norm_entries(p.a, p.b, p.c, p.d)
+    g = p.rep if isinstance(p, SurfacePoint) else p
+    return float(cusp_norms(g.a, g.b, g.c, g.d)[0])
 
 
 def in_S_delta(p, delta: float) -> bool:
@@ -223,7 +221,7 @@ def excursion_profile(p: SurfacePoint, t_max: float, steps: int):
     g = p.rep
     # right-translate by diag(e, 1/e)
     a, b, c, d = g.a * e, g.b / e, g.c * e, g.d / e
-    near = np.sqrt(lattice_min_sq(d, -c, -b, a)) <= CUSP_GATE
+    near = cusp_norms(a, b, c, d) <= CUSP_GATE
     vals = np.zeros(steps)
     x, y = reduce_points(*base_point_image(a[near], b[near], c[near], d[near]))[:2]
     vals[near] = height_distance(x, y)
@@ -260,7 +258,7 @@ def dist_vs_norm_check(sample_count: int, seed: int = 0) -> ExperimentReport:
         raise ValueError("need sample_count >= 100")
     rng = np.random.default_rng(np.random.Philox(seed))
     a, b, c, d = random_points(sample_count, rng)
-    dn = np.sqrt(lattice_min_sq(d, -c, -b, a))
+    dn = cusp_norms(a, b, c, d)
     x, y = reduce_points(*base_point_image(a, b, c, d))[:2]
     cusp = dn <= 0.5
     ratios = np.exp(height_distance(x[cusp], y[cusp])) * dn[cusp] * dn[cusp]

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from homodyn.mollify import MollifierSpec, mollifier_profile
+from homodyn.orbits import FUNDAMENTAL_AREA
 from homodyn.psl2 import GroupElement, IwasawaNAK
 
 SEED = 20250809
@@ -51,6 +53,39 @@ def np_mat(g: GroupElement) -> np.ndarray:
 def psl_allclose(g: GroupElement, h: GroupElement, tol=1e-9) -> bool:
     A, B = np_mat(g), np_mat(h)
     return min(np.abs(A - B).max(), np.abs(A + B).max()) <= tol
+
+
+def haar_integral(f, grid=(128, 128, 16), y_cut: float = 1e6) -> float:
+    """Midpoint quadrature of f against the normalized invariant measure.
+
+    Coordinates (x, v=1/y, theta): the y-measure dy/y^2 is exactly dv, so the
+    cell weights are uniform per x-slab.  The cusp is truncated at y_cut
+    (omitted mass < 1e-6 of the total for bounded f).
+    """
+    nx, ny, ntheta = grid
+    if nx < 64 or ny < 64 or ntheta < 16:
+        raise ValueError("grid must be at least (64, 64, 16)")
+    xs = (np.arange(nx) + 0.5) / nx - 0.5
+    thetas = (np.arange(ntheta) + 0.5) * (math.pi / ntheta)
+    total = 0.0
+    v_cut = 1.0 / y_cut
+    for x in xs:
+        v_top = 1.0 / math.sqrt(1.0 - x * x)
+        v = v_cut + (np.arange(ny) + 0.5) * (v_top - v_cut) / ny
+        y = 1.0 / v
+        vals = f.values(np.full((ny, ntheta), x), y[:, None], thetas[None, :])
+        vals = np.broadcast_to(np.asarray(vals), (ny, ntheta))
+        total += vals.sum() * (v_top - v_cut) / ny
+    total *= (1.0 / nx) * (math.pi / ntheta)
+    return total / (FUNDAMENTAL_AREA * math.pi)
+
+
+def eval_mollifier(spec: MollifierSpec, u) -> float:
+    """Product of the n coordinate factors of the mollifier at the point u."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.size != spec.n:
+        raise ValueError(f"point has {u.size} coordinates, spec has n={spec.n}")
+    return float(np.prod(mollifier_profile(spec, u)))
 
 
 def brute_force_reduce(z: complex, depth: int = 30) -> complex:

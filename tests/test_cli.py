@@ -1,5 +1,6 @@
 """CLI dispatch, CSV/SVG artifacts, determinism, exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homodyn
-from homodyn.cli import main, parse_base
+from homodyn.cli import build_parser, main, parse_base
 from homodyn.psl2 import identity
 from homodyn.report import ExperimentReport, emit_csv, emit_svg
 
@@ -49,10 +50,10 @@ def test_csv_format(tmp_path):
         rows=[(1, 0.5), (2, 1.0 / 3.0)],
     )
     path = tmp_path / "out.csv"
-    emit_csv(rep, str(path), seed=42, version="0.1.0")
+    emit_csv(rep, str(path))
     text = path.read_bytes().decode("ascii")
     lines = text.split("\n")
-    assert lines[0] == "# homodyn v0.1.0 seed=42"
+    assert lines[0] == f"# homodyn v{homodyn.__version__}"
     assert lines[1] == "a,b"
     assert lines[2] == "1,0.5"
     assert lines[3] == "2,0.333333333333"
@@ -62,7 +63,7 @@ def test_csv_format(tmp_path):
 def test_csv_empty_report(tmp_path):
     rep = ExperimentReport(name="empty", columns=["x"])
     path = tmp_path / "empty.csv"
-    emit_csv(rep, str(path), seed=1)
+    emit_csv(rep, str(path))
     assert len(path.read_text().splitlines()) == 2  # header + columns
 
 
@@ -191,15 +192,53 @@ def test_cli_csv_standard_reader(tmp_path, monkeypatch):
 def test_cli_threads_must_be_positive(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for bad in ("0", "-3", "two"):
-        assert run_cli(["constants", "--threads", bad]) == 1
+        assert run_cli(["orbit", "--N", "100", "--threads", bad]) == 1
         assert "positive integer" in capsys.readouterr().err
-    monkeypatch.setenv("HOMODYN_THREADS", "0")
-    assert run_cli(["constants"]) == 1
-    assert "HOMODYN_THREADS" in capsys.readouterr().err
-    assert run_cli(["constants", "--threads", "2"]) == 0  # the flag wins
-    monkeypatch.setenv("HOMODYN_THREADS", "3")
-    assert run_cli(["orbit", "--N", "100"]) == 0
+    assert run_cli(["orbit", "--N", "100", "--threads", "3"]) == 0
     assert "# threads = 3" in capsys.readouterr().out
+
+
+# every flag of every subcommand; adding or removing one is a reviewed change
+_COMMON_FLAGS = {"--out", "--config"}
+_ORBIT_FLAGS = {"--svg", "--threads"}
+_FLAGS = {
+    "orbit": {"--base", "--gamma", "--N"} | _ORBIT_FLAGS,
+    "curve": {"--base", "--gamma", "--xmax", "--points"} | _ORBIT_FLAGS,
+    "twist": {"--base", "--frequency", "--T", "--band"},
+    "prog": {"--base", "--K", "--K-exponent", "--T", "--band"},
+    "pieces": {"--base", "--gamma", "--eps", "--N", "--kappa"},
+    "dio": {"--x", "--base", "--depth", "--kappa", "--bound", "--tmax"},
+    "goodfn": {"--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho", "--windows"},
+    "count": {"--l", "--theta1", "--theta2"},
+    "dim": {"--kappa", "--eps", "--levels", "--schedule", "--R"},
+    "mollify": {"--delta", "--n", "--gamma-box"},
+    "box": {"--base", "--T", "--band", "--weighted"},
+    "constants": {"--s", "--kappa", "--eps"},
+}
+
+
+def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: {a.option_strings[0] for a in p._actions
+                    if a.option_strings and a.option_strings[0] != "-h"}
+             for name, p in sub.choices.items()}
+    assert found == {name: flags | _COMMON_FLAGS for name, flags in _FLAGS.items()}
+    assert sum(len(flags) for flags in found.values()) == 81
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=1\n")
+    for argv in (["orbit", "--N", "100", "--seed", "1"],
+                 ["orbit", "--N", "100", "--suite", "default"],
+                 ["count", "--l", "20", "--svg", "x.svg"],
+                 ["constants", "--threads", "2"],
+                 ["constants", "--config", str(cfg)]):
+        assert run_cli(argv) == 1, argv
+    assert not (tmp_path / "x.svg").exists()
+    assert run_cli(["orbit", "--N", "100", "--svg", "orbit.svg"]) == 0
+    assert run_cli(["curve", "--points", "100", "--svg", "curve.svg"]) == 0
+    for name in ("orbit.svg", "curve.svg"):
+        assert (tmp_path / name).read_text().count("<circle") > 0
 
 
 def test_cli_prog_zero_exponent_needs_K(tmp_path, capsys, monkeypatch):
@@ -222,6 +261,13 @@ def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
                  ["dio", "--tmax", "nan", "--bound", "50"],
                  ["dio", "--bound", "100000"], ["dio", "--bound", "9999"],
                  ["pieces", "--eps", "nan", "--N", "100"],
+                 ["twist", "--frequency", "nan"], ["twist", "--frequency", "inf"],
+                 ["twist", "--T", "inf"],
+                 ["twist", "--band", "nan"], ["prog", "--band", "nan"],
+                 ["box", "--band", "nan"], ["twist", "--band", "inf"],
+                 ["prog", "--band", "inf"], ["box", "--band", "inf"],
+                 ["constants", "--kappa", "nan"], ["constants", "--kappa", "inf"],
+                 ["box", "--T", "inf"], ["prog", "--K-exponent", "0", "--K", "2", "--T", "inf"],
                  ["pieces", "--kappa", "-1", "--N", "100"],
                  ["goodfn", "--mu", "nan"], ["goodfn", "--mu", "inf"]):
         assert run_cli(argv) == 1, argv

@@ -226,7 +226,7 @@ def test_schedule_guards():
 
 
 def test_dimension_bound_full_density():
-    bound = dimension_lower_bound(([1.0, 1.0], [1.0, 0.5, 0.25]), ambient_dim=1.0)
+    bound = dimension_lower_bound(([1.0, 1.0], [1.0, 0.5, 0.25]))
     assert bound.value == 1.0
     assert bound.series == (1.0, 1.0)
 

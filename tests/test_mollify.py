@@ -12,7 +12,6 @@ from homodyn.mollify import (
     box_average,
     bump_cdf,
     bump_kernel,
-    eval_mollifier,
     injectivity_radius_estimate,
     mollifier_profile,
     verify_mollifier,
@@ -21,6 +20,7 @@ from homodyn.mollify import (
 from homodyn.orbits import golden_ratio, height_band
 from homodyn.psl2 import identity, unipotent
 from homodyn.surface import geodesic_flow, reduce
+from helpers import eval_mollifier
 
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
@@ -127,6 +127,6 @@ def test_box_average_decreasing_error():
 def test_weighted_box_average_matches_product():
     f = height_band(2.0)
     spec = MollifierSpec(delta=0.1, n=1, gamma=1.0)
-    got = weighted_box_average(GOLDEN_P, 2000.0, f, spec, step=0.05)
+    got = weighted_box_average(GOLDEN_P, 2000.0, f, spec)
     want = f.haar_mean * spec.gamma
     assert got == pytest.approx(want, abs=0.03)
