@@ -28,7 +28,7 @@ from .diophantine import (
 )
 from .fractal import assembled_dimension, build_tree, cover_sum, dimension_lower_bound
 from .goodfn import GoodFnParams, verify_good
-from .lattice import SectorQuery, enumerate_orbit, gap_constants, sector_count
+from .lattice import SectorQuery, check_capacity, enumerate_orbit, gap_constants, sector_count
 from .mollify import (
     MollifierSpec,
     box_decay_report,
@@ -112,6 +112,7 @@ def run_orbit(args) -> ExperimentReport:
 
 def run_curve(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
+    check_capacity(args.points, "curve points")
     grid = np.geomspace(1.0, args.xmax, args.points)
     rep = _series_report(args, sample_curve(p, args.gamma, grid))
     rep.name = "curve_discrepancy"

@@ -4,13 +4,13 @@ geodesic-excursion type fitting, and the explicit exponent calculators."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .lattice import _COUNT_GUARD, CapacityError, canonical_pairs, coprime_mask
+from .lattice import canonical_pairs, check_capacity, coprime_mask
 from .psl2 import GroupElement
 from .surface import SurfacePoint, excursion_profile
 
@@ -182,8 +182,6 @@ class DiophantineWitness:
     mu: float            # min |b| over enumerated vectors (0 if an axis vector)
     nu: float            # min |a|^kappa |b| over enumerated vectors
     symmetric: float     # min over vectors of max(|b|, |a|^kappa |b|)
-    mu_vector: tuple     # (m, n, a, b) achieving mu
-    nu_vector: tuple
     axis_vectors: tuple  # integer (m, n) with b-component exactly ~0
     vectors_checked: int
 
@@ -198,9 +196,7 @@ class DiophantineWitness:
 
 def _primitive_pairs(bound: int):
     """Sign-canonical primitive integer pairs (m, n), |m|,|n| <= bound."""
-    est = 6.0 / math.pi**2 * (2 * bound + 1) * bound  # coprime share of the box
-    if est > _COUNT_GUARD:
-        raise CapacityError(f"~{est:.2g} vectors exceed the memory guard")
+    check_capacity(6.0 / math.pi**2 * (2 * bound + 1) * bound, "vectors")  # coprime share of the box
     return canonical_pairs(coprime_mask(bound, bound), bound)
 
 
@@ -223,17 +219,13 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     prod = np.abs(a_comp) ** kappa * abs_b
     axis = abs_b < 1e-12
     axis_vectors = tuple((int(mm), int(nn)) for mm, nn in zip(m[axis][:16], n[axis][:16]))
-    i_mu = int(np.argmin(abs_b))
-    i_nu = int(np.argmin(prod))
     sym = np.maximum(abs_b, prod)
     witness = DiophantineWitness(
         kappa=kappa,
         search_bound=search_bound,
-        mu=float(abs_b[i_mu]) if not axis.any() else 0.0,
-        nu=float(prod[i_nu]) if not axis.any() else 0.0,
+        mu=float(abs_b.min()) if not axis.any() else 0.0,
+        nu=float(prod.min()) if not axis.any() else 0.0,
         symmetric=float(sym.min()) if not axis.any() else 0.0,
-        mu_vector=(int(m[i_mu]), int(n[i_mu]), float(a_comp[i_mu]), float(b_comp[i_mu])),
-        nu_vector=(int(m[i_nu]), int(n[i_nu]), float(a_comp[i_nu]), float(b_comp[i_nu])),
         axis_vectors=axis_vectors,
         vectors_checked=int(m.size),
     )
@@ -302,7 +294,6 @@ class ExponentBundle:
     beta: float
     gamma0_spectral: float     # min_j s^2 / ((s+4)(kappa_j+4))
     gamma0_progression: float  # min_j 2 beta / (kappa_j+4)
-    kappa_list: tuple = field(default=())
 
 
 def exponent_bundle(s: float, kappa_list, epsilon: float = 1e-3) -> ExponentBundle:
@@ -325,7 +316,7 @@ def exponent_bundle(s: float, kappa_list, epsilon: float = 1e-3) -> ExponentBund
     g_prog = min(2.0 * beta / (k + 4.0) for k in kappa_list)
     return ExponentBundle(
         s=s, epsilon=epsilon, kappa_mix=kappa_mix, beta=beta,
-        gamma0_spectral=g_spec, gamma0_progression=g_prog, kappa_list=kappa_list,
+        gamma0_spectral=g_spec, gamma0_progression=g_prog,
     )
 
 

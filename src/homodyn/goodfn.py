@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import check_capacity
 from .report import ExperimentReport
 from .surface import SurfacePoint, cusp_norms
 
 _WINDOW_CAP = 1e8
-ALPHA = 0.5  # sublevel exponent of this family
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,22 +203,22 @@ def verify_good(params: GoodFnParams, eps_grid, window_count: int = 50) -> Exper
         raise ValueError(f"f never crosses rho={params.rho:g} on [1, {_WINDOW_CAP:g}]")
     for eps in eps_grid:
         if floor > 0.0 and eps < floor:
-            rep.add_row(eps, 0.0, 0.0, window_count, 0)
-            continue
-        if params.case == "generic":
+            seg = None
+        elif params.case == "generic":
             seg = _sublevel_interval(params, eps)
         else:
             seg = _sublevel_measure_grid(params, eps)
+        if seg is None:  # empty sublevel set
+            rep.add_row(eps, 0.0, 0.0, window_count, 0)
+            continue
         c_req = 0.0
         measure_total = 0.0
         for x1 in anchors:
             sweep = list(np.geomspace(max(x1 * (1.0 + 1e-9), x1 + 1e-6) + 1.0,
                                       _WINDOW_CAP, window_count))
-            if seg is not None and seg[1] > x1:
+            if seg[1] > x1:
                 sweep.append(seg[1] + 1e-6)  # tightest window covering the dip
             for x2 in sweep:
-                if seg is None:
-                    continue
                 lo = max(seg[0], x1)
                 hi = min(seg[1], x2)
                 m = max(0.0, hi - lo)
@@ -247,6 +247,7 @@ def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.
     """
     if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
         raise ValueError("need 0 < gamma < 1/(kappa+4)")
+    check_capacity(N, "curve points")
     n = np.arange(1, N + 1, dtype=float)
     norms = cusp_norms(*curve_entries(p.rep.entries, n, gamma))
     return norms / n ** (-0.25 + 1.0 / (kappa + 4.0))

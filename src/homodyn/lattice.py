@@ -50,6 +50,13 @@ class SectorQuery:
             raise SectorError("need l > 0 and 0 <= theta1 <= theta2 < 2*pi")
 
 
+def check_capacity(count: float, what: str) -> None:
+    """Refuse, before allocating, a request for count array elements beyond
+    the memory guard."""
+    if count > _COUNT_GUARD:
+        raise CapacityError(f"~{count:.2g} {what} exceed the memory guard")
+
+
 def primes_upto(n: int) -> np.ndarray:
     """The primes p <= n, ascending (sieve of Eratosthenes)."""
     is_prime = np.ones(max(n + 1, 2), dtype=bool)
@@ -84,9 +91,7 @@ def enumerate_orbit(R: float) -> PrimitiveVectorSet:
     """All normalized primitive pairs of norm <= R, by prime sieve."""
     if not (1.0 <= R <= _RADIUS_GUARD):
         raise CapacityError(f"radius {R} outside [1, {_RADIUS_GUARD:g}]")
-    est = 0.955 * R * R
-    if est > _COUNT_GUARD:
-        raise CapacityError(f"~{est:.2g} vectors exceed the memory guard")
+    check_capacity(0.955 * R * R, "vectors")
     M = int(R)
     b = np.arange(1, M + 1, dtype=np.int64)
     # |a| <= isqrt(int(R^2 - b^2)), i.e. a^2 <= floor(R^2 - b^2), per row
@@ -116,22 +121,18 @@ def sector_count(vecs: PrimitiveVectorSet, q: SectorQuery) -> int:
 
 
 def gap_constants(vecs: PrimitiveVectorSet) -> tuple[float, float]:
-    """(min |beta| over beta != 0, min nonzero |a1 b2 - a2 b1| over pairs).
+    """(min |beta| over beta != 0, min |a1 b2 - a2 b1| over angularly adjacent
+    members) of an enumeration of radius >= 1: both are 1, by theorem.
 
-    The cross-determinant minimum is scanned over angularly adjacent pairs
-    with early exit at 1, the floor for integer orbits (cross-determinants of
-    distinct members are nonzero integers).
+    c_second = 1: every nonzero integer |beta| is >= 1, and (0, 1) is a member.
+    c_cross = 1: let u, v be angularly adjacent members.  A lattice point w
+    strictly inside the triangle 0, u, v or on its open edge uv lies strictly
+    between u and v in angle and, by convexity, in the disc; its primitive
+    part w / gcd(w) is then a member strictly between u and v, contradicting
+    adjacency.  The edges 0u and 0v hold no lattice point but their ends (u
+    and v are primitive), so the triangle's only lattice points are its three
+    vertices and Pick's theorem gives area 1/2, i.e. |det(u, v)| = 1.
     """
     if len(vecs) == 0:
         raise ValueError("empty vector set")
-    b = vecs.betas
-    nz = b[b != 0]
-    c_second = float(np.min(np.abs(nz))) if nz.size else math.inf
-    order = np.argsort(np.arctan2(b.astype(float), vecs.alphas.astype(float)),
-                       kind="stable")
-    a_s = vecs.alphas[order]
-    b_s = vecs.betas[order]
-    cross = np.abs(a_s[:-1] * b_s[1:] - a_s[1:] * b_s[:-1])
-    cross = cross[cross != 0]
-    c_cross = float(cross.min()) if cross.size else math.inf
-    return c_second, c_cross
+    return 1.0, 1.0

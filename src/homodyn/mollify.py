@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import check_capacity
 from .orbits import TestFunction, horocycle_points
 from .report import ExperimentReport
 from .surface import SurfacePoint, cusp_norm, geodesic_flow
@@ -98,17 +99,10 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
     grid = lo + (np.arange(m) + 0.5) * step
     prof = mollifier_profile(spec, grid)
     box = ((grid >= 0.0) & (grid <= g)).astype(float)
-    if n == 1:
-        l1 = float(np.abs(prof - box).sum()) * step
-    elif n == 2:
-        diff = np.abs(prof[:, None] * prof[None, :] - box[:, None] * box[None, :])
-        l1 = float(diff.sum()) * step**2
-    else:
-        pp = prof[:, None] * prof[None, :]
-        bb = box[:, None] * box[None, :]
-        diff = np.abs(pp[:, :, None] * prof[None, None, :]
-                      - bb[:, :, None] * box[None, None, :])
-        l1 = float(diff.sum()) * step**3
+    pp, bb = prof, box  # the n-fold tensor products on the grid
+    for _ in range(n - 1):
+        pp, bb = np.multiply.outer(pp, prof), np.multiply.outer(bb, box)
+    l1 = float(np.abs(pp - bb).sum()) * step**n
     bound = 4.0 * n * d * (g + d) ** (n - 1)
     if not l1 <= bound:
         raise ArithmeticError(f"L1 distance {l1:.6g} exceeds the bound {bound:.6g}")
@@ -128,6 +122,7 @@ def box_average(p: SurfacePoint, T: float, f: TestFunction) -> float:
     if not (10.0 <= T < math.inf):
         raise ValueError("need finite T >= 10")
     m = int(math.ceil(T / _STEP))
+    check_capacity(m, "quadrature nodes")
     h = T / m
     return float(f.values(*horocycle_points(p, (np.arange(m) + 0.5) * h)).sum()) / m
 
@@ -146,6 +141,7 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
         raise ValueError("need finite T >= 10")
     lo, hi = -spec.delta * T, (spec.gamma + spec.delta) * T
     m = int(math.ceil((hi - lo) / _STEP))
+    check_capacity(m, "quadrature nodes")
     h = (hi - lo) / m
     t = lo + (np.arange(m) + 0.5) * h
     total = float((f.values(*horocycle_points(p, t)) * mollifier_profile(spec, t / T)).sum())

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .report import ExperimentReport
-from .surface import SurfacePoint, base_point_image, height_distance, reduce_points
+from .surface import SurfacePoint, base_point_image, height_distance, r_factors, reduce_points
 from .goodfn import curve_entries, curve_hit_ratios
+from .lattice import check_capacity
 from .surface import reduce, r_factor  # noqa: F401  (bench/tracing.py wraps them here)
 
 FUNDAMENTAL_AREA = math.pi / 3.0
@@ -30,35 +31,13 @@ class TestFunction:
     the exact (or high-order quadrature) value of the normalized integral.
     """
 
-    def __init__(self, name, kind, params, haar_mean):
+    def __init__(self, name, values, haar_mean):
         self.name = name
-        self.kind = kind
-        self.params = params
+        self.values = values
         self.haar_mean = haar_mean
 
     def __repr__(self):
         return f"TestFunction({self.name})"
-
-    def values(self, x, y, theta):
-        """Vectorized evaluation at reduced coordinates (x, y, theta)."""
-        kind = self.kind
-        if kind == "height_band":
-            return (np.asarray(y) >= self.params["h"]).astype(float)
-        if kind == "angle_weight":
-            return np.cos(2.0 * np.asarray(theta))
-        x0, y0, r = self.params["x0"], self.params["y0"], self.params["r"]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = x - x0
-        dy = y - y0
-        arg = 1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)
-        d = np.arccosh(np.maximum(arg, 1.0))
-        if kind == "hyperbolic_disc":
-            return (d <= r).astype(float)
-        if kind == "smooth_bump":
-            w = np.maximum(1.0 - (d / r) ** 2, 0.0)
-            return w * w
-        raise ValueError(f"unknown kind {kind}")
 
 
 def _check_disc_embedded(x0, y0, r):
@@ -73,30 +52,32 @@ def _check_disc_embedded(x0, y0, r):
 def height_band(h: float) -> TestFunction:
     if not (1.0 <= h < math.inf):
         raise ValueError("height band needs finite h >= 1")
-    return TestFunction(f"band{h:g}", "height_band", {"h": h},
+    return TestFunction(f"band{h:g}", lambda x, y, theta: (np.asarray(y) >= h).astype(float),
                         haar_mean=3.0 / (math.pi * h))
 
 
 def angle_weight() -> TestFunction:
-    return TestFunction("cos2theta", "angle_weight", {}, haar_mean=0.0)
+    return TestFunction("cos2theta", lambda x, y, theta: np.cos(2.0 * np.asarray(theta)),
+                        haar_mean=0.0)
 
 
 def hyperbolic_disc(x0: float, y0: float, r: float) -> TestFunction:
     _check_disc_embedded(x0, y0, r)
     mean = 4.0 * math.pi * math.sinh(r / 2.0) ** 2 / FUNDAMENTAL_AREA
-    return TestFunction(f"disc({x0:g};{y0:g};{r:g})", "hyperbolic_disc",
-                        {"x0": x0, "y0": y0, "r": r}, haar_mean=mean)
+    return TestFunction(f"disc({x0:g};{y0:g};{r:g})",
+                        lambda x, y, theta: (height_distance(x, y, x0, y0) <= r).astype(float),
+                        haar_mean=mean)
 
 
 def smooth_bump(x0: float, y0: float, r: float) -> TestFunction:
     _check_disc_embedded(x0, y0, r)
+    bump = lambda d: np.maximum(1.0 - (d / r) ** 2, 0.0) ** 2  # noqa: E731  (at distance d)
     # mean = (2 pi / area) * int_0^r (1 - (d/r)^2)^2 sinh(d) dd  (Gauss-Legendre)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     d = 0.5 * r * (nodes + 1.0)
-    vals = (1.0 - (d / r) ** 2) ** 2 * np.sinh(d)
-    integral = 0.5 * r * float(weights @ vals)
-    return TestFunction(f"bump({x0:g};{y0:g};{r:g})", "smooth_bump",
-                        {"x0": x0, "y0": y0, "r": r},
+    integral = 0.5 * r * float(weights @ (bump(d) * np.sinh(d)))
+    return TestFunction(f"bump({x0:g};{y0:g};{r:g})",
+                        lambda x, y, theta: bump(height_distance(x, y, x0, y0)),
                         haar_mean=2.0 * math.pi * integral / FUNDAMENTAL_AREA)
 
 
@@ -157,6 +138,7 @@ def sample_sparse(p: SurfacePoint, gamma: float, N: int) -> OrbitSeries:
     """The orbit points p u(n^(1+gamma)) for n = 0..N-1, reduced."""
     if not (0.0 <= gamma <= 0.5) or N < 1:
         raise ValueError("need 0 <= gamma <= 0.5 and N >= 1")
+    check_capacity(N, "orbit points")
     times = np.arange(N, dtype=float) ** (1.0 + gamma)
     return OrbitSeries(p, gamma, times, *horocycle_points(p, times),
                        meta={"kind": "sparse", "N": N})
@@ -204,6 +186,7 @@ def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction
         raise ValueError("undersampled oscillation: need |frequency| * T <= 2e4")
     step_cap = 0.05 if frequency == 0.0 else min(0.05, 0.1 / abs(frequency))
     m = max(_QUAD_POINTS, int(math.ceil(T / step_cap)))
+    check_capacity(m, "quadrature nodes")
     h = T / m
     t = (np.arange(m) + 0.5) * h
     w = 2.0 * math.pi * frequency
@@ -216,6 +199,7 @@ def progression_average(q: SurfacePoint, K: float, T: float, f: TestFunction) ->
     if not (0.0 < K < T < math.inf):
         raise ValueError("need finite T > K > 0")
     count = progression_point_count(K, T)
+    check_capacity(count, "progression points")
     total = float(f.values(*horocycle_points(q, K * np.arange(count))).sum())
     return total / count - f.haar_mean
 
@@ -299,7 +283,11 @@ def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,
                  "taylor_bound"],
     )
     one_plus = 1.0 + gamma
-    for (start, end), r_i in zip(blocks, _block_r_factors(p, gamma, blocks)):
+    M = np.array([start for start, _ in blocks], dtype=float)
+    r11, r12, r21, r22 = p.rep.entries
+    t = M ** one_plus  # r_i = r_factor(p u(M^(1+gamma)), sqrt(M)) per block start M
+    r_is = r_factors(r11, r11 * t + r12, r21, r21 * t + r22, np.sqrt(M))
+    for (start, end), r_i in zip(blocks, r_is):
         M = float(start)
         ks = np.arange(0, end - start + 1, dtype=float)
         resid = np.abs((M + ks) ** one_plus - M ** one_plus - one_plus * M ** gamma * ks)
@@ -307,15 +295,3 @@ def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,
         rep.add_row(start, end, end - start + 1, float(r_i),
                     float(resid.max()), bound * (1.0 + 1e-9))
     return rep
-
-
-def _block_r_factors(p: SurfacePoint, gamma: float, blocks) -> np.ndarray:
-    """r_factor(p u(M^(1+gamma)), sqrt(M)) for every block start M, in one
-    kernel call: the points p u(M^(1+gamma)) a(log sqrt(M)) i, reduced."""
-    M = np.array([start for start, _ in blocks], dtype=float)
-    r11, r12, r21, r22 = p.rep.entries
-    t, T = M ** (1.0 + gamma), np.sqrt(M)
-    e = np.exp(0.5 * np.log(T))
-    g = r11 * e, (r11 * t + r12) * (1.0 / e), r21 * e, (r21 * t + r22) * (1.0 / e)
-    x, y = reduce_points(*base_point_image(*g))[:2]
-    return T * np.exp(-height_distance(x, y))

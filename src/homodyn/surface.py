@@ -191,9 +191,17 @@ def horocycle_flow(p: SurfacePoint, t: float) -> SurfacePoint:
 
 def r_factor(q: SurfacePoint, T: float) -> float:
     """Equidistribution quality parameter T * exp(-dist(g_{log T} q))."""
-    if T < 1.0:
-        raise ValueError("r_factor needs T >= 1")
-    return T * math.exp(-geodesic_flow(q, math.log(T)).dist())
+    if not (1.0 <= T < math.inf):
+        raise ValueError("r_factor needs finite T >= 1")
+    return float(r_factors(*q.rep.entries, T)[0])
+
+
+def r_factors(a, b, c, d, T):
+    """T * exp(-dist(g a(log T) i)) for the elements g = (a, b; c, d) and the
+    times T (arrays), a(log T) = diag(e, 1/e) with e = T^(1/2): one reduction."""
+    e = np.exp(0.5 * np.log(T))
+    x, y = reduce_points(*base_point_image(a * e, b * (1.0 / e), c * e, d * (1.0 / e)))[:2]
+    return T * np.exp(-height_distance(x, y))
 
 
 def base_point_image(a, b, c, d):
@@ -202,9 +210,10 @@ def base_point_image(a, b, c, d):
     return (a * c + b * d) / den, 1.0 / den
 
 
-def height_distance(x, y):
-    """Hyperbolic distance from the base point i to the points x + iy (arrays)."""
-    arg = 1.0 + (x * x + (1.0 - y) ** 2) / (2.0 * y)
+def height_distance(x, y, x0=0.0, y0=1.0):
+    """Hyperbolic distance from x0 + i y0 (default i) to the points x + iy (arrays)."""
+    dx, dy = x - x0, y - y0
+    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * y * y0)
     return np.arccosh(np.maximum(arg, 1.0))
 
 

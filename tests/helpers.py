@@ -299,3 +299,18 @@ def primitive_pairs_reference(bound: int):
         ms.append(mm)
         ns.append(np.full(mm.shape, n, dtype=np.int64))
     return np.concatenate(ms), np.concatenate(ns)
+
+
+def gap_constants_reference(vecs):
+    """Reference for lattice.gap_constants, which returns the theorem's
+    (1, 1): the former scan.  min |beta| over beta != 0, and min nonzero
+    |a1 b2 - a2 b1| over neighbours in the arctan2 order of the members."""
+    b = vecs.betas
+    nz = b[b != 0]
+    c_second = float(np.min(np.abs(nz))) if nz.size else math.inf
+    order = np.argsort(np.arctan2(b.astype(float), vecs.alphas.astype(float)),
+                       kind="stable")
+    a_s, b_s = vecs.alphas[order], b[order]
+    cross = np.abs(a_s[:-1] * b_s[1:] - a_s[1:] * b_s[:-1])
+    cross = cross[cross != 0]
+    return c_second, float(cross.min()) if cross.size else math.inf

@@ -269,7 +269,12 @@ def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
                  ["constants", "--kappa", "nan"], ["constants", "--kappa", "inf"],
                  ["box", "--T", "inf"], ["prog", "--K-exponent", "0", "--K", "2", "--T", "inf"],
                  ["pieces", "--kappa", "-1", "--N", "100"],
-                 ["goodfn", "--mu", "nan"], ["goodfn", "--mu", "inf"]):
+                 ["goodfn", "--mu", "nan"], ["goodfn", "--mu", "inf"],
+                 # past the 5e7-element memory guard: refused before allocating
+                 ["orbit", "--N", "100000000000"], ["curve", "--points", "100000000000"],
+                 ["pieces", "--N", "100000000000"], ["box", "--T", "1e12"],
+                 ["twist", "--frequency", "0", "--T", "1e12"],
+                 ["prog", "--K-exponent", "0", "--K", "1", "--T", "1e12"]):
         assert run_cli(argv) == 1, argv
         assert "config error" in capsys.readouterr().err
 
@@ -348,3 +353,19 @@ def test_cli_fuzz_exit_contract(run):
         else:
             argv += [f"{flag}={value}" for flag, value in pairs]
         assert main(argv) in (0, 1, 2)
+
+
+def test_tracing_wrapped_names_resolve(monkeypatch):
+    # bench/tracing.py rebinds these names for --trace 1; a rename would
+    # break the traced pass without failing any test under tests/
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for mod_name, attr, _, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)

@@ -16,7 +16,7 @@ from homodyn.lattice import (
     sector_count,
 )
 
-from helpers import gamma_to_element, primitive_pairs_reference, rng
+from helpers import gamma_to_element, gap_constants_reference, primitive_pairs_reference, rng
 
 
 def brute_primitive_pairs(R):
@@ -154,10 +154,10 @@ def test_sector_rejections():
 
 
 def test_gap_constants():
-    s = enumerate_orbit(60.0)
-    c2, cx = gap_constants(s)
-    assert c2 == 1.0
-    assert cx == 1.0
+    # the theorem's (1, 1) against the arctan2 sort-and-scan over the members
+    for R in (1.0, 1.5, 2.0, 7.7, 60.0, 800.0):
+        s = enumerate_orbit(R)
+        assert gap_constants(s) == gap_constants_reference(s) == (1.0, 1.0), R
 
 
 def test_primes_upto():

@@ -130,3 +130,15 @@ def test_weighted_box_average_matches_product():
     got = weighted_box_average(GOLDEN_P, 2000.0, f, spec)
     want = f.haar_mean * spec.gamma
     assert got == pytest.approx(want, abs=0.03)
+
+
+def test_box_averages_refuse_past_memory_guard():
+    from homodyn.lattice import CapacityError
+
+    f = height_band(2.0)
+    spec = MollifierSpec(delta=0.1, n=1, gamma=1.0)
+    # 1e6 / 0.02 nodes sit on the 5e7 guard; the weighted range is 1.2 T long
+    with pytest.raises(CapacityError):
+        weighted_box_average(GOLDEN_P, 1e6, f, spec)
+    with pytest.raises(CapacityError):
+        box_average(GOLDEN_P, 1.01e6, f)

@@ -18,6 +18,7 @@ from homodyn.surface import (
     in_S_delta,
     lattice_min_sq,
     r_factor,
+    r_factors,
     reduce,
     reduce_points,
 )
@@ -173,6 +174,22 @@ def test_r_factor():
         q = reduce(random_element(r))
         T = math.exp(r.uniform(0.1, 6.0))
         assert r_factor(q, T) <= T * (1 + 1e-12)
+
+
+def test_r_factors_match_geodesic_flow_path():
+    # the array kernel against T exp(-dist(g_{log T} q)) through GroupElement
+    # composition, Mobius action and math.acosh
+    r = rng(23)
+    qs = [reduce(random_element(r)) for _ in range(40)]
+    for T in (1.0, 10.0, 1e3):
+        got = r_factors(*(np.array(col) for col in zip(*(q.rep.entries for q in qs))),
+                        np.full(len(qs), T))
+        want = [T * math.exp(-geodesic_flow(q, math.log(T)).dist()) for q in qs]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert [r_factor(q, T) for q in qs] == pytest.approx(want, rel=1e-12, abs=0.0)
+    for T in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            r_factor(qs[0], T)
 
 
 def test_excursion_profile_identity_orbit():
