@@ -163,7 +163,6 @@ def run_dio(args) -> ExperimentReport:
         params={"x": args.x, "depth": args.depth, "kappa": args.kappa,
                 "bound": args.bound},
         columns=["quantity", "value"],
-        notes="bounded search: witnesses, never a proof of the vector condition",
     )
     if args.x is not None:
         cf = cf_expand(args.x, args.depth)
@@ -188,10 +187,9 @@ def run_dio(args) -> ExperimentReport:
 
 def run_goodfn(args) -> ExperimentReport:
     params = GoodFnParams(a=args.a, b=args.b, kappa=args.kappa, gamma=args.gamma,
-                          mu=args.mu, nu=args.nu,
-                          rho=args.rho if args.rho else 0.0)
+                          mu=args.mu, nu=args.nu, rho=args.rho)
     eps_grid = [params.rho / 4.0, params.rho / 16.0, params.rho / 64.0]
-    return verify_good(params, eps_grid, window_count=args.windows)
+    return verify_good(params, eps_grid)
 
 
 def run_count(args) -> ExperimentReport:
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--nu", type=float, default=5e-6)
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--windows", type=int, default=50)
     common(p)
 
     p = sub.add_parser("count", help="annular sector counts of primitive vectors")

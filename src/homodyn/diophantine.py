@@ -75,24 +75,17 @@ def cf_expand(x: float, depth: int) -> ContinuedFraction:
     if not math.isfinite(x) or depth < 1:
         raise ValueError("need finite x and depth >= 1")
     quotients = [math.floor(x)]
-    frac = x - quotients[0]
+    t = x - quotients[0]  # 0 <= t < 1, so every later quotient is >= 1
+    p0, p, q0, q = 1, quotients[0], 0, 1  # the last two convergents
     terminated = False
-    t = frac
     for _ in range(depth):
-        conv = _convergents(quotients)
-        p, q = conv[-1]
-        if abs(x - p / q) < _NOISE_FLOOR or q > _Q_GUARD:
-            terminated = True
-            break
-        if t <= 0.0:
+        if abs(x - p / q) < _NOISE_FLOOR or q > _Q_GUARD or t <= 0.0:
             terminated = True
             break
         t = 1.0 / t
         a = math.floor(t)
-        if a < 1:
-            terminated = True
-            break
         quotients.append(a)
+        p0, p, q0, q = p, a * p + p0, q, a * q + q0
         t -= a
     return ContinuedFraction(
         x=x,

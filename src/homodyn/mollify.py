@@ -17,7 +17,8 @@ import numpy as np
 from .lattice import check_capacity
 from .orbits import TestFunction, horocycle_points
 from .report import ExperimentReport
-from .surface import SurfacePoint, cusp_norm, geodesic_flow
+from .psl2 import diagonal_flow
+from .surface import SurfacePoint, cusp_norm
 
 _BOX_DIM_CAP = 3
 _STEP = 0.02  # node spacing of the box-average quadratures
@@ -109,10 +110,11 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
     return integral, l1
 
 
-def injectivity_radius_estimate(p: SurfacePoint) -> float:
+def injectivity_radius_estimate(p) -> float:
     """Comparability stand-in INJECTIVITY_FACTOR * d(p); monotone in d(p).
 
-    Consumers use ratios of these estimates, never absolute values.
+    Accepts a SurfacePoint or a raw GroupElement representative.  Consumers
+    use ratios of these estimates, never absolute values.
     """
     return INJECTIVITY_FACTOR * cusp_norm(p)
 
@@ -150,17 +152,20 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
 
 def box_decay_report(p: SurfacePoint, f: TestFunction, T_list) -> ExperimentReport:
     """Equidistribution error of box averages over a T sweep, with the
-    fitted decay exponent (slope of log error against log T, negated)."""
+    fitted decay exponent (slope of log error against log T, negated; NaN
+    with fewer than two distinct T)."""
     T_list = [float(T) for T in T_list]
     rows = []
     for T in T_list:
         avg = box_average(p, T, f)
         err = abs(avg - f.haar_mean)
-        eta = injectivity_radius_estimate(geodesic_flow(p, math.log(T)))
+        eta = injectivity_radius_estimate(p.rep.compose(diagonal_flow(math.log(T))))
         rows.append((T, avg, err, eta))
     errs = np.array([r[2] for r in rows])
     ts = np.array(T_list)
-    if (errs > 0).all():
+    if len(set(T_list)) < 2:
+        slope = math.nan
+    elif (errs > 0).all():
         slope = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
     else:
         slope = -math.inf

@@ -119,7 +119,8 @@ def _points(entries, times):
         block = slice(lo, lo + _CHUNK)
         g = g11, g12, g21, g22 = entries(times[block])
         xs[block], ys[block], m11, m12, m21, m22 = reduce_points(*base_point_image(*g))
-        thetas[block] = np.arctan2(m21 * g11 + m22 * g21, m21 * g12 + m22 * g22) % math.pi
+        theta = np.arctan2(m21 * g11 + m22 * g21, m21 * g12 + m22 * g22) % math.pi
+        thetas[block] = np.where(theta >= math.pi, 0.0, theta)  # fold as iwasawa()
     return xs, ys, thetas
 
 

@@ -25,7 +25,6 @@ class ExperimentReport:
     params: dict = field(default_factory=dict)
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    notes: str = ""
 
     def add_row(self, *values):
         if len(values) != len(self.columns):
@@ -54,24 +53,16 @@ _SVG_VIEW = (-0.6, 0.8, 0.6, 4.0)  # x_min, y_min, x_max, y_max (math coords)
 def emit_svg(xs, ys, path: str) -> None:
     """Scatter of fundamental-domain points; y > 4 is drawn on the top border.
 
-    The viewBox is fixed to [-0.6, 0.6] x [0.8, 4]; exact duplicate points
-    collapse to one marker.
+    The viewBox is fixed to [-0.6, 0.6] x [0.8, 4]; points whose markers
+    print identically collapse to one marker, in first-occurrence order.
     """
     x0, y0, x1, y1 = _SVG_VIEW
-    seen = set()
-    marks = []
-    for x, y in zip(xs, ys):
-        y = min(float(y), y1)
-        x = float(x)
-        key = (round(x, 9), round(y, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        # SVG y axis points down: plot (x, -y)
-        marks.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" r="0.006"/>')
+    # SVG y axis points down: plot (x, -y)
+    marks = (f'<circle cx="{float(x):.6f}" cy="{-min(float(y), y1):.6f}" r="0.006"/>'
+             for x, y in zip(xs, ys))
     width = x1 - x0
     height = y1 - y0
-    body = "\n".join(marks)
+    body = "\n".join(dict.fromkeys(marks))
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {-y1} {width} {height}">\n'

@@ -275,10 +275,6 @@ def dist_vs_norm_check(sample_count: int, seed: int = 0) -> ExperimentReport:
         name="dist_vs_norm",
         params={"sample_count": sample_count, "seed": seed, "used": int(ratios.size)},
         columns=["used", "ratio_min", "ratio_max", "ratio_mean", "spread"],
-        notes=(
-            "sampling law: x ~ U[-1/2,1/2], theta ~ U[0,pi), "
-            "y ~ 1/y^2 on [sqrt(3)/2, 100]; restricted to d(p) <= 0.5"
-        ),
     )
     if ratios.size:
         rep.add_row(

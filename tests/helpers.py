@@ -314,3 +314,106 @@ def gap_constants_reference(vecs):
     cross = np.abs(a_s[:-1] * b_s[1:] - a_s[1:] * b_s[:-1])
     cross = cross[cross != 0]
     return c_second, float(cross.min()) if cross.size else math.inf
+
+
+def verify_good_reference(params, eps_grid, window_count: int = 50):
+    """Reference for goodfn.verify_good, which evaluates one window per
+    anchor: the former sweep.  Per eps and anchor x1 it tries window_count
+    geometric right ends from x1 + 1 to the cap, plus the tightest end
+    s1 + 1e-6 of the sublevel hull [s0, s1]."""
+    from homodyn import goodfn
+    from homodyn.report import ExperimentReport
+
+    eps_grid = [float(e) for e in eps_grid]
+    floor = goodfn.sublevel_floor(params)
+    rep = ExperimentReport(
+        name="good_function_check",
+        params={"a": params.a, "b": params.b, "kappa": params.kappa,
+                "gamma": params.gamma, "mu": params.mu, "nu": params.nu,
+                "rho": params.rho, "case": params.case, "floor": floor},
+        columns=["eps", "C_required", "sublevel_measure", "windows", "failed"],
+    )
+    anchors = goodfn._anchors(params)
+    for eps in eps_grid:
+        if floor > 0.0 and eps < floor:
+            seg = None
+        elif params.case == "generic":
+            seg = goodfn._sublevel_interval(params, eps)
+        else:
+            seg = goodfn._sublevel_measure_grid(params, eps)
+        if seg is None:  # empty sublevel set
+            rep.add_row(eps, 0.0, 0.0, window_count, 0)
+            continue
+        c_req = 0.0
+        measure_total = 0.0
+        for x1 in anchors:
+            sweep = list(np.geomspace(max(x1 * (1.0 + 1e-9), x1 + 1e-6) + 1.0,
+                                      goodfn._WINDOW_CAP, window_count))
+            if seg[1] > x1:
+                sweep.append(seg[1] + 1e-6)  # tightest window covering the dip
+            for x2 in sweep:
+                lo = max(seg[0], x1)
+                hi = min(seg[1], x2)
+                m = max(0.0, hi - lo)
+                if m > 0.0:
+                    measure_total = max(measure_total, m)
+                    c_req = max(c_req, m / (math.sqrt(eps / params.rho) * (x2 - x1)))
+        rep.add_row(eps, c_req, measure_total, window_count, 0)
+    return rep
+
+
+def emit_svg_reference(xs, ys, path: str) -> None:
+    """Reference for report.emit_svg, which dedupes the printed markers: the
+    former writer, which dedupes on points rounded to 9 decimals and so
+    keeps markers that print identically at 6."""
+    x0, y0, x1, y1 = (-0.6, 0.8, 0.6, 4.0)
+    seen = set()
+    marks = []
+    for x, y in zip(xs, ys):
+        y = min(float(y), y1)
+        x = float(x)
+        key = (round(x, 9), round(y, 9))
+        if key in seen:
+            continue
+        seen.add(key)
+        # SVG y axis points down: plot (x, -y)
+        marks.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" r="0.006"/>')
+    width = x1 - x0
+    height = y1 - y0
+    body = "\n".join(marks)
+    svg = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{x0} {-y1} {width} {height}">\n'
+        f'<rect x="{x0}" y="{-y1}" width="{width}" height="{height}" '
+        f'fill="white" stroke="black" stroke-width="0.004"/>\n'
+        f'<g fill="black">\n{body}\n</g>\n</svg>\n'
+    )
+    with open(path, "w", newline="\n", encoding="ascii") as fh:
+        fh.write(svg)
+
+
+def cf_expand_reference(x: float, depth: int, q_guard: int = 2**62):
+    """Plain continued-fraction expansion with cf_expand's stopping rules:
+    (quotients, convergents, terminated), convergents rebuilt from scratch
+    at every step and a quotient below 1 also stopping it."""
+    def convergents(qs):
+        out, (p0, p1), (q0, q1) = [], (1, qs[0]), (0, 1)
+        out.append((p1, q1))
+        for a in qs[1:]:
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            out.append((p1, q1))
+        return out
+
+    qs = [math.floor(x)]
+    t = x - qs[0]
+    for _ in range(depth):
+        p, q = convergents(qs)[-1]
+        if abs(x - p / q) < 1e-15 or q > q_guard or t <= 0.0:
+            return qs, convergents(qs), True
+        t = 1.0 / t
+        a = math.floor(t)
+        if a < 1:
+            return qs, convergents(qs), True
+        qs.append(a)
+        t -= a
+    return qs, convergents(qs), False

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,12 @@ from hypothesis import strategies as st
 
 import homodyn
 from homodyn.cli import build_parser, main, parse_base
+from homodyn.orbits import sample_sparse
 from homodyn.psl2 import identity
 from homodyn.report import ExperimentReport, emit_csv, emit_svg
+from homodyn.surface import reduce
+
+from helpers import emit_svg_reference
 
 
 def run_cli(args):
@@ -69,11 +74,24 @@ def test_csv_empty_report(tmp_path):
 
 def test_svg_single_marker_and_clipping(tmp_path):
     path = tmp_path / "orbit.svg"
-    emit_svg([0.0, 0.0, 0.3], [1.0, 1.0, 9.9], str(path))
+    # duplicates collapse, and so do points 1e-8 apart, which print alike
+    emit_svg([0.0, 0.0, 0.3, 0.2, 0.2 + 1e-8], [1.0, 1.0, 9.9, 1.5, 1.5], str(path))
     text = path.read_text()
-    assert text.count("<circle") == 2  # duplicates collapse
+    assert text.count("<circle") == 3
     assert 'cy="-4' in text  # clipped to the border
     assert 'viewBox="-0.6 -4.0 1.2 3.2' in text
+
+
+@pytest.mark.parametrize("base", ["golden", "identity"])
+def test_svg_drops_only_repeated_lines(tmp_path, base):
+    series = sample_sparse(reduce(parse_base(base)), 0.01, 20000)
+    new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+    emit_svg(series.xs, series.ys, str(new))
+    emit_svg_reference(series.xs, series.ys, str(ref))
+    ref_lines = ref.read_text().splitlines()
+    new_lines = new.read_text().splitlines()
+    assert len(new_lines) < len(ref_lines)  # the rounded keys let repeats through
+    assert new_lines == list(dict.fromkeys(ref_lines))
 
 
 def test_cli_constants_table(capsys, tmp_path, monkeypatch):
@@ -208,7 +226,7 @@ _FLAGS = {
     "prog": {"--base", "--K", "--K-exponent", "--T", "--band"},
     "pieces": {"--base", "--gamma", "--eps", "--N", "--kappa"},
     "dio": {"--x", "--base", "--depth", "--kappa", "--bound", "--tmax"},
-    "goodfn": {"--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho", "--windows"},
+    "goodfn": {"--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho"},
     "count": {"--l", "--theta1", "--theta2"},
     "dim": {"--kappa", "--eps", "--levels", "--schedule", "--R"},
     "mollify": {"--delta", "--n", "--gamma-box"},
@@ -224,7 +242,7 @@ def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
                     if a.option_strings and a.option_strings[0] != "-h"}
              for name, p in sub.choices.items()}
     assert found == {name: flags | _COMMON_FLAGS for name, flags in _FLAGS.items()}
-    assert sum(len(flags) for flags in found.values()) == 81
+    assert sum(len(flags) for flags in found.values()) == 80
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed=1\n")
@@ -232,6 +250,7 @@ def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
                  ["orbit", "--N", "100", "--suite", "default"],
                  ["count", "--l", "20", "--svg", "x.svg"],
                  ["constants", "--threads", "2"],
+                 ["goodfn", "--windows", "60"],
                  ["constants", "--config", str(cfg)]):
         assert run_cli(argv) == 1, argv
     assert not (tmp_path / "x.svg").exists()
@@ -239,6 +258,53 @@ def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
     assert run_cli(["curve", "--points", "100", "--svg", "curve.svg"]) == 0
     for name in ("orbit.svg", "curve.svg"):
         assert (tmp_path / name).read_text().count("<circle") > 0
+
+
+def _run_quiet(argv, capsys):
+    """main(argv) -> (exit code, stdout, stderr); a warning counts as stderr,
+    since outside pytest it would print there."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    out, err = capsys.readouterr()
+    return code, out, err + "".join(str(w.message) for w in caught)
+
+
+# every subcommand at a small size (box twice: a two-value and a one-value sweep)
+_SMALL_RUNS = [
+    ["orbit", "--N", "2000", "--svg", "orbit.svg"],
+    ["curve", "--points", "2000", "--svg", "curve.svg"],
+    ["pieces", "--N", "1000"],
+    ["box", "--weighted", "--T", "20", "50"],
+    ["box", "--T", "20"],
+    ["twist", "--T", "20", "50"],
+    ["prog", "--T", "1e2", "1e3"],
+    ["count", "--l", "50"],
+    ["dim", "--levels", "1", "--schedule", "50", "--R", "1000"],
+    ["dio", "--bound", "100"],
+    ["goodfn"],
+    ["mollify"],
+    ["constants"],
+]
+
+
+def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for argv in _SMALL_RUNS} == set(_FLAGS)
+    for argv in _SMALL_RUNS:
+        code, out, err = _run_quiet(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert out
+
+
+def test_cli_box_one_value_sweep_fits_no_exponent(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for T in (["4000"], ["100", "100"]):
+        code, out, err = _run_quiet(["box", "--T", *T], capsys)
+        assert (code, err) == (0, ""), T
+        assert "# fitted_exponent = nan" in out.splitlines()
+    code, out, _ = _run_quiet(["box", "--T", "100", "1000"], capsys)
+    assert code == 0 and "# fitted_exponent = nan" not in out
 
 
 def test_cli_prog_zero_exponent_needs_K(tmp_path, capsys, monkeypatch):
@@ -319,8 +385,7 @@ _FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "abc"]
 _FUZZ_COMMANDS = {
     "constants": ([], ["--s", "--kappa", "--eps"]),
     "mollify": ([], ["--delta", "--n", "--gamma-box"]),
-    "goodfn": ([], ["--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho",
-                    "--windows"]),
+    "goodfn": ([], ["--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho"]),
     "count": (["--l", "50"], ["--l", "--theta1", "--theta2"]),
     "dio": (["--bound", "20"], ["--x", "--depth", "--kappa", "--tmax"]),
     "orbit": (["--N", "50"], ["--gamma", "--base", "--threads"]),

@@ -22,7 +22,7 @@ from homodyn.lattice import CapacityError
 from homodyn.psl2 import identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
 
-from helpers import primitive_pairs_reference
+from helpers import cf_expand_reference, primitive_pairs_reference
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -44,6 +44,31 @@ def test_cf_expand_rational_terminates():
     cf = cf_expand(0.5, 5)
     assert cf.terminated
     assert cf.quotients == (0, 2)
+
+
+def _cf_triple(cf):
+    return list(cf.quotients), list(cf.convergents), cf.terminated
+
+
+def test_cf_expand_matches_reference(monkeypatch):
+    r = np.random.default_rng(7)
+    xs = [math.pi, -math.e, GOLDEN, 0.5, 3.0, -2.5, 1.0 / 3.0, 355.0 / 113.0, 1e-9,
+          123456.789, 2.0**-40] + list(r.uniform(-50.0, 50.0, 200)) \
+        + list(r.uniform(0.0, 1e-3, 50))
+    for x in xs:
+        for depth in (1, 3, 12, 60):  # short depths stop unterminated
+            assert _cf_triple(cf_expand(x, depth)) == cf_expand_reference(x, depth), x
+    # the noise-floor exit and the rational exit
+    assert cf_expand(math.pi, 60).terminated and cf_expand(0.5, 60).terminated
+    assert not cf_expand(math.pi, 3).terminated
+    # the denominator-guard exit, which a float reaches only past its noise
+    # floor at the real guard, so test it at a lowered one
+    import homodyn.diophantine as dio
+    monkeypatch.setattr(dio, "_Q_GUARD", 10**6)
+    for x in (math.pi, math.sqrt(2.0), GOLDEN, -math.e):
+        cf = cf_expand(x, 60)
+        assert cf.terminated and cf.convergents[-1][1] > 10**6
+        assert _cf_triple(cf) == cf_expand_reference(x, 60, q_guard=10**6)
 
 
 def test_convergent_recurrence_and_alternation():

@@ -18,6 +18,8 @@ from homodyn.goodfn import (
 )
 from homodyn.surface import reduce
 
+from helpers import verify_good_reference
+
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -117,6 +119,48 @@ def test_generic_case_default_rho_regression():
     cs = [row[1] for row in rep.rows]
     assert all(1.0 < c < 6.0 for c in cs)
     assert max(cs) / min(cs) <= 2.5
+
+
+# (a, b, kappa, gamma, mu, nu, rho as a share of f(1); 0 = the default rho)
+_GOODFN_GRID = [
+    (2.0, 1e-3, 1.0, 0.02, 0.5, 1e-6, 0.0),     # generic: the interval path
+    (5.0, 0.05, 1.0, 0.02, 0.5, 1e-6, 0.5),
+    (2.0, 1e-5, 2.0, 0.1, 0.5, 1e-6, 0.0),
+    (5.0, 0.05, 2.0, 0.1, 0.5, 0.1, 0.5),
+    (1.0, 1e-5, 1.0, 0.05, 0.5, 5e-6, 0.0),     # the goodfn defaults
+    (5.0, 0.9, 1.0, 0.02, 0.5, 1e-3, 0.5),      # b_floor: the grid path
+    (5.0, 0.5, 2.0, 0.02, 0.5, 1e-3, 0.5),
+    (0.3, 0.9, 1.0, 0.1, 0.5, 0.1, 1.0),        # b_floor, empty below the floor
+    (-1.0, 1e-5, 1.0, 0.02, 0.5, 1e-6, 0.0),    # opposite signs: the grid path
+    (-1.0, 1e-5, 1.0, 0.02, 0.5, 1e-6, 0.5),
+    (-1.0, 1e-5, 2.0, 0.02, 0.5, 1e-6, 0.0),
+    (-3.0, 1e-5, 2.0, 0.1, 0.5, 1e-6, 0.5),
+]
+
+
+def _grid_params(a, b, kappa, gamma, mu, nu, share):
+    rho = share * GoodFnParams(a, b, kappa, gamma, mu, nu).f1()
+    return GoodFnParams(a, b, kappa, gamma, mu, nu, rho)
+
+
+@pytest.mark.parametrize("row", _GOODFN_GRID)
+def test_verify_good_tightest_window_matches_sweep(row):
+    p = _grid_params(*row)
+    eps_grid = [p.rho / 4.0, p.rho / 16.0, p.rho / 64.0]
+    assert verify_good(p, eps_grid).rows == verify_good_reference(p, eps_grid).rows
+
+
+def test_verify_good_grid_reaches_every_path():
+    # the grid above is only a check if its sublevel sets are nonempty
+    nonempty = set()
+    for row in _GOODFN_GRID:
+        p = _grid_params(*row)
+        rows = verify_good(p, [p.rho / 4.0, p.rho / 16.0, p.rho / 64.0]).rows
+        if any(r[2] > 0.0 for r in rows):
+            nonempty.add((p.case, p.kappa, p.rho != min(p.f1(), 0.25)))
+    assert {("generic", k, s) for k in (1.0, 2.0) for s in (False, True)} <= nonempty
+    assert {("b_floor", k, True) for k in (1.0, 2.0)} <= nonempty
+    assert {("opposite_signs", k, s) for k in (1.0, 2.0) for s in (False, True)} <= nonempty
 
 
 def test_hitting_frequency_basics():

@@ -10,6 +10,7 @@ from homodyn.diophantine import slope_base
 from homodyn.mollify import (
     MollifierSpec,
     box_average,
+    box_decay_report,
     bump_cdf,
     bump_kernel,
     injectivity_radius_estimate,
@@ -102,6 +103,15 @@ def test_injectivity_radius():
         q = reduce(g @ unipotent(1.0))
         ratio = injectivity_radius_estimate(q) / injectivity_radius_estimate(p)
         assert 0.25 <= ratio <= 4.0
+
+
+def test_box_eta_reads_the_flowed_representative():
+    # eta needs only the representative p a(log T); reducing it changes nothing
+    f = height_band(2.0)
+    rep = box_decay_report(GOLDEN_P, f, [100.0, 1000.0])
+    for T, _, _, eta in rep.rows:
+        q = geodesic_flow(GOLDEN_P, math.log(T))
+        assert eta == injectivity_radius_estimate(q) == injectivity_radius_estimate(q.rep)
 
 
 def test_box_average_constant_error_zero():

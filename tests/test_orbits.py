@@ -14,6 +14,7 @@ from homodyn.orbits import (
     fejer_coefficient_check,
     golden_ratio,
     height_band,
+    horocycle_points,
     hyperbolic_disc,
     piece_decomposition,
     progression_average,
@@ -23,7 +24,7 @@ from homodyn.orbits import (
     smooth_bump,
     twisted_average,
 )
-from homodyn.psl2 import identity, unipotent, diagonal_flow
+from homodyn.psl2 import GroupElement, identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
 from helpers import haar_integral
 
@@ -98,6 +99,16 @@ def test_sample_sparse_matches_pointwise_reduce():
         assert series.xs[n] == pytest.approx(q.z_reduced.real, abs=1e-8)
         assert series.ys[n] == pytest.approx(q.z_reduced.imag, abs=1e-8)
         assert series.thetas[n] == pytest.approx(q.iwasawa.k_angle, abs=1e-7)
+
+
+def test_horocycle_theta_in_half_open_range():
+    # the angle of this point lands on pi in floats; iwasawa() folds it to 0
+    p = reduce(GroupElement(1.0, 0.0, -1e-20, 1.0))
+    theta = horocycle_points(p, [0.0])[2]
+    assert 0.0 <= theta[0] < math.pi
+    assert theta[0] == p.iwasawa.k_angle
+    thetas = horocycle_points(GOLDEN_P, np.arange(5000) ** 1.1)[2]
+    assert ((thetas >= 0.0) & (thetas < math.pi)).all()
 
 
 def test_sample_curve_matrix_identity():
