@@ -113,17 +113,16 @@ def run_orbit(args) -> ExperimentReport:
 def run_curve(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
     check_capacity(args.points, "curve points")
+    if not (1.0 <= args.xmax < math.inf):
+        raise ConfigError("need finite --xmax >= 1")
     grid = np.geomspace(1.0, args.xmax, args.points)
-    rep = _series_report(args, sample_curve(p, args.gamma, grid))
-    rep.name = "curve_discrepancy"
-    return rep
+    return _series_report(args, sample_curve(p, args.gamma, grid))
 
 
 def run_twist(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
     f = height_band(args.band)
     rep = ExperimentReport(
-        name="twisted_average",
         params={"base": args.base, "frequency": args.frequency, "band": args.band},
         columns=["T", "re", "im", "abs_centered"],
     )
@@ -140,7 +139,6 @@ def run_prog(args) -> ExperimentReport:
     p = reduce(parse_base(args.base))
     f = height_band(args.band)
     rep = ExperimentReport(
-        name="progression_average",
         params={"base": args.base, "K_exponent": args.K_exponent, "band": args.band},
         columns=["T", "K", "centered_average"],
     )
@@ -159,7 +157,6 @@ def run_pieces(args) -> ExperimentReport:
 
 def run_dio(args) -> ExperimentReport:
     rep = ExperimentReport(
-        name="diophantine_report",
         params={"x": args.x, "depth": args.depth, "kappa": args.kappa,
                 "bound": args.bound},
         columns=["quantity", "value"],
@@ -198,7 +195,6 @@ def run_count(args) -> ExperimentReport:
     n = sector_count(vecs, q)
     c2, cx = gap_constants(vecs)
     rep = ExperimentReport(
-        name="sector_count",
         params={"l": args.l, "theta1": args.theta1, "theta2": args.theta2},
         columns=["count", "l2_dtheta", "ratio", "gap_second", "gap_cross"],
     )
@@ -209,7 +205,6 @@ def run_count(args) -> ExperimentReport:
 
 def run_dim(args) -> ExperimentReport:
     rep = ExperimentReport(
-        name="dimension_bounds",
         params={"kappa": args.kappa, "levels": args.levels,
                 "schedule": ",".join(f"{l:g}" for l in args.schedule),
                 "closed_form_full": assembled_dimension([args.kappa])},
@@ -231,7 +226,6 @@ def run_dim(args) -> ExperimentReport:
 
 def run_mollify(args) -> ExperimentReport:
     rep = ExperimentReport(
-        name="mollifier_check",
         params={"delta": args.delta, "n": args.n, "gamma": args.gamma_box},
         columns=["integral", "box_volume", "l1_to_box", "l1_bound"],
     )
@@ -257,7 +251,6 @@ def run_box(args) -> ExperimentReport:
 def run_constants(args) -> ExperimentReport:
     bundle = exponent_bundle(args.s, args.kappa, epsilon=args.eps)
     rep = ExperimentReport(
-        name="exponent_table",
         params={"s": args.s, "epsilon": args.eps},
         columns=["quantity", "value"],
     )

@@ -171,7 +171,6 @@ class DiophantineWitness:
     """
 
     kappa: float
-    search_bound: int
     mu: float            # min |b| over enumerated vectors (0 if an axis vector)
     nu: float            # min |a|^kappa |b| over enumerated vectors
     symmetric: float     # min over vectors of max(|b|, |a|^kappa |b|)
@@ -215,7 +214,6 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     sym = np.maximum(abs_b, prod)
     witness = DiophantineWitness(
         kappa=kappa,
-        search_bound=search_bound,
         mu=float(abs_b.min()) if not axis.any() else 0.0,
         nu=float(prod.min()) if not axis.any() else 0.0,
         symmetric=float(sym.min()) if not axis.any() else 0.0,
@@ -278,11 +276,9 @@ def excursion_type_estimate(p: SurfacePoint, t_max: float) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class ExponentBundle:
-    """The explicit exponents: spectral parameter, mixing rate, and the
-    sparse-power threshold computed along both published routes."""
+    """The explicit exponents: the mixing rate and the sparse-power threshold
+    computed along both published routes."""
 
-    s: float
-    epsilon: float
     kappa_mix: float
     beta: float
     gamma0_spectral: float     # min_j s^2 / ((s+4)(kappa_j+4))
@@ -307,10 +303,8 @@ def exponent_bundle(s: float, kappa_list, epsilon: float = 1e-3) -> ExponentBund
     beta = s * kappa_mix / (2.0 * (8.0 + kappa_mix))
     g_spec = min(s * s / ((s + 4.0) * (k + 4.0)) for k in kappa_list)
     g_prog = min(2.0 * beta / (k + 4.0) for k in kappa_list)
-    return ExponentBundle(
-        s=s, epsilon=epsilon, kappa_mix=kappa_mix, beta=beta,
-        gamma0_spectral=g_spec, gamma0_progression=g_prog,
-    )
+    return ExponentBundle(kappa_mix=kappa_mix, beta=beta,
+                          gamma0_spectral=g_spec, gamma0_progression=g_prog)
 
 
 def slope_base(x: float) -> GroupElement:

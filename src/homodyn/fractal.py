@@ -37,8 +37,6 @@ class TreeLikeFamily:
     level-j parents.
     """
 
-    kappa: float
-    eps: float
     l_schedule: list
     levels: list
     diameters: list
@@ -140,7 +138,8 @@ def _level_children(l: float, parents, parent_pw, e, exact: bool, prior: int):
     pw_beta = np.array([b ** neg_e for b in bf.tolist()])  # scalar pow, as endpoints()
     # the annulus l <= r <= 2l and 0 < a < b, per beta
     rad_lo = np.maximum(np.ceil(np.sqrt(np.maximum(l * l - bf * bf, 0.0)) - 1e-9), 1.0)
-    rad_hi = np.minimum(np.floor(np.sqrt(4.0 * l * l - bf * bf) + 1e-9), bf - 1.0)
+    rad_hi = np.minimum(np.floor(np.sqrt(np.maximum(4.0 * l * l - bf * bf, 0.0)) + 1e-9),
+                        bf - 1.0)
     if parents is None:
         lo_f, hi_f = np.zeros(1), np.ones(1)
     else:
@@ -244,8 +243,8 @@ def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLi
         levels.append(pairs)
         parents, parent_pw = pairs, pw
     return TreeLikeFamily(
-        kappa=kappa, eps=eps, l_schedule=l_schedule, levels=levels,
-        diameters=diameters, densities=densities, exact=exact, exponent=e,
+        l_schedule=l_schedule, levels=levels, diameters=diameters,
+        densities=densities, exact=exact, exponent=e,
     )
 
 
@@ -282,9 +281,7 @@ def dimension_lower_bound(fam_or_data) -> DimensionBound:
 class CoverSumResult:
     partial: float
     tail_estimate: float
-    exponent: float       # delta (kappa+1) - 2; positive iff convergent
-    convergent: bool
-    R: float
+    convergent: bool  # delta (kappa+1) - 2 > 0
 
     @property
     def total(self) -> float:
@@ -314,8 +311,7 @@ def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:
     convergent = e > 0.0
     last_block = float(terms[b >= R / 2.0].sum())
     tail = last_block * (2.0 ** -e) / (1.0 - 2.0 ** -e) if convergent else math.inf
-    return CoverSumResult(partial=partial, tail_estimate=tail, exponent=e,
-                          convergent=convergent, R=float(R))
+    return CoverSumResult(partial=partial, tail_estimate=tail, convergent=convergent)
 
 
 def assembled_dimension(kappa_list) -> float:

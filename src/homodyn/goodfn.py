@@ -200,7 +200,6 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
         raise ValueError("eps values must be below rho")
     floor = sublevel_floor(params)
     rep = ExperimentReport(
-        name="good_function_check",
         params={"a": params.a, "b": params.b, "kappa": params.kappa,
                 "gamma": params.gamma, "mu": params.mu, "nu": params.nu,
                 "rho": params.rho, "case": params.case, "floor": floor},

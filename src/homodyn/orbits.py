@@ -6,7 +6,7 @@ index ranges around cusp visits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,15 +89,15 @@ def default_suite() -> list:
 @dataclass
 class OrbitSeries:
     """A reduced orbit sample: strictly increasing times and the reduced
-    coordinates of every visited point (arrays, one entry per time)."""
+    coordinates of every visited point (arrays, one entry per time); kind is
+    "sparse" or "curve"."""
 
-    base: SurfacePoint
+    kind: str
     gamma: float
     times: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     thetas: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return int(self.times.size)
@@ -141,8 +141,7 @@ def sample_sparse(p: SurfacePoint, gamma: float, N: int) -> OrbitSeries:
         raise ValueError("need 0 <= gamma <= 0.5 and N >= 1")
     check_capacity(N, "orbit points")
     times = np.arange(N, dtype=float) ** (1.0 + gamma)
-    return OrbitSeries(p, gamma, times, *horocycle_points(p, times),
-                       meta={"kind": "sparse", "N": N})
+    return OrbitSeries("sparse", gamma, times, *horocycle_points(p, times))
 
 
 def sample_curve(p: SurfacePoint, gamma: float, x_grid) -> OrbitSeries:
@@ -152,8 +151,7 @@ def sample_curve(p: SurfacePoint, gamma: float, x_grid) -> OrbitSeries:
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size < 1 or x_grid[0] < 1.0 or (np.diff(x_grid) <= 0).any():
         raise ValueError("x_grid must be increasing with x >= 1")
-    return OrbitSeries(p, gamma, x_grid, *curve_points(p, gamma, x_grid),
-                       meta={"kind": "curve", "N": x_grid.size})
+    return OrbitSeries("curve", gamma, x_grid, *curve_points(p, gamma, x_grid))
 
 
 def discrepancy(series: OrbitSeries, suite) -> ExperimentReport:
@@ -163,8 +161,7 @@ def discrepancy(series: OrbitSeries, suite) -> ExperimentReport:
         raise ValueError("empty series")
     prefixes = [2 ** k for k in range(3, 64) if 2 ** k < n] + [n]
     rep = ExperimentReport(
-        name="discrepancy",
-        params={"N": n, "gamma": series.gamma, **series.meta},
+        params={"N": n, "gamma": series.gamma, "kind": series.kind},
         columns=["function", "N_prefix", "empirical_mean", "haar_mean", "discrepancy"],
     )
     for f in suite:
@@ -229,7 +226,6 @@ def fejer_coefficient_check(delta: float, K: float, k_max: int) -> ExperimentRep
     a0 = float(a[0])
     sum_abs = a0 + 2.0 * float(np.abs(a[1 : k_max + 1]).sum())
     rep = ExperimentReport(
-        name="fejer_coefficients",
         params={
             "delta": delta, "K": K, "k_max": k_max, "dft_points": M,
             "g_zero": g0, "one_over_delta": 1.0 / delta, "a0": a0,
@@ -273,7 +269,6 @@ def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,
             n += 1
     covered = sum(end - start + 1 for start, end in blocks)
     rep = ExperimentReport(
-        name="piece_decomposition",
         params={
             "gamma": gamma, "eps": eps, "N": N, "kappa": kappa,
             "blocks": len(blocks), "covered_fraction": covered / N,

@@ -101,12 +101,6 @@ class GroupElement:
             theta = 0.0
         return IwasawaNAK(s, 1.0 / math.sqrt(r2), theta)
 
-    def almost_equal(self, other: "GroupElement", tol: float = 1e-9) -> bool:
-        """Entrywise closeness modulo global sign."""
-        dp = max(abs(x - y) for x, y in zip(self.entries, other.entries))
-        dm = max(abs(x + y) for x, y in zip(self.entries, other.entries))
-        return min(dp, dm) <= tol
-
     def __repr__(self) -> str:
         return f"GroupElement({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 

@@ -21,7 +21,6 @@ def _fmt(v) -> str:
 class ExperimentReport:
     """One experiment's parameters and measured statistics, CSV-serializable."""
 
-    name: str
     params: dict = field(default_factory=dict)
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)

@@ -143,12 +143,6 @@ class SurfacePoint:
         """Hyperbolic distance from the base point i to the projected point."""
         return hyperbolic_distance(BASE_POINT, self.z_reduced)
 
-    def cusp_norm(self) -> float:
-        return cusp_norm(self.rep)
-
-    def translate(self, h: GroupElement) -> "SurfacePoint":
-        return reduce(self.rep.compose(h))
-
 
 def reduce(g: GroupElement) -> SurfacePoint:
     """Reduce Gamma*g: pick the representative over the standard domain."""
@@ -272,7 +266,6 @@ def dist_vs_norm_check(sample_count: int, seed: int = 0) -> ExperimentReport:
     cusp = dn <= 0.5
     ratios = np.exp(height_distance(x[cusp], y[cusp])) * dn[cusp] * dn[cusp]
     rep = ExperimentReport(
-        name="dist_vs_norm",
         params={"sample_count": sample_count, "seed": seed, "used": int(ratios.size)},
         columns=["used", "ratio_min", "ratio_max", "ratio_mean", "spread"],
     )

@@ -3,6 +3,7 @@
 import argparse
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from homodyn.psl2 import identity
 from homodyn.report import ExperimentReport, emit_csv, emit_svg
 from homodyn.surface import reduce
 
-from helpers import emit_svg_reference
+from helpers import emit_svg_reference, psl_allclose
 
 
 def run_cli(args):
@@ -30,7 +31,7 @@ def run_cli(args):
 def test_parse_base_named():
     g = parse_base("golden")
     assert g.a / g.c == pytest.approx((1 + math.sqrt(5)) / 2)
-    assert parse_base("identity").almost_equal(identity())
+    assert psl_allclose(parse_base("identity"), identity())
     g2 = parse_base("sqrt2")
     assert g2.a / g2.c == pytest.approx(math.sqrt(2))
     g3 = parse_base("liouville(3)")
@@ -51,7 +52,7 @@ def test_parse_base_rejects():
 
 def test_csv_format(tmp_path):
     rep = ExperimentReport(
-        name="demo", params={}, columns=["a", "b"],
+        params={}, columns=["a", "b"],
         rows=[(1, 0.5), (2, 1.0 / 3.0)],
     )
     path = tmp_path / "out.csv"
@@ -66,7 +67,7 @@ def test_csv_format(tmp_path):
 
 
 def test_csv_empty_report(tmp_path):
-    rep = ExperimentReport(name="empty", columns=["x"])
+    rep = ExperimentReport(columns=["x"])
     path = tmp_path / "empty.csv"
     emit_csv(rep, str(path))
     assert len(path.read_text().splitlines()) == 2  # header + columns
@@ -260,6 +261,11 @@ def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
         assert (tmp_path / name).read_text().count("<circle") > 0
 
 
+def _assert_one_line(err, prefix, argv):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err)
+
+
 def _run_quiet(argv, capsys):
     """main(argv) -> (exit code, stdout, stderr); a warning counts as stderr,
     since outside pytest it would print there."""
@@ -270,7 +276,8 @@ def _run_quiet(argv, capsys):
     return code, out, err + "".join(str(w.message) for w in caught)
 
 
-# every subcommand at a small size (box twice: a two-value and a one-value sweep)
+# every subcommand at a small size (box twice: a two-value and a one-value
+# sweep; dim twice: the second with a scale l whose 2l is not an integer)
 _SMALL_RUNS = [
     ["orbit", "--N", "2000", "--svg", "orbit.svg"],
     ["curve", "--points", "2000", "--svg", "curve.svg"],
@@ -281,6 +288,7 @@ _SMALL_RUNS = [
     ["prog", "--T", "1e2", "1e3"],
     ["count", "--l", "50"],
     ["dim", "--levels", "1", "--schedule", "50", "--R", "1000"],
+    ["dim", "--schedule", "50.3,1200"],
     ["dio", "--bound", "100"],
     ["goodfn"],
     ["mollify"],
@@ -295,6 +303,26 @@ def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, capsys, monkeypatch):
         code, out, err = _run_quiet(argv, capsys)
         assert (code, err) == (0, ""), argv
         assert out
+
+
+def _readme_commands():
+    """The homodyn lines of README.md's CLI block, continuations joined and
+    comments dropped, as argv lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in commands if argv[:1] == ["homodyn"]]
+
+
+def test_readme_cli_examples_exit_0_with_empty_stderr(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(_FLAGS)
+    for argv in commands:
+        code, out, err = _run_quiet(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+    assert (tmp_path / "orbit.svg").is_file() and (tmp_path / "orbit.csv").is_file()
 
 
 def test_cli_box_one_value_sweep_fits_no_exponent(tmp_path, capsys, monkeypatch):
@@ -340,21 +368,24 @@ def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
                  ["orbit", "--N", "100000000000"], ["curve", "--points", "100000000000"],
                  ["pieces", "--N", "100000000000"], ["box", "--T", "1e12"],
                  ["twist", "--frequency", "0", "--T", "1e12"],
-                 ["prog", "--K-exponent", "0", "--K", "1", "--T", "1e12"]):
-        assert run_cli(argv) == 1, argv
-        assert "config error" in capsys.readouterr().err
+                 ["prog", "--K-exponent", "0", "--K", "1", "--T", "1e12"],
+                 ["curve", "--xmax", "inf"], ["curve", "--xmax", "nan"],
+                 ["curve", "--xmax", "-5", "--points", "100"]):
+        code, _, err = _run_quiet(argv, capsys)
+        assert code == 1, argv
+        _assert_one_line(err, "config error: ", argv)
 
 
 def test_cli_numeric_failures_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # EmptyLevelError: a parent interval gets no children at kappa = 3
-    assert run_cli(["dim", "--kappa", "3", "--schedule", "50,2500"]) == 2
-    assert "numeric failure" in capsys.readouterr().err
-    # finite parameters whose knots overflow: the mass is NaN, not gamma
-    for n in ("1", "2"):
-        assert run_cli(["mollify", "--delta", "1e308", "--gamma-box", "1e308",
-                        "--n", n]) == 2
-        assert "numeric failure" in capsys.readouterr().err
+    # dim: EmptyLevelError, a parent interval gets no children at kappa = 3;
+    # mollify: finite parameters whose knots overflow, so the mass is NaN
+    for argv in (["dim", "--kappa", "3", "--schedule", "50,2500"],
+                 ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "1"],
+                 ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "2"]):
+        code, _, err = _run_quiet(argv, capsys)
+        assert code == 2, argv
+        _assert_one_line(err, "numeric failure: ", argv)
 
 
 def test_cli_config_booleans(tmp_path, capsys, monkeypatch):

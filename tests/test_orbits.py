@@ -26,7 +26,7 @@ from homodyn.orbits import (
 )
 from homodyn.psl2 import GroupElement, identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
-from helpers import haar_integral
+from helpers import PHI2, ZETA3, eisenstein_e2, haar_integral
 
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
@@ -130,7 +130,7 @@ def test_sample_curve_start():
 
 def test_orbit_series_validation():
     with pytest.raises(ValueError):
-        OrbitSeries(GOLDEN_P, 0.0, np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
+        OrbitSeries("sparse", 0.0, np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
                     np.zeros(2))
 
 
@@ -303,3 +303,38 @@ def test_discrepancy_true_constant_function():
     series = sample_sparse(GOLDEN_P, 0.0, 2048)
     rep = discrepancy(series, [ConstantOne()])
     assert all(row[4] == 0.0 for row in rep.rows)
+
+
+def test_eisenstein_e2_oracle():
+    # the oracle itself: its zeta(3), S-invariance E(z) = E(-1/z), and the
+    # lattice sum it expands (|c|, |d| <= 400 leaves a tail ~2e-6 relative)
+    import mpmath
+
+    assert ZETA3 == float(mpmath.zeta(3))
+    for z in (0.3 + 1.1j, -0.45 + 0.95j):
+        w = -1.0 / z
+        assert eisenstein_e2(w.real, w.imag)[0] == pytest.approx(
+            eisenstein_e2(z.real, z.imag)[0], rel=1e-14)
+    z = 0.3 + 1.1j
+    c, d = np.meshgrid(np.arange(401), np.arange(-400, 401), indexing="ij")
+    keep = (np.gcd(c, d) == 1) & ((c > 0) | (d == 1))  # coprime, mod sign
+    direct = float((z.imag**2 / np.abs(c[keep] * z + d[keep]) ** 4).sum())
+    assert direct == pytest.approx(eisenstein_e2(z.real, z.imag)[0], rel=1e-5)
+
+
+@pytest.mark.parametrize("y, tol", [(1e-2, 2e-12), (1e-3, 2e-11), (1e-4, 5e-10)])
+def test_horocycle_average_of_eisenstein_series(y, tol):
+    # The closed horocycle at height y: E(x + iy, 2) averages over x to its
+    # constant term y^2 + phi(2)/y (Sarnak 1981).  M = 40/y midpoint nodes
+    # cancel every frequency below M, and the terms from M on are below
+    # e^-250.  E is Gamma-invariant, so evaluating it at the reduced points,
+    # where twelve terms suffice, checks that the reduction keeps each point
+    # on its orbit.  The float time grid spans the period only to ~1e-16
+    # relative, and E's peaks near rationals at height y turn that into an
+    # error of about 1e-16/y; the tolerances are 100x the measured errors.
+    M = round(40 / y)
+    t = (np.arange(M) + 0.5) / (M * y)
+    xs, ys, _ = horocycle_points(reduce(diagonal_flow(math.log(y))), t)
+    assert ys.min() >= math.sqrt(3.0) / 2.0 - 1e-12
+    constant_term = y * y + PHI2 / y
+    assert abs(eisenstein_e2(xs, ys).mean() - constant_term) <= tol * constant_term
