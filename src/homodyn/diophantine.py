@@ -118,7 +118,10 @@ def planted_quotients(zeta: float):
     quotients = [0, 2]
     q0, q1 = 1, 2
     while True:
-        a = max(1, round(q1 ** (zeta - 1.0)))
+        try:
+            a = max(1, round(q1 ** (zeta - 1.0)))
+        except OverflowError:  # a quotient past 1e308 puts q1 past the 10^9 stop
+            break
         q0, q1 = q1, a * q1 + q0
         if q1 > 10**9:  # the planted denominators stay below 10^9
             break
@@ -170,20 +173,11 @@ class DiophantineWitness:
     records the extremes seen up to the search bound.
     """
 
-    kappa: float
     mu: float            # min |b| over enumerated vectors (0 if an axis vector)
     nu: float            # min |a|^kappa |b| over enumerated vectors
     symmetric: float     # min over vectors of max(|b|, |a|^kappa |b|)
     axis_vectors: tuple  # integer (m, n) with b-component exactly ~0
     vectors_checked: int
-
-    @property
-    def diophantine_ok(self) -> bool:
-        return len(self.axis_vectors) == 0
-
-    def violations(self, mu: float, nu: float, a_comp, b_comp):
-        bad = (np.abs(b_comp) < mu) & (np.abs(a_comp) ** self.kappa * np.abs(b_comp) < nu)
-        return int(bad.sum())
 
 
 def _primitive_pairs(bound: int):
@@ -208,12 +202,12 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     a_comp = g.d * m - g.b * n
     b_comp = g.a * n - g.c * m
     abs_b = np.abs(b_comp)
-    prod = np.abs(a_comp) ** kappa * abs_b
+    with np.errstate(over="ignore", invalid="ignore"):  # inf; NaN only on axis vectors
+        prod = np.abs(a_comp) ** kappa * abs_b
     axis = abs_b < 1e-12
     axis_vectors = tuple((int(mm), int(nn)) for mm, nn in zip(m[axis][:16], n[axis][:16]))
     sym = np.maximum(abs_b, prod)
     witness = DiophantineWitness(
-        kappa=kappa,
         mu=float(abs_b.min()) if not axis.any() else 0.0,
         nu=float(prod.min()) if not axis.any() else 0.0,
         symmetric=float(sym.min()) if not axis.any() else 0.0,

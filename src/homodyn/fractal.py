@@ -44,9 +44,6 @@ class TreeLikeFamily:
     exact: bool
     exponent: float  # e, an int in exact mode
 
-    def level_count(self) -> int:
-        return len(self.levels) - 1
-
     def endpoints(self, j: int) -> list:
         """Level j's (lo, hi) pairs: Fractions in exact mode, floats otherwise."""
         j = range(len(self.levels))[j]
@@ -220,6 +217,8 @@ def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLi
     l_schedule = [float(l) for l in l_schedule]
     if len(l_schedule) != level_count:
         raise ValueError("schedule length must equal level_count")
+    if not all(l > 0.0 for l in l_schedule):  # NaN fails too
+        raise ValueError("schedule entries must be positive")
     if any(l2 <= l1 for l1, l2 in zip(l_schedule, l_schedule[1:])):
         raise ValueError("schedule must be increasing")
     if any(l > _L_GUARD for l in l_schedule):
@@ -253,7 +252,7 @@ class DimensionBound(NamedTuple):
     series: tuple  # per-depth bounds, one entry per usable level
 
 
-def dimension_lower_bound(fam_or_data) -> DimensionBound:
+def dimension_lower_bound(fam: TreeLikeFamily) -> DimensionBound:
     """Finite-depth evaluation of the density/diameter dimension bound.
 
     dim >= 1 - sum_i log(1/Delta_i) / log(1/d_(j+1)), evaluated at each
@@ -261,11 +260,7 @@ def dimension_lower_bound(fam_or_data) -> DimensionBound:
     infinite construction is replaced by the last finite level, and the whole
     series is returned so convergence is visible).
     """
-    if isinstance(fam_or_data, TreeLikeFamily):
-        densities = fam_or_data.densities
-        diameters = fam_or_data.diameters
-    else:
-        densities, diameters = fam_or_data
+    densities, diameters = fam.densities, fam.diameters
     if len(densities) < 1 or len(diameters) < len(densities) + 1:
         raise ValueError("need at least two levels (one density, two diameters)")
     series = []
@@ -282,10 +277,6 @@ class CoverSumResult:
     partial: float
     tail_estimate: float
     convergent: bool  # delta (kappa+1) - 2 > 0
-
-    @property
-    def total(self) -> float:
-        return self.partial + self.tail_estimate
 
 
 def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:

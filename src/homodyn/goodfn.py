@@ -49,7 +49,11 @@ class GoodFnParams:
             raise ValueError("need kappa >= 1 and 0 < gamma < 1/(kappa+4)")
         if not (0.0 < self.mu < math.inf and 0.0 < self.nu < math.inf):
             raise ValueError("witness constants must be finite and positive")
-        if not (abs(self.b) >= self.mu or abs(self.a) ** self.kappa * abs(self.b) >= self.nu):
+        try:
+            ok = abs(self.b) >= self.mu or abs(self.a) ** self.kappa * abs(self.b) >= self.nu
+        except OverflowError:
+            raise OverflowError("|a|^kappa |b| overflows the float range") from None
+        if not ok:
             raise ValueError("vector violates the |b| >= mu or |a|^k |b| >= nu condition")
         if self.b < 0.0:
             object.__setattr__(self, "a", -self.a)
@@ -60,7 +64,10 @@ class GoodFnParams:
             raise ValueError("rho must not exceed f(1)")
 
     def f1(self) -> float:
-        return (self.b - self.a) ** 2 + self.b ** 2
+        try:
+            return (self.b - self.a) ** 2 + self.b ** 2
+        except OverflowError:
+            raise OverflowError("f(1) = (b - a)^2 + b^2 overflows the float range") from None
 
     @property
     def case(self) -> str:
@@ -85,14 +92,6 @@ def eval_g(params: GoodFnParams, x):
     x = np.asarray(x, dtype=float)
     a, b, g, k = params.a, params.b, params.gamma, params.kappa
     out = b * x ** (1.0 + g - 1.0 / (k + 4.0)) - a * x ** (-1.0 / (k + 4.0))
-    return out if out.shape else float(out)
-
-
-def eval_g_prime(params: GoodFnParams, x):
-    x = np.asarray(x, dtype=float)
-    a, b, g, k = params.a, params.b, params.gamma, params.kappa
-    e = 1.0 / (k + 4.0)
-    out = (1.0 + g - e) * b * x ** (g - e) + a * e * x ** (-1.0 - e)
     return out if out.shape else float(out)
 
 

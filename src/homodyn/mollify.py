@@ -27,24 +27,10 @@ INJECTIVITY_FACTOR = 0.5  # declared comparability convention, not measured
 _C = 35.0 / 32.0  # normalizes the bump to unit mass
 
 
-def bump_kernel(x):
-    """The base kernel: (35/32)(1 - x^2)^3 on [-1, 1], zero outside."""
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) <= 1.0
-    out = np.where(inside, _C * (1.0 - x * x) ** 3, 0.0)
-    return out if out.shape else float(out)
-
-
 def _cdf_array(x: np.ndarray) -> np.ndarray:
     xc = np.clip(x, -1.0, 1.0)
     val = _C * (xc - xc**3 + 0.6 * xc**5 - xc**7 / 7.0) + 0.5
     return np.clip(val, 0.0, 1.0)
-
-
-def bump_cdf(x):
-    """Antiderivative of the bump, clamped to [0, 1]."""
-    out = _cdf_array(np.asarray(x, dtype=float))
-    return out if out.shape else float(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,28 +70,40 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
     (a NaN fails both checks).
     """
     d, g, n = spec.delta, spec.gamma, spec.n
-    knots = np.array(sorted({-d, min(d, g - d), max(d, g - d), g + d}))
-    half = 0.5 * np.diff(knots)
     nodes, weights = np.polynomial.legendre.leggauss(4)
     with np.errstate(over="ignore", invalid="ignore"):  # huge knots: NaN, caught below
+        knots = np.array(sorted({-d, min(d, g - d), max(d, g - d), g + d}))
+        half = 0.5 * np.diff(knots)
         u = (knots[:-1] + half)[:, None] + half[:, None] * nodes
         one_d = float(half @ (mollifier_profile(spec, u) @ weights))
-    integral = one_d**n
-    if not abs(integral - g**n) <= 1e-6 * g**n:
+    try:
+        volume = g**n
+    except OverflowError:
+        raise ArithmeticError(f"box volume {g:g}^{n} overflows the float range") from None
+    try:
+        integral = one_d**n
+    except OverflowError:
+        integral = math.inf  # fails the mass check
+    if not abs(integral - volume) <= 1e-6 * volume:
         raise ArithmeticError(
-            f"mollifier mass {integral:.12g} misses the box volume {g**n:.12g}"
+            f"mollifier mass {integral:.12g} misses the box volume {volume:.12g}"
         )
     m = {1: 20001, 2: 1001, 3: 201}[n]
     lo, hi = -d, g + d
     step = (hi - lo) / m
     grid = lo + (np.arange(m) + 0.5) * step
-    prof = mollifier_profile(spec, grid)
+    with np.errstate(over="ignore"):  # u / delta past the float range: inf, a flat CDF
+        prof = mollifier_profile(spec, grid)
     box = ((grid >= 0.0) & (grid <= g)).astype(float)
     pp, bb = prof, box  # the n-fold tensor products on the grid
     for _ in range(n - 1):
         pp, bb = np.multiply.outer(pp, prof), np.multiply.outer(bb, box)
-    l1 = float(np.abs(pp - bb).sum()) * step**n
-    bound = 4.0 * n * d * (g + d) ** (n - 1)
+    try:
+        cell, spread = step**n, (g + d) ** (n - 1)
+    except OverflowError:
+        raise ArithmeticError("the L1 grid cell or bound overflows the float range") from None
+    l1 = float(np.abs(pp - bb).sum()) * cell
+    bound = 4.0 * n * d * spread
     if not l1 <= bound:
         raise ArithmeticError(f"L1 distance {l1:.6g} exceeds the bound {bound:.6g}")
     return integral, l1

@@ -8,7 +8,6 @@ immutable by convention and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # Beyond this |det - 1| the matrix is rescaled by 1/sqrt(det) (long orbit
@@ -59,9 +58,6 @@ class GroupElement:
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
     def compose(self, other: "GroupElement") -> "GroupElement":
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = other.a, other.b, other.c, other.d
@@ -82,14 +78,6 @@ class GroupElement:
         n2 = den.real * den.real + den.imag * den.imag
         num = (self.a * z + self.b) * den.conjugate()
         return complex(num.real / n2, z.imag / n2)
-
-    def vector_act(self, v: tuple[float, float]) -> tuple[float, float]:
-        """Linear action on R^2, result canonicalized modulo sign."""
-        x = self.a * v[0] + self.b * v[1]
-        y = self.c * v[0] + self.d * v[1]
-        if x < 0.0 or (x == 0.0 and y < 0.0):
-            x, y = -x, -y
-        return (x, y)
 
     def iwasawa(self) -> "IwasawaNAK":
         """Unique decomposition g = n(s) a(alpha) k(theta), theta in [0, pi)."""
@@ -124,22 +112,6 @@ class IwasawaNAK(NamedTuple):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class UpperHalfPoint:
-    """A point x + iy of the hyperbolic upper half-plane (y > 0 strictly)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
-            raise GroupError(f"not an upper half-plane point: {self.x} + {self.y}i")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-
 def identity() -> GroupElement:
     return GroupElement(1.0, 0.0, 0.0, 1.0)
 
@@ -159,22 +131,8 @@ def diagonal_flow(t: float) -> GroupElement:
     return GroupElement(e, 0.0, 0.0, 1.0 / e)
 
 
-def rotation(theta: float) -> GroupElement:
-    """The rotation k(theta), taken modulo sign (k(theta) = k(theta + pi))."""
-    if not math.isfinite(theta):
-        raise GroupError(f"non-finite angle {theta}")
-    return GroupElement(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-
-
-def hyperbolic_distance(z1, z2) -> float:
-    """Hyperbolic distance on the upper half-plane.
-
-    Accepts UpperHalfPoint or complex arguments.
-    """
-    if isinstance(z1, UpperHalfPoint):
-        z1 = z1.as_complex
-    if isinstance(z2, UpperHalfPoint):
-        z2 = z2.as_complex
+def hyperbolic_distance(z1: complex, z2: complex) -> float:
+    """Hyperbolic distance between two points of the upper half-plane."""
     dx = z1.real - z2.real
     dy = z1.imag - z2.imag
     arg = 1.0 + (dx * dx + dy * dy) / (2.0 * z1.imag * z2.imag)

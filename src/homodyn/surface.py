@@ -1,8 +1,8 @@
 """The modular surface: quotient of PSL(2,R) by PSL(2,Z).
 
 Fundamental-domain reduction, the distance-to-base-point functional, the
-shortest-cusp-vector norm d(p), cusp regions S_delta, and the geodesic and
-horocycle flows projected to the quotient.
+shortest-cusp-vector norm d(p), and cusp-excursion profiles along geodesic
+orbits.
 
 The lattice is fixed to PSL(2,Z): one cusp at i*infinity, represented by the
 identity scaling matrix, width one.
@@ -15,20 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psl2 import (
-    GroupElement,
-    IwasawaNAK,
-    diagonal_flow,
-    hyperbolic_distance,
-    unipotent,
-)
+from .psl2 import GroupElement, IwasawaNAK
 from .report import ExperimentReport
 
 BASE_POINT = complex(0.0, 1.0)  # reference point p0 = i
-# Radius below which at most one cusp-orbit vector can live (separation
-# constant of the single cusp); also the cusp-neighborhood gate for the
-# excursion profile.  0.5 < 1 = the unimodular covolume bound.
-SEPARATION_RADIUS = 0.5
+# Cusp-neighborhood gate of the excursion profile: below this radius at most
+# one cusp-orbit vector can live, since 0.5 < 1 = the unimodular covolume bound.
 CUSP_GATE = 0.5
 
 _MAX_REDUCE_STEPS = 10_000
@@ -139,10 +131,6 @@ class SurfacePoint:
     z_reduced: complex
     iwasawa: IwasawaNAK
 
-    def dist(self) -> float:
-        """Hyperbolic distance from the base point i to the projected point."""
-        return hyperbolic_distance(BASE_POINT, self.z_reduced)
-
 
 def reduce(g: GroupElement) -> SurfacePoint:
     """Reduce Gamma*g: pick the representative over the standard domain."""
@@ -155,10 +143,6 @@ def reduce(g: GroupElement) -> SurfacePoint:
     return SurfacePoint(g, reduced, complex(x, y), reduced.iwasawa())
 
 
-def dist(p: SurfacePoint) -> float:
-    return p.dist()
-
-
 def cusp_norm(p) -> float:
     """d(p): minimal Euclidean norm over the cusp-orbit vectors of p.
 
@@ -166,21 +150,6 @@ def cusp_norm(p) -> float:
     """
     g = p.rep if isinstance(p, SurfacePoint) else p
     return float(cusp_norms(g.a, g.b, g.c, g.d)[0])
-
-
-def in_S_delta(p, delta: float) -> bool:
-    """Membership in the cusp region S_delta = {d(p) <= delta} (boundary in)."""
-    if delta <= 0.0:
-        return False
-    return cusp_norm(p) <= delta
-
-
-def geodesic_flow(p: SurfacePoint, t: float) -> SurfacePoint:
-    return reduce(p.rep.compose(diagonal_flow(t)))
-
-
-def horocycle_flow(p: SurfacePoint, t: float) -> SurfacePoint:
-    return reduce(p.rep.compose(unipotent(t)))
 
 
 def r_factor(q: SurfacePoint, T: float) -> float:

@@ -11,7 +11,8 @@ import numpy as np
 
 from homodyn.mollify import MollifierSpec, mollifier_profile
 from homodyn.orbits import FUNDAMENTAL_AREA
-from homodyn.psl2 import GroupElement, IwasawaNAK
+from homodyn.psl2 import GroupElement, IwasawaNAK, diagonal_flow, hyperbolic_distance
+from homodyn.surface import reduce
 
 SEED = 20250809
 
@@ -55,6 +56,31 @@ def psl_allclose(g: GroupElement, h: GroupElement, tol=1e-9) -> bool:
     return min(np.abs(A - B).max(), np.abs(A + B).max()) <= tol
 
 
+def rotation(theta: float) -> GroupElement:
+    """The rotation k(theta), taken modulo sign (k(theta) = k(theta + pi))."""
+    return GroupElement(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
+
+
+def vector_act(g: GroupElement, v):
+    """Linear action of g on R^2, canonicalized modulo sign (first coordinate
+    positive, or zero with the second positive)."""
+    x = g.a * v[0] + g.b * v[1]
+    y = g.c * v[0] + g.d * v[1]
+    if x < 0.0 or (x == 0.0 and y < 0.0):
+        x, y = -x, -y
+    return (x, y)
+
+
+def dist(p) -> float:
+    """Hyperbolic distance from the base point i to the reduced point of p."""
+    return hyperbolic_distance(complex(0.0, 1.0), p.z_reduced)
+
+
+def geodesic_flow(p, t: float):
+    """The surface point p a(t), a(t) = diag(e^(t/2), e^(-t/2)), reduced again."""
+    return reduce(p.rep.compose(diagonal_flow(t)))
+
+
 def haar_integral(f, grid=(128, 128, 16), y_cut: float = 1e6) -> float:
     """Midpoint quadrature of f against the normalized invariant measure.
 
@@ -86,6 +112,27 @@ def eval_mollifier(spec: MollifierSpec, u) -> float:
     if u.size != spec.n:
         raise ValueError(f"point has {u.size} coordinates, spec has n={spec.n}")
     return float(np.prod(mollifier_profile(spec, u)))
+
+
+def bump_kernel(x: float) -> float:
+    """The mollifier's base kernel (35/32)(1 - x^2)^3 on [-1, 1], zero outside,
+    as a scalar function for quadrature."""
+    return 35.0 / 32.0 * (1.0 - x * x) ** 3 if abs(x) <= 1.0 else 0.0
+
+
+def eval_g_prime(params, x):
+    """Derivative of goodfn.eval_g in x (arrays)."""
+    x = np.asarray(x, dtype=float)
+    a, b, g, k = params.a, params.b, params.gamma, params.kappa
+    e = 1.0 / (k + 4.0)
+    return (1.0 + g - e) * b * x ** (g - e) + a * e * x ** (-1.0 - e)
+
+
+def violations(kappa: float, mu: float, nu: float, a_comp, b_comp) -> int:
+    """How many vectors (a, b) break the type-kappa condition at (mu, nu):
+    |b| < mu and |a|^kappa |b| < nu."""
+    abs_b = np.abs(b_comp)
+    return int(((abs_b < mu) & (np.abs(a_comp) ** kappa * abs_b < nu)).sum())
 
 
 def brute_force_reduce(z: complex, depth: int = 30) -> complex:

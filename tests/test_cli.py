@@ -1,8 +1,11 @@
 """CLI dispatch, CSV/SVG artifacts, determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -264,16 +267,18 @@ def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
 def _assert_one_line(err, prefix, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err)
+    assert not re.search(r"\(\d+, '", err), (argv, err)  # errno text names nothing
 
 
-def _run_quiet(argv, capsys):
-    """main(argv) -> (exit code, stdout, stderr); a warning counts as stderr,
-    since outside pytest it would print there."""
-    with warnings.catch_warnings(record=True) as caught:
+def _run_quiet(argv):
+    """main(argv) -> (exit code, stdout, stderr); a warning counts as a
+    stderr line, since outside pytest it would print there."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = run_cli(argv)
-    out, err = capsys.readouterr()
-    return code, out, err + "".join(str(w.message) for w in caught)
+    return code, out.getvalue(), err.getvalue() + "".join(f"{w.message}\n" for w in caught)
 
 
 # every subcommand at a small size (box twice: a two-value and a one-value
@@ -292,15 +297,20 @@ _SMALL_RUNS = [
     ["dio", "--bound", "100"],
     ["goodfn"],
     ["mollify"],
+    # extreme but finite: an inf profile, an inf |a|^kappa, a quotient
+    # q^(zeta - 1) past the float range
+    ["mollify", "--gamma-box", "1e308"],
+    ["dio", "--kappa", "1e200", "--bound", "100"],
+    ["orbit", "--base", "liouville(2000)", "--N", "2000"],
     ["constants"],
 ]
 
 
-def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, capsys, monkeypatch):
+def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert {argv[0] for argv in _SMALL_RUNS} == set(_FLAGS)
     for argv in _SMALL_RUNS:
-        code, out, err = _run_quiet(argv, capsys)
+        code, out, err = _run_quiet(argv)
         assert (code, err) == (0, ""), argv
         assert out
 
@@ -314,24 +324,24 @@ def _readme_commands():
     return [argv[1:] for argv in commands if argv[:1] == ["homodyn"]]
 
 
-def test_readme_cli_examples_exit_0_with_empty_stderr(tmp_path, capsys, monkeypatch):
+def test_readme_cli_examples_exit_0_with_empty_stderr(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert {argv[0] for argv in commands} == set(_FLAGS)
     for argv in commands:
-        code, out, err = _run_quiet(argv, capsys)
+        code, out, err = _run_quiet(argv)
         assert (code, err) == (0, ""), argv
         assert out, argv
     assert (tmp_path / "orbit.svg").is_file() and (tmp_path / "orbit.csv").is_file()
 
 
-def test_cli_box_one_value_sweep_fits_no_exponent(tmp_path, capsys, monkeypatch):
+def test_cli_box_one_value_sweep_fits_no_exponent(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for T in (["4000"], ["100", "100"]):
-        code, out, err = _run_quiet(["box", "--T", *T], capsys)
+        code, out, err = _run_quiet(["box", "--T", *T])
         assert (code, err) == (0, ""), T
         assert "# fitted_exponent = nan" in out.splitlines()
-    code, out, _ = _run_quiet(["box", "--T", "100", "1000"], capsys)
+    code, out, _ = _run_quiet(["box", "--T", "100", "1000"])
     assert code == 0 and "# fitted_exponent = nan" not in out
 
 
@@ -342,7 +352,7 @@ def test_cli_prog_zero_exponent_needs_K(tmp_path, capsys, monkeypatch):
     assert run_cli(["prog", "--K-exponent", "0", "--K", "2", "--T", "100"]) == 0
 
 
-def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
+def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in (["orbit", "--N", "0"], ["orbit", "--gamma", "nan", "--N", "100"],
                  ["box", "--T", "5"], ["dim", "--schedule", "100,50"],
@@ -370,20 +380,31 @@ def test_cli_bad_parameters_exit_1(tmp_path, capsys, monkeypatch):
                  ["twist", "--frequency", "0", "--T", "1e12"],
                  ["prog", "--K-exponent", "0", "--K", "1", "--T", "1e12"],
                  ["curve", "--xmax", "inf"], ["curve", "--xmax", "nan"],
-                 ["curve", "--xmax", "-5", "--points", "100"]):
-        code, _, err = _run_quiet(argv, capsys)
+                 ["curve", "--xmax", "-5", "--points", "100"],
+                 # a sector scale that is zero, negative or NaN
+                 ["dim", "--schedule", "0,100"], ["dim", "--schedule=-5,100"],
+                 ["dim", "--schedule", "nan,100"]):
+        code, _, err = _run_quiet(argv)
         assert code == 1, argv
         _assert_one_line(err, "config error: ", argv)
 
 
-def test_cli_numeric_failures_exit_2(tmp_path, capsys, monkeypatch):
+def test_cli_numeric_failures_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # dim: EmptyLevelError, a parent interval gets no children at kappa = 3;
-    # mollify: finite parameters whose knots overflow, so the mass is NaN
+    # dim: EmptyLevelError, a parent interval gets no children at kappa = 3
+    # or at a scale below 1; mollify: finite parameters whose knots overflow,
+    # so the mass is NaN, or whose box volume or L1 grid cell overflows;
+    # goodfn: |a|^kappa |b| or f(1) past the float range
     for argv in (["dim", "--kappa", "3", "--schedule", "50,2500"],
+                 ["dim", "--schedule", "0.1,100"],
                  ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "1"],
-                 ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "2"]):
-        code, _, err = _run_quiet(argv, capsys)
+                 ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "2"],
+                 ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "3"],
+                 ["mollify", "--delta", "1e308"],
+                 ["mollify", "--n", "2", "--gamma-box", "1e154", "--delta", "1e157"],
+                 ["goodfn", "--b", "1e200"], ["goodfn", "--a", "1e200", "--b", "1e-5"],
+                 ["goodfn", "--a", "1e30", "--kappa", "15", "--gamma", "0.01"]):
+        code, _, err = _run_quiet(argv)
         assert code == 2, argv
         _assert_one_line(err, "numeric failure: ", argv)
 
@@ -411,13 +432,14 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-_FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "abc"]
+_FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e200", "1e308", "abc"]
 # subcommand -> (fixed arguments that keep it cheap, flags to draw)
 _FUZZ_COMMANDS = {
     "constants": ([], ["--s", "--kappa", "--eps"]),
     "mollify": ([], ["--delta", "--n", "--gamma-box"]),
     "goodfn": ([], ["--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho"]),
     "count": (["--l", "50"], ["--l", "--theta1", "--theta2"]),
+    "dim": (["--levels", "1", "--R", "1000"], ["--kappa", "--eps", "--schedule"]),
     "dio": (["--bound", "20"], ["--x", "--depth", "--kappa", "--tmax"]),
     "orbit": (["--N", "50"], ["--gamma", "--base", "--threads"]),
     "pieces": (["--N", "50"], ["--gamma", "--eps", "--kappa", "--base"]),
@@ -437,7 +459,9 @@ def _fuzz_runs(draw):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_fuzz_runs())
 def test_cli_fuzz_exit_contract(run):
-    # whatever the values, main returns 0, 1 or 2 and raises nothing
+    # whatever the values, main returns 0, 1 or 2, raises nothing and keeps
+    # the stderr contract: nothing at exit 0, one prefixed line at exits 1
+    # and 2 (argparse's usage message excepted), never errno text
     sub, fixed, pairs, via_config = run
     with tempfile.TemporaryDirectory() as tmp:
         argv = [sub] + fixed + ["--out", os.path.join(tmp, "out.csv")]
@@ -448,7 +472,12 @@ def test_cli_fuzz_exit_contract(run):
             argv += ["--config", cfg]
         else:
             argv += [f"{flag}={value}" for flag, value in pairs]
-        assert main(argv) in (0, 1, 2)
+        code, _, err = _run_quiet(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    elif not (code == 1 and err.startswith("usage:")):
+        _assert_one_line(err, {1: "config error: ", 2: "numeric failure: "}[code], argv)
 
 
 def test_tracing_wrapped_names_resolve(monkeypatch):

@@ -22,7 +22,7 @@ from homodyn.lattice import CapacityError
 from homodyn.psl2 import identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
 
-from helpers import cf_expand_reference, primitive_pairs_reference
+from helpers import cf_expand_reference, primitive_pairs_reference, violations
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -125,15 +125,14 @@ def test_type_estimate_dirichlet_floor():
 
 def test_point_type_check_identity_has_axis_vector():
     witness, _, _ = point_type_check(reduce(identity()), 1.0, 30)
-    assert not witness.diophantine_ok
     assert (1, 0) in witness.axis_vectors
 
 
 def test_point_type_check_sqrt2_slope():
     p = reduce(slope_base(math.sqrt(2.0)))
     witness, a_comp, b_comp = point_type_check(p, 1.0, 1000)
-    assert witness.diophantine_ok
-    assert witness.violations(0.1, 0.1, a_comp, b_comp) == 0
+    assert not witness.axis_vectors
+    assert violations(1.0, 0.1, 0.1, a_comp, b_comp) == 0
     assert witness.symmetric > 0.1
 
 
@@ -142,10 +141,10 @@ def test_point_type_check_AN_translate_same_class():
     w0, a0, b0 = point_type_check(p, 1.0, 1000)
     translate = p.rep @ unipotent(0.7) @ diagonal_flow(0.6)
     w1, a1, b1 = point_type_check(reduce(translate), 1.0, 1000)
-    assert w0.diophantine_ok and w1.diophantine_ok
+    assert not w0.axis_vectors and not w1.axis_vectors
     # same class: both pass a fixed pair (constants may differ by a factor)
-    assert w0.violations(0.05, 0.05, a0, b0) == 0
-    assert w1.violations(0.05, 0.05, a1, b1) == 0
+    assert violations(1.0, 0.05, 0.05, a0, b0) == 0
+    assert violations(1.0, 0.05, 0.05, a1, b1) == 0
 
 
 def test_excursion_estimate_bounded_orbit_reports_one():

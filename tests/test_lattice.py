@@ -16,7 +16,13 @@ from homodyn.lattice import (
     sector_count,
 )
 
-from helpers import gamma_to_element, gap_constants_reference, primitive_pairs_reference, rng
+from helpers import (
+    gamma_to_element,
+    gap_constants_reference,
+    primitive_pairs_reference,
+    rng,
+    vector_act,
+)
 
 
 def brute_primitive_pairs(R):
@@ -92,7 +98,7 @@ def test_members_are_group_orbit():
         assert a * U + b * V == 1
         # gamma = (a, -V; b, U) has det 1 and maps (1, 0) to (a, b)
         m = gamma_to_element((a, -V, b, U))
-        va, vb = m.vector_act((1.0, 0.0))
+        va, vb = vector_act(m, (1.0, 0.0))
         # vector_act canonicalizes by first coordinate, the set by second:
         # compare modulo the common sign
         assert (va, vb) == (float(a), float(b)) or (va, vb) == (float(-a), float(-b))

@@ -1,0 +1,58 @@
+"""The package exports only what the product reaches.
+
+Every public function, class and method in src/homodyn must be named
+somewhere a user-facing path reaches it: the package's own modules, the
+benchmark harness, the acceptance suite or the README.  What only module
+tests call belongs in tests/helpers.py.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "homodyn"
+
+# name -> why it stays although no product path names it
+_ALLOWED = {
+    "hitting_frequency": "the paper's cusp-hitting frequency of expanding translates, "
+                         "the object goodfn's module docstring names",
+}
+
+
+def _public_definitions():
+    """(file, line, name) of each public top-level function or class and each
+    public method in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for defn in [node, *members]:
+                if (isinstance(defn, (ast.FunctionDef, ast.ClassDef))
+                        and not defn.name.startswith("_")):
+                    yield path, defn.lineno, defn.name
+
+
+def _corpus():
+    """(file, line number, text) of every line a product path reads."""
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py"))
+    files += [ROOT / "tests" / "test_acceptance.py", ROOT / "README.md"]
+    for path in files:
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            yield path, i, line
+
+
+def test_no_test_only_public_api():
+    corpus = list(_corpus())
+    unreached = []
+    for path, lineno, name in _public_definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if name not in _ALLOWED and not any(
+                word.search(text) for p, i, text in corpus if (p, i) != (path, lineno)):
+            unreached.append(f"{path.name}:{lineno} {name}")
+    assert not unreached, "public names only module tests reach: " + ", ".join(unreached)
+
+
+def test_allowlist_names_existing_definitions():
+    names = {name for _, _, name in _public_definitions()}
+    assert set(_ALLOWED) <= names

@@ -7,15 +7,10 @@ import pytest
 
 from homodyn.psl2 import GroupElement, IwasawaNAK, identity, unipotent, diagonal_flow
 from homodyn.surface import (
-    SEPARATION_RADIUS,
     ReductionError,
     cusp_norm,
-    dist,
     dist_vs_norm_check,
     excursion_profile,
-    geodesic_flow,
-    horocycle_flow,
-    in_S_delta,
     lattice_min_sq,
     r_factor,
     r_factors,
@@ -26,7 +21,9 @@ from homodyn.surface import (
 from helpers import (
     brute_force_cusp_norm,
     brute_force_reduce,
+    dist,
     gamma_to_element,
+    geodesic_flow,
     lattice_min_sq_reference,
     random_element,
     random_gamma_word,
@@ -123,7 +120,9 @@ def test_cusp_norm_gamma_invariant():
 
 
 def test_separation_at_most_one_short_vector():
-    # at most one cusp-orbit vector of norm <= 0.5, by enumeration
+    # at most one cusp-orbit vector of norm <= 0.5, by enumeration: the
+    # separation radius of the single cusp, below the unimodular covolume 1
+    separation_radius = 0.5
     r = rng(15)
     for _ in range(150):
         g = random_element(r, y_low=1e-2, y_high=50.0)
@@ -136,7 +135,7 @@ def test_separation_at_most_one_short_vector():
                     continue
                 x = g.d * m - g.b * n
                 y = g.a * n - g.c * m
-                if math.hypot(x, y) <= SEPARATION_RADIUS:
+                if math.hypot(x, y) <= separation_radius:
                     count += 1
         assert count <= 1
 
@@ -144,7 +143,7 @@ def test_separation_at_most_one_short_vector():
 def test_flows():
     p = reduce(from_point(0.3, 1.7))
     assert abs(geodesic_flow(p, 0.0).z_reduced - p.z_reduced) < 1e-12
-    q = horocycle_flow(reduce(identity()), 1.0)
+    q = reduce(unipotent(1.0))
     assert abs(q.z_reduced - complex(0.0, 1.0)) < 1e-12
     for t in (0.5, 1.0, 2.5):
         assert dist(geodesic_flow(reduce(identity()), t)) == pytest.approx(t)
@@ -156,13 +155,6 @@ def test_flows():
         a = geodesic_flow(geodesic_flow(p, s), t)
         b = geodesic_flow(p, s + t)
         assert abs(a.z_reduced - b.z_reduced) < 1e-8
-
-
-def test_in_S_delta():
-    p0 = reduce(identity())
-    assert not in_S_delta(p0, 0.5)
-    assert in_S_delta(p0, 1.0)  # boundary inclusive
-    assert in_S_delta(geodesic_flow(p0, 4.0), 0.5)  # norm e^-2
 
 
 def test_r_factor():
@@ -184,7 +176,7 @@ def test_r_factors_match_geodesic_flow_path():
     for T in (1.0, 10.0, 1e3):
         got = r_factors(*(np.array(col) for col in zip(*(q.rep.entries for q in qs))),
                         np.full(len(qs), T))
-        want = [T * math.exp(-geodesic_flow(q, math.log(T)).dist()) for q in qs]
+        want = [T * math.exp(-dist(geodesic_flow(q, math.log(T)))) for q in qs]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert [r_factor(q, T) for q in qs] == pytest.approx(want, rel=1e-12, abs=0.0)
     for T in (0.5, math.inf, math.nan):
