@@ -169,7 +169,7 @@ def run_dio(args) -> ExperimentReport:
         p = reduce(slope_base(args.x))
     else:
         p = reduce(parse_base(args.base))
-    witness, _, _ = point_type_check(p, args.kappa, args.bound)
+    (witness,) = point_type_check(p, args.kappa, args.bound)
     rep.add_row("witness_mu", witness.mu)
     rep.add_row("witness_nu", witness.nu)
     rep.add_row("witness_symmetric", witness.symmetric)

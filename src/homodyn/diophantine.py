@@ -10,12 +10,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .lattice import canonical_pairs, check_capacity, coprime_mask
+from .lattice import check_capacity, coprime_mask
 from .psl2 import GroupElement
 from .surface import SurfacePoint, excursion_profile
 
 _Q_GUARD = 2**62  # convergent denominators stay below this (exact int range)
 _NOISE_FLOOR = 1e-15
+_BLOCK_CELLS = 2**16  # coprime-mask cells per block of the witness search
 
 
 class DivergentOrbitError(RuntimeError):
@@ -112,7 +113,11 @@ def cf_from_quotients(quotients) -> ContinuedFraction:
 
 
 def planted_quotients(zeta: float):
-    """Quotient list with a_{n+1} ~ q_n^(zeta-1), so |q_n x - p_n| ~ q_n^-zeta."""
+    """Quotient list with a_{n+1} ~ q_n^(zeta-1), so |q_n x - p_n| ~ q_n^-zeta.
+
+    Raises ValueError when not even the first planted quotient keeps q under
+    10^9 (zeta >~ 29.9): the list would be the rational 1/2's.
+    """
     if zeta < 1.0:
         raise ValueError("type exponent must be >= 1")
     quotients = [0, 2]
@@ -126,6 +131,8 @@ def planted_quotients(zeta: float):
         if q1 > 10**9:  # the planted denominators stay below 10^9
             break
         quotients.append(a)
+    if len(quotients) == 2:
+        raise ValueError(f"type exponent {zeta:g} plants no quotient below 10^9")
     return quotients
 
 
@@ -180,41 +187,56 @@ class DiophantineWitness:
     vectors_checked: int
 
 
-def _primitive_pairs(bound: int):
-    """Sign-canonical primitive integer pairs (m, n), |m|,|n| <= bound."""
-    check_capacity(6.0 / math.pi**2 * (2 * bound + 1) * bound, "vectors")  # coprime share of the box
-    return canonical_pairs(coprime_mask(bound, bound), bound)
+def _pair_blocks(bound: int):
+    """Sign-canonical primitive (m, n), |m|, |n| <= bound, in (n, m) order
+    after (1, 0): one (m, n) block per run of coprime-mask rows holding
+    about _BLOCK_CELLS cells."""
+    mask = coprime_mask(bound, bound)
+    width = mask.shape[1]
+    rows = max(1, _BLOCK_CELLS // width)
+    yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for r0 in range(0, bound, rows):
+        n, m = np.divmod(np.flatnonzero(mask[r0:r0 + rows]), width)
+        yield m - bound, n + (r0 + 1)
 
 
 def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
-    """Witness report for the type-kappa condition at p, plus the raw columns.
+    """Witness report for the type-kappa condition at p, as a 1-tuple.
 
     Enumerates the cusp-orbit vectors g^{-1}(m, n) over sign-canonical
     primitive (m, n) up to the bound and reports the per-branch minima, the
     largest symmetric pair value, and any vectors sitting on the b = 0 axis
     (those defeat every positive (mu, nu) outright: periodic horocycle).
+    The vectors go through block by block; min is exact, so the minima do
+    not depend on the blocking.
     """
     if not (1.0 <= kappa < math.inf) or search_bound < 10:
         raise ValueError("need finite kappa >= 1 and search_bound >= 10")
+    check_capacity(6.0 / math.pi**2 * (2 * search_bound + 1) * search_bound,
+                   "vectors")  # coprime share of the box
     g = p.rep
-    m, n = _primitive_pairs(search_bound)
-    # g^{-1} (m, n) = (d m - b n, a n - c m)
-    a_comp = g.d * m - g.b * n
-    b_comp = g.a * n - g.c * m
-    abs_b = np.abs(b_comp)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf; NaN only on axis vectors
-        prod = np.abs(a_comp) ** kappa * abs_b
-    axis = abs_b < 1e-12
-    axis_vectors = tuple((int(mm), int(nn)) for mm, nn in zip(m[axis][:16], n[axis][:16]))
-    sym = np.maximum(abs_b, prod)
-    witness = DiophantineWitness(
-        mu=float(abs_b.min()) if not axis.any() else 0.0,
-        nu=float(prod.min()) if not axis.any() else 0.0,
-        symmetric=float(sym.min()) if not axis.any() else 0.0,
-        axis_vectors=axis_vectors,
-        vectors_checked=int(m.size),
-    )
-    return witness, a_comp, b_comp
+    mu = nu = symmetric = np.inf
+    axis_vectors = []
+    checked = 0
+    for m, n in _pair_blocks(search_bound):
+        # g^{-1} (m, n) = (d m - b n, a n - c m)
+        a_comp = g.d * m - g.b * n
+        abs_b = np.abs(g.a * n - g.c * m)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf; NaN only on axis vectors
+            prod = np.abs(a_comp) ** kappa * abs_b
+        axis = abs_b < 1e-12
+        if len(axis_vectors) < 16 and axis.any():
+            axis_vectors += zip(m[axis][:16].tolist(), n[axis][:16].tolist())
+        mu = np.minimum(mu, abs_b.min())
+        nu = np.minimum(nu, prod.min())
+        symmetric = np.minimum(symmetric, np.maximum(abs_b, prod).min())
+        checked += m.size
+    if axis_vectors:
+        mu = nu = symmetric = 0.0
+    witness = DiophantineWitness(mu=float(mu), nu=float(nu), symmetric=float(symmetric),
+                                 axis_vectors=tuple(axis_vectors[:16]),
+                                 vectors_checked=checked)
+    return (witness,)
 
 
 def excursion_type_estimate(p: SurfacePoint, t_max: float) -> tuple:

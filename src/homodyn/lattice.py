@@ -15,6 +15,7 @@ import numpy as np
 
 _RADIUS_GUARD = 1e5
 _COUNT_GUARD = 5 * 10**7  # secondary memory guard (density ~ 0.955 / unit area)
+_BLOCK = 2**16  # vectors per block of a sector test
 
 
 class CapacityError(ValueError):
@@ -80,11 +81,14 @@ def coprime_mask(N: int, M: int) -> np.ndarray:
 def canonical_pairs(mask: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """(alphas, betas) of the set entries of a coprime_mask(N, M)-shaped
     mask, after (1, 0), ordered by (beta, alpha)."""
-    rows, cols = np.nonzero(mask)
-    rows += 1
-    cols -= M
-    return (np.concatenate([np.ones(1, dtype=np.int64), cols]),
-            np.concatenate([np.zeros(1, dtype=np.int64), rows]))
+    cells = np.flatnonzero(mask)
+    alphas = np.empty(cells.size + 1, dtype=np.int64)
+    betas = np.empty_like(alphas)
+    alphas[0], betas[0] = 1, 0
+    np.divmod(cells, mask.shape[1], out=(betas[1:], alphas[1:]))
+    betas[1:] += 1
+    alphas[1:] -= M
+    return alphas, betas
 
 
 def enumerate_orbit(R: float) -> PrimitiveVectorSet:
@@ -111,13 +115,16 @@ def sector_count(vecs: PrimitiveVectorSet, q: SectorQuery) -> int:
         )
     if q.theta2 > math.pi:
         raise SectorError("sector must lie inside the canonical half-plane")
-    a = vecs.alphas.astype(float)
-    b = vecs.betas.astype(float)
-    r2 = a * a + b * b
-    theta = np.arctan2(b, a)
-    mask = (r2 >= q.l * q.l) & (r2 <= 4.0 * q.l * q.l)
-    mask &= (theta > q.theta1) & (theta < q.theta2)
-    return int(mask.sum())
+    count = 0
+    for i in range(0, len(vecs), _BLOCK):
+        a = vecs.alphas[i:i + _BLOCK].astype(float)
+        b = vecs.betas[i:i + _BLOCK].astype(float)
+        r2 = a * a + b * b
+        theta = np.arctan2(b, a)
+        mask = (r2 >= q.l * q.l) & (r2 <= 4.0 * q.l * q.l)
+        mask &= (theta > q.theta1) & (theta < q.theta2)
+        count += int(mask.sum())
+    return count
 
 
 def gap_constants(vecs: PrimitiveVectorSet) -> tuple[float, float]:

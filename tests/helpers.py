@@ -4,11 +4,13 @@ Oracles here are deliberately independent of the library code paths they
 check (brute-force searches, direct formula evaluation, numpy matmul).
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from homodyn.diophantine import DiophantineWitness
 from homodyn.mollify import MollifierSpec, mollifier_profile
 from homodyn.orbits import FUNDAMENTAL_AREA
 from homodyn.psl2 import GroupElement, IwasawaNAK, diagonal_flow, hyperbolic_distance
@@ -334,10 +336,12 @@ def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int 
     return pair_levels, diameters, densities
 
 
+@functools.lru_cache(maxsize=8)
 def primitive_pairs_reference(bound: int):
-    """Reference for the sieve in diophantine._primitive_pairs: the former
-    per-row np.gcd loop.  Sign-canonical primitive (m, n), |m|, |n| <= bound,
-    (1, 0) first, then by (n, m)."""
+    """Reference for lattice.canonical_pairs over coprime_mask(bound, bound):
+    the former per-row np.gcd loop.  Sign-canonical primitive (m, n),
+    |m|, |n| <= bound, (1, 0) first, then by (n, m).  Cached, so the arrays
+    are read-only."""
     ms = [np.array([1], dtype=np.int64)]
     ns = [np.array([0], dtype=np.int64)]
     m_range = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -345,7 +349,34 @@ def primitive_pairs_reference(bound: int):
         mm = m_range[np.gcd(np.abs(m_range), n) == 1]
         ms.append(mm)
         ns.append(np.full(mm.shape, n, dtype=np.int64))
-    return np.concatenate(ms), np.concatenate(ns)
+    m, n = np.concatenate(ms), np.concatenate(ns)
+    m.flags.writeable = n.flags.writeable = False
+    return m, n
+
+
+def point_type_check_reference(p, kappa: float, search_bound: int):
+    """Reference for diophantine.point_type_check, which works block by
+    block: the former full-array search.  (witness, a_comp, b_comp), the
+    columns being the components of g^{-1}(m, n) over every pair of
+    primitive_pairs_reference(search_bound)."""
+    g = p.rep
+    m, n = primitive_pairs_reference(search_bound)
+    a_comp = g.d * m - g.b * n
+    b_comp = g.a * n - g.c * m
+    abs_b = np.abs(b_comp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.abs(a_comp) ** kappa * abs_b
+    axis = abs_b < 1e-12
+    axis_vectors = tuple((int(mm), int(nn)) for mm, nn in zip(m[axis][:16], n[axis][:16]))
+    sym = np.maximum(abs_b, prod)
+    witness = DiophantineWitness(
+        mu=float(abs_b.min()) if not axis.any() else 0.0,
+        nu=float(prod.min()) if not axis.any() else 0.0,
+        symmetric=float(sym.min()) if not axis.any() else 0.0,
+        axis_vectors=axis_vectors,
+        vectors_checked=int(m.size),
+    )
+    return witness, a_comp, b_comp
 
 
 def gap_constants_reference(vecs):

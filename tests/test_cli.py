@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homodyn
@@ -297,11 +297,9 @@ _SMALL_RUNS = [
     ["dio", "--bound", "100"],
     ["goodfn"],
     ["mollify"],
-    # extreme but finite: an inf profile, an inf |a|^kappa, a quotient
-    # q^(zeta - 1) past the float range
+    # extreme but finite: an inf profile, an inf |a|^kappa
     ["mollify", "--gamma-box", "1e308"],
     ["dio", "--kappa", "1e200", "--bound", "100"],
-    ["orbit", "--base", "liouville(2000)", "--N", "2000"],
     ["constants"],
 ]
 
@@ -383,7 +381,11 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  ["curve", "--xmax", "-5", "--points", "100"],
                  # a sector scale that is zero, negative or NaN
                  ["dim", "--schedule", "0,100"], ["dim", "--schedule=-5,100"],
-                 ["dim", "--schedule", "nan,100"]):
+                 ["dim", "--schedule", "nan,100"],
+                 # a type exponent that plants no quotient: q^(zeta - 1)
+                 # already takes q past 10^9, or past the float range
+                 ["dio", "--base", "liouville(30)"],
+                 ["orbit", "--base", "liouville(2000)", "--N", "2000"]):
         code, _, err = _run_quiet(argv)
         assert code == 1, argv
         _assert_one_line(err, "config error: ", argv)
@@ -478,6 +480,25 @@ def test_cli_fuzz_exit_contract(run):
         assert err == "", argv
     elif not (code == 1 and err.startswith("usage:")):
         _assert_one_line(err, {1: "config error: ", 2: "numeric failure: "}[code], argv)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["dio", "orbit"]), st.integers(1, 1000))
+@example("dio", 29)
+@example("dio", 30)
+@example("orbit", 1000)
+def test_cli_fuzz_liouville_contract(sub, k):
+    # liouville(k) plants a quotient for k <= 29 and is refused from k = 30 on,
+    # where the first planted quotient takes q past 10^9
+    with tempfile.TemporaryDirectory() as tmp:
+        size = ["--bound", "20"] if sub == "dio" else ["--N", "50"]
+        argv = [sub, "--base", f"liouville({k})", "--out", os.path.join(tmp, "out.csv")] + size
+        code, _, err = _run_quiet(argv)
+    if k <= 29:
+        assert (code, err) == (0, ""), argv
+    else:
+        assert code == 1, argv
+        _assert_one_line(err, "config error: ", argv)
 
 
 def test_tracing_wrapped_names_resolve(monkeypatch):

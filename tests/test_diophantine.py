@@ -1,6 +1,7 @@
 """Continued fractions, type estimates, point conditions, exponent chains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from homodyn.diophantine import (
     DivergentOrbitError,
     OpenExcursionError,
-    _primitive_pairs,
+    _BLOCK_CELLS,
     cf_expand,
     cf_from_quotients,
     excursion_type_estimate,
@@ -18,11 +19,18 @@ from homodyn.diophantine import (
     slope_base,
     type_estimate,
 )
-from homodyn.lattice import CapacityError
+from homodyn.lattice import CapacityError, canonical_pairs, coprime_mask
 from homodyn.psl2 import identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
 
-from helpers import cf_expand_reference, primitive_pairs_reference, violations
+from helpers import (
+    cf_expand_reference,
+    point_type_check_reference,
+    primitive_pairs_reference,
+    random_element,
+    rng,
+    violations,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -116,6 +124,18 @@ def test_type_estimate_planted_types():
         assert type_estimate(cf).value == pytest.approx(zeta, abs=0.25)
 
 
+def test_planted_quotients_refuse_a_rational():
+    # up to zeta = 29 a quotient is planted below q = 10^9; past ~29.9 the
+    # first one overshoots, and the bare [0, 2] would be 1/2, so it raises
+    for zeta in range(1, 30):
+        quots = planted_quotients(zeta)
+        assert len(quots) > 2 and cf_from_quotients(quots).convergents[-1][1] <= 10**9
+    assert planted_quotients(29.5)[2] == round(2 ** 28.5)
+    for zeta in (29.9, 30, 40, 1000, 2000, 1e300):
+        with pytest.raises(ValueError):
+            planted_quotients(zeta)
+
+
 def test_type_estimate_dirichlet_floor():
     for x in (GOLDEN, math.sqrt(2.0), math.pi, 0.37193):
         est = type_estimate(cf_expand(x, 18))
@@ -124,13 +144,14 @@ def test_type_estimate_dirichlet_floor():
 
 
 def test_point_type_check_identity_has_axis_vector():
-    witness, _, _ = point_type_check(reduce(identity()), 1.0, 30)
+    (witness,) = point_type_check(reduce(identity()), 1.0, 30)
     assert (1, 0) in witness.axis_vectors
 
 
 def test_point_type_check_sqrt2_slope():
     p = reduce(slope_base(math.sqrt(2.0)))
-    witness, a_comp, b_comp = point_type_check(p, 1.0, 1000)
+    (witness,) = point_type_check(p, 1.0, 1000)
+    _, a_comp, b_comp = point_type_check_reference(p, 1.0, 1000)
     assert not witness.axis_vectors
     assert violations(1.0, 0.1, 0.1, a_comp, b_comp) == 0
     assert witness.symmetric > 0.1
@@ -138,9 +159,11 @@ def test_point_type_check_sqrt2_slope():
 
 def test_point_type_check_AN_translate_same_class():
     p = reduce(slope_base(GOLDEN))
-    w0, a0, b0 = point_type_check(p, 1.0, 1000)
-    translate = p.rep @ unipotent(0.7) @ diagonal_flow(0.6)
-    w1, a1, b1 = point_type_check(reduce(translate), 1.0, 1000)
+    (w0,) = point_type_check(p, 1.0, 1000)
+    _, a0, b0 = point_type_check_reference(p, 1.0, 1000)
+    translate = reduce(p.rep @ unipotent(0.7) @ diagonal_flow(0.6))
+    (w1,) = point_type_check(translate, 1.0, 1000)
+    _, a1, b1 = point_type_check_reference(translate, 1.0, 1000)
     assert not w0.axis_vectors and not w1.axis_vectors
     # same class: both pass a fixed pair (constants may differ by a factor)
     assert violations(1.0, 0.05, 0.05, a0, b0) == 0
@@ -210,7 +233,7 @@ def test_excursion_profile_bounded_for_badly_approximable_slope():
 
 @pytest.mark.parametrize("bound", [10, 11, 1000])
 def test_primitive_pairs_sieve_matches_gcd_loop(bound):
-    m, n = _primitive_pairs(bound)
+    m, n = canonical_pairs(coprime_mask(bound, bound), bound)
     ref_m, ref_n = primitive_pairs_reference(bound)
     assert np.array_equal(m, ref_m) and np.array_equal(n, ref_n)
     assert (m[0], n[0]) == (1, 0)
@@ -222,7 +245,46 @@ def test_primitive_pairs_sieve_matches_gcd_loop(bound):
 def test_primitive_pairs_guarded(bound):
     # ~0.61 (2N+1) N vectors over the count guard: refused before the sieve
     with pytest.raises(CapacityError):
-        _primitive_pairs(bound)
+        point_type_check(reduce(slope_base(GOLDEN)), 1.0, bound)
+
+
+# the largest bound whose whole coprime mask is one block of the search
+_ONE_BLOCK = max(b for b in range(10, 1000) if b * (2 * b + 1) <= _BLOCK_CELLS)
+
+
+def _witness_bases():
+    r = rng(12)
+    named = [identity(), slope_base(GOLDEN), slope_base(math.sqrt(2.0)),
+             slope_base(math.e),
+             slope_base(float(cf_from_quotients(planted_quotients(2.0)).exact_value))]
+    return named + [random_element(r), random_element(r)]
+
+
+@pytest.mark.parametrize("bound", [10, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1,
+                                   _ONE_BLOCK + 2, 1000])
+def test_point_type_check_matches_full_array_search(bound):
+    # block by block gives the full-array witness exactly, on both sides of
+    # the bound where the search first takes a second block
+    for g in _witness_bases():
+        p = reduce(g)
+        for kappa in (1.0, 2.5):
+            (witness,) = point_type_check(p, kappa, bound)
+            assert witness == point_type_check_reference(p, kappa, bound)[0], (g, kappa)
+
+
+def test_point_type_check_memory():
+    # 1.2e6 vectors at bound 1000 go through in blocks: the peak is the 2 MB
+    # coprime mask plus one block, not the seven full-length columns (66 MB)
+    p = reduce(slope_base(GOLDEN))
+    point_type_check(p, 1.0, 20)
+    tracemalloc.start()
+    try:
+        (witness,) = point_type_check(p, 1.0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.vectors_checked > 10**6
+    assert peak <= 8 * 10**6, peak
 
 
 def test_bad_kappa_and_horizon_rejected():

@@ -1,11 +1,13 @@
 """Primitive vector enumeration, sector counts, gaps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from homodyn.lattice import (
+    _BLOCK,
     CapacityError,
     SectorError,
     SectorQuery,
@@ -157,6 +159,29 @@ def test_sector_rejections():
         sector_count(s, SectorQuery(80.0, 0.0, 1.0))  # 2l beyond radius
     with pytest.raises(SectorError):
         sector_count(s, SectorQuery(10.0, 1.0, 3.5))  # crosses the half-plane
+
+
+def test_enumerate_and_sector_count_memory():
+    # the pairs come from one flatnonzero into two preallocated int64 columns,
+    # and the sector test runs per block: the peak is three 8-byte arrays
+    # over the vectors plus one block (eight float64 temporaries of _BLOCK)
+    enumerate_orbit(10.0)
+    sector_count(enumerate_orbit(10.0), SectorQuery(2.0, 0.1, 1.0))
+    tracemalloc.start()
+    try:
+        s = enumerate_orbit(800.0)
+        q = SectorQuery(400.0, math.pi / 4.0, math.pi / 2.0)
+        n = sector_count(s, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) > 8 * _BLOCK  # several blocks
+    assert peak <= 3 * 8 * len(s) + 8 * 8 * _BLOCK, peak
+    # the blocked count is the full-array one
+    a, b = s.alphas.astype(float), s.betas.astype(float)
+    r2, theta = a * a + b * b, np.arctan2(b, a)
+    assert n == int(((r2 >= q.l**2) & (r2 <= 4.0 * q.l**2)
+                     & (theta > q.theta1) & (theta < q.theta2)).sum())
 
 
 def test_gap_constants():
