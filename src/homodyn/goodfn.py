@@ -185,7 +185,8 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
     For each eps and each window (x1, x2) with f(x1) = rho, measures
     m({f <= eps} in the window) and reports the smallest constant C making
     m <= C (eps/rho)^(1/2) (x2 - x1) hold across all windows.  In the two
-    floor cases the sublevel sets below the floor are exactly empty.
+    floor cases f >= floor, so for eps below the floor the scan must find
+    {f <= eps} empty and report C = 0: the numerical check of the floor.
 
     One window per anchor decides C, the tightest: x2 = s1 + 1e-6 for the
     hull [s0, s1] of {f <= eps}.  For x1 < s0, m / (x2 - x1) has derivative
@@ -208,9 +209,7 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
     if not anchors:
         raise ValueError(f"f never crosses rho={params.rho:g} on [1, {_WINDOW_CAP:g}]")
     for eps in eps_grid:
-        if floor > 0.0 and eps < floor:
-            seg = None
-        elif params.case == "generic":
+        if params.case == "generic":
             seg = _sublevel_interval(params, eps)
         else:
             seg = _sublevel_measure_grid(params, eps)

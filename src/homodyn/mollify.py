@@ -1,5 +1,5 @@
-"""Smoothed box indicators on horocyclic coordinates, injectivity-radius
-estimation, and horocycle box averages with optional smooth weights.
+"""Smoothed box indicators on horocyclic coordinates, and horocycle box
+averages with optional smooth weights and injectivity-radius estimates.
 
 The mollifier is the n-fold product of 1-d convolutions of a fixed
 polynomial bump (35/32)(1 - x^2)^3 (unit mass, support [-1, 1]) against the
@@ -17,8 +17,7 @@ import numpy as np
 from .lattice import check_capacity
 from .orbits import TestFunction, horocycle_points
 from .report import ExperimentReport
-from .psl2 import diagonal_flow
-from .surface import SurfacePoint, cusp_norm
+from .surface import SurfacePoint, cusp_norms
 
 _BOX_DIM_CAP = 3
 _STEP = 0.02  # node spacing of the box-average quadratures
@@ -109,15 +108,6 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
     return integral, l1
 
 
-def injectivity_radius_estimate(p) -> float:
-    """Comparability stand-in INJECTIVITY_FACTOR * d(p); monotone in d(p).
-
-    Accepts a SurfacePoint or a raw GroupElement representative.  Consumers
-    use ratios of these estimates, never absolute values.
-    """
-    return INJECTIVITY_FACTOR * cusp_norm(p)
-
-
 def box_average(p: SurfacePoint, T: float, f: TestFunction) -> float:
     """(1/T) int_0^T f(p u(t)) dt by composite midpoint quadrature."""
     if not (10.0 <= T < math.inf):
@@ -152,15 +142,15 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
 def box_decay_report(p: SurfacePoint, f: TestFunction, T_list) -> ExperimentReport:
     """Equidistribution error of box averages over a T sweep, with the
     fitted decay exponent (slope of log error against log T, negated; NaN
-    with fewer than two distinct T)."""
+    with fewer than two distinct T) and the injectivity-radius estimate
+    eta = INJECTIVITY_FACTOR * d(p a(log T)) at each T.  Consumers use
+    ratios of the etas, never absolute values."""
     T_list = [float(T) for T in T_list]
-    rows = []
-    for T in T_list:
-        avg = box_average(p, T, f)
-        err = abs(avg - f.haar_mean)
-        eta = injectivity_radius_estimate(p.rep.compose(diagonal_flow(math.log(T))))
-        rows.append((T, avg, err, eta))
-    errs = np.array([r[2] for r in rows])
+    avgs = [box_average(p, T, f) for T in T_list]
+    errs = np.array([abs(avg - f.haar_mean) for avg in avgs])
+    e = np.array([math.exp(0.5 * math.log(T)) for T in T_list])  # a(log T) = diag(e, 1/e)
+    a, b, c, d = p.rep.entries
+    etas = INJECTIVITY_FACTOR * cusp_norms(a * e, b * (1.0 / e), c * e, d * (1.0 / e))
     ts = np.array(T_list)
     if len(set(T_list)) < 2:
         slope = math.nan
@@ -172,6 +162,6 @@ def box_decay_report(p: SurfacePoint, f: TestFunction, T_list) -> ExperimentRepo
         params={"function": f.name, "fitted_exponent": -slope, "step": _STEP},
         columns=["T", "average", "abs_error", "eta_at_logT"],
     )
-    for r in rows:
-        rep.add_row(*r)
+    for row in zip(T_list, avgs, errs, etas):
+        rep.add_row(*(float(v) for v in row))
     return rep

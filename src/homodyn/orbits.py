@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import ExperimentReport
-from .surface import SurfacePoint, base_point_image, height_distance, r_factors, reduce_points
+from .surface import SurfacePoint, height_distance, r_factors, reduced_coordinates
 from .goodfn import curve_entries, curve_hit_ratios
 from .lattice import check_capacity
 from .surface import reduce, r_factor  # noqa: F401  (bench/tracing.py wraps them here)
@@ -117,10 +117,7 @@ def _points(entries, times):
     xs, ys, thetas = np.empty(n), np.empty(n), np.empty(n)
     for lo in range(0, n, _CHUNK):
         block = slice(lo, lo + _CHUNK)
-        g = g11, g12, g21, g22 = entries(times[block])
-        xs[block], ys[block], m11, m12, m21, m22 = reduce_points(*base_point_image(*g))
-        theta = np.arctan2(m21 * g11 + m22 * g21, m21 * g12 + m22 * g22) % math.pi
-        thetas[block] = np.where(theta >= math.pi, 0.0, theta)  # fold as iwasawa()
+        xs[block], ys[block], thetas[block] = reduced_coordinates(*entries(times[block]))
     return xs, ys, thetas
 
 

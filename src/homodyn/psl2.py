@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-# Beyond this |det - 1| the matrix is rescaled by 1/sqrt(det) (long orbit
-# loops accumulate rounding, so we repair drift instead of rejecting).
+# Beyond this |det - 1| the matrix is rescaled by 1/sqrt(det), so drift is
+# repaired instead of rejected: a base matrix parsed from rounded decimals,
+# or a product of elements in the tests and benchmark microkernels.  The
+# orbit experiments compose no matrices; they work on entry arrays.
 _RENORM_TRIGGER = 1e-12
 
 

@@ -15,16 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psl2 import GroupElement, IwasawaNAK
+from .psl2 import GroupElement
 from .report import ExperimentReport
 
-BASE_POINT = complex(0.0, 1.0)  # reference point p0 = i
 # Cusp-neighborhood gate of the excursion profile: below this radius at most
 # one cusp-orbit vector can live, since 0.5 < 1 = the unimodular covolume bound.
 CUSP_GATE = 0.5
 
 _MAX_REDUCE_STEPS = 10_000
 _EXACT = 2.0**53  # float64 holds every integer below this exactly
+# From this y up, y * y >= 2^-1074, the least subnormal, so it is not 0.
+# Inversions only raise y, so the |z|^2 that S divides by stays positive.
+_Y_MIN = 2.0**-537
 
 
 class ReductionError(RuntimeError):
@@ -39,12 +41,13 @@ def reduce_points(x, y):
     any batch: shift by the nearest integer (ties to even), then invert while
     |z|^2 < 1 - 1e-12; each pass touches only the points still moving.  A
     word entry or product reaching 2^53, where float64 integers stop being
-    exact, raises ReductionError.
+    exact, raises ReductionError, and so does a point with y < 2^-537,
+    where |z|^2 can underflow to 0.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
-        raise ReductionError("degenerate orbit point: non-finite, or y <= 0")
+    if not (np.isfinite(x).all() and (y >= _Y_MIN).all() and np.isfinite(y).all()):
+        raise ReductionError("degenerate orbit point: non-finite, or y < 2^-537")
     n = x.size
     out = np.empty((6, n))
     m11, m12, m21, m22 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
@@ -60,7 +63,8 @@ def reduce_points(x, y):
             if max(np.abs(a).max(initial=0.0) for a in (p1, p2, m11, m12)) >= _EXACT:
                 raise ReductionError("word entry reached 2^53: the point is too deep in the cusp")
             bound = max(np.abs(a).max(initial=0.0) for a in (m11, m12, m21, m22))
-        n2 = x * x + y * y
+        yc = np.minimum(y, 2.0)  # y >= 1 never inverts; capped, y^2 cannot overflow
+        n2 = x * x + yc * yc
         move = n2 < 1.0 - 1e-12
         moving = np.count_nonzero(move)
         state = (x, y, m11, m12, m21, m22)
@@ -122,33 +126,35 @@ def cusp_norms(a, b, c, d):
     return np.sqrt(lattice_min_sq(d, -c, -b, a))
 
 
+def reduced_coordinates(a, b, c, d):
+    """Reduced (x, y, theta) of the points g i, g = (a, b; c, d) (arrays).
+
+    The one path from group elements to reduced points: W g i with the word
+    W of reduce_points, and theta the angle of W g = n(x) a(sqrt y) k(theta)
+    in [0, pi).
+    """
+    x, y, m11, m12, m21, m22 = reduce_points(*base_point_image(a, b, c, d))
+    theta = np.arctan2(m21 * a + m22 * c, m21 * b + m22 * d) % math.pi
+    return x, y, np.where(theta >= math.pi, 0.0, theta)  # fold the float pi to 0
+
+
 @dataclass(frozen=True, slots=True)
 class SurfacePoint:
-    """A point of the quotient with a cached fundamental-domain representative."""
+    """A point of the quotient: its representative and its reduced point."""
 
     rep: GroupElement
-    reduced_rep: GroupElement
     z_reduced: complex
-    iwasawa: IwasawaNAK
 
 
 def reduce(g: GroupElement) -> SurfacePoint:
-    """Reduce Gamma*g: pick the representative over the standard domain."""
-    try:
-        z = g.mobius(BASE_POINT)
-    except ZeroDivisionError:
-        raise ReductionError("orbit point under/overflows double range") from None
-    x, y, *word = (float(v[0]) for v in reduce_points(z.real, z.imag))
-    reduced = GroupElement(*word).compose(g)
-    return SurfacePoint(g, reduced, complex(x, y), reduced.iwasawa())
+    """Reduce Gamma*g: the reduced point of g i, from the array kernel."""
+    with np.errstate(all="ignore"):  # g i past the float range: refused by reduce_points
+        x, y, _ = reduced_coordinates(*np.reshape(g.entries, (4, 1)))
+    return SurfacePoint(g, complex(x[0], y[0]))
 
 
-def cusp_norm(p) -> float:
-    """d(p): minimal Euclidean norm over the cusp-orbit vectors of p.
-
-    Accepts a SurfacePoint or a raw GroupElement representative.
-    """
-    g = p.rep if isinstance(p, SurfacePoint) else p
+def cusp_norm(g: GroupElement) -> float:
+    """d(g): minimal Euclidean norm over the cusp-orbit vectors of g."""
     return float(cusp_norms(g.a, g.b, g.c, g.d)[0])
 
 
@@ -163,7 +169,7 @@ def r_factors(a, b, c, d, T):
     """T * exp(-dist(g a(log T) i)) for the elements g = (a, b; c, d) and the
     times T (arrays), a(log T) = diag(e, 1/e) with e = T^(1/2): one reduction."""
     e = np.exp(0.5 * np.log(T))
-    x, y = reduce_points(*base_point_image(a * e, b * (1.0 / e), c * e, d * (1.0 / e)))[:2]
+    x, y, _ = reduced_coordinates(a * e, b * (1.0 / e), c * e, d * (1.0 / e))
     return T * np.exp(-height_distance(x, y))
 
 
@@ -195,7 +201,7 @@ def excursion_profile(p: SurfacePoint, t_max: float, steps: int):
     a, b, c, d = g.a * e, g.b / e, g.c * e, g.d / e
     near = cusp_norms(a, b, c, d) <= CUSP_GATE
     vals = np.zeros(steps)
-    x, y = reduce_points(*base_point_image(a[near], b[near], c[near], d[near]))[:2]
+    x, y, _ = reduced_coordinates(a[near], b[near], c[near], d[near])
     vals[near] = height_distance(x, y)
     return ts, vals
 
@@ -231,7 +237,7 @@ def dist_vs_norm_check(sample_count: int, seed: int = 0) -> ExperimentReport:
     rng = np.random.default_rng(np.random.Philox(seed))
     a, b, c, d = random_points(sample_count, rng)
     dn = cusp_norms(a, b, c, d)
-    x, y = reduce_points(*base_point_image(a, b, c, d))[:2]
+    x, y, _ = reduced_coordinates(a, b, c, d)
     cusp = dn <= 0.5
     ratios = np.exp(height_distance(x[cusp], y[cusp])) * dn[cusp] * dn[cusp]
     rep = ExperimentReport(

@@ -14,7 +14,7 @@ from homodyn.diophantine import DiophantineWitness
 from homodyn.mollify import MollifierSpec, mollifier_profile
 from homodyn.orbits import FUNDAMENTAL_AREA
 from homodyn.psl2 import GroupElement, IwasawaNAK, diagonal_flow, hyperbolic_distance
-from homodyn.surface import reduce
+from homodyn.surface import reduce, reduce_points
 
 SEED = 20250809
 
@@ -81,6 +81,16 @@ def dist(p) -> float:
 def geodesic_flow(p, t: float):
     """The surface point p a(t), a(t) = diag(e^(t/2), e^(-t/2)), reduced again."""
     return reduce(p.rep.compose(diagonal_flow(t)))
+
+
+def reduced_rep_reference(g: GroupElement) -> GroupElement:
+    """The reduced representative W g by scalar group arithmetic: the Mobius
+    image g i, its word W from reduce_points, and the product W g.  Its
+    iwasawa() angle is the theta of the reduced coordinates, and
+    W = (W g) g^-1 is an integer matrix."""
+    z = g.mobius(complex(0.0, 1.0))
+    word = (float(v[0]) for v in reduce_points(z.real, z.imag)[2:])
+    return GroupElement(*word).compose(g)
 
 
 def haar_integral(f, grid=(128, 128, 16), y_cut: float = 1e6) -> float:

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import homodyn
 from homodyn.cli import build_parser, main, parse_base
-from homodyn.orbits import sample_sparse
-from homodyn.psl2 import identity
+from homodyn.orbits import golden_ratio, sample_sparse
+from homodyn.psl2 import GroupElement, identity
 from homodyn.report import ExperimentReport, emit_csv, emit_svg
 from homodyn.surface import reduce
 
@@ -282,7 +282,8 @@ def _run_quiet(argv):
 
 
 # every subcommand at a small size (box twice: a two-value and a one-value
-# sweep; dim twice: the second with a scale l whose 2l is not an integer)
+# sweep; dim twice: the second with a scale l whose 2l is not an integer;
+# pieces twice: the second from a base point at y = 1e300)
 _SMALL_RUNS = [
     ["orbit", "--N", "2000", "--svg", "orbit.svg"],
     ["curve", "--points", "2000", "--svg", "curve.svg"],
@@ -300,6 +301,7 @@ _SMALL_RUNS = [
     # extreme but finite: an inf profile, an inf |a|^kappa
     ["mollify", "--gamma-box", "1e308"],
     ["dio", "--kappa", "1e200", "--bound", "100"],
+    ["pieces", "--base", "1e150,0,0,1e-150", "--N", "100"],
     ["constants"],
 ]
 
@@ -331,6 +333,67 @@ def test_readme_cli_examples_exit_0_with_empty_stderr(tmp_path, monkeypatch):
         assert (code, err) == (0, ""), argv
         assert out, argv
     assert (tmp_path / "orbit.svg").is_file() and (tmp_path / "orbit.csv").is_file()
+
+
+def _bench_module(name, monkeypatch):
+    """bench/<name>.py, loaded by path (bench is not a package)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_computes_points_without_scalar_group_arithmetic(tmp_path, monkeypatch):
+    # once the base is parsed, every point is computed on arrays: the README
+    # examples and the tiny benchmark commands pass with the scalar group
+    # operations and the scalar geodesic flow made to raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar group arithmetic on the product path")
+
+    for name in ("compose", "__matmul__", "mobius", "iwasawa", "inverse"):
+        monkeypatch.setattr(GroupElement, name, refuse)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "homodyn"]:
+        if hasattr(module, "diagonal_flow"):
+            monkeypatch.setattr(module, "diagonal_flow", refuse)
+    workloads = _bench_module("workloads", monkeypatch)
+    commands = _readme_commands() + [
+        argv for base in ("golden", "-0.8,0.3,1.2,-1.7") for w in workloads.WORKLOADS
+        for _, argv in workloads.commands(w, base, "tiny")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = _run_quiet(argv)
+        assert (code, err) == (0, ""), argv
+
+
+def _deep_base(x: float, t: float) -> str:
+    """--base value of slope_base(x) a(t) = (x e, -1/e; e, 0), e = exp(t/2):
+    a valid determinant-one base t time units down the cusp."""
+    e = math.exp(0.5 * t)
+    return f"{x * e!r},{-1.0 / e!r},{e!r},0"
+
+
+# slope_base(golden) a(40): its word times the base cancels to det 0 in floats
+_DEEP_BASE = "785013776.3315252,-2.061153622438558e-09,485165195.4097903,0"
+
+
+def test_cli_deep_cusp_base_is_not_a_config_error(tmp_path, monkeypatch):
+    assert _deep_base(golden_ratio, 40.0) == _DEEP_BASE
+    monkeypatch.chdir(tmp_path)
+    for argv in (["orbit", "--N", "2000"], ["curve", "--points", "2000"],
+                 ["twist", "--T", "20", "50"], ["prog", "--T", "1e2", "1e3"],
+                 ["box", "--T", "20", "50", "--weighted"]):
+        code, out, err = _run_quiet(argv + ["--base", _DEEP_BASE])
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+    # the block factors and the excursion profile go deeper still: refused
+    for argv in (["pieces", "--N", "1000"], ["dio", "--bound", "100"]):
+        code, _, err = _run_quiet(argv + ["--base", _DEEP_BASE])
+        assert code == 2, argv
+        _assert_one_line(err, "numeric failure: ", argv)
 
 
 def test_cli_box_one_value_sweep_fits_no_exponent(tmp_path, monkeypatch):
@@ -405,7 +468,13 @@ def test_cli_numeric_failures_exit_2(tmp_path, monkeypatch):
                  ["mollify", "--delta", "1e308"],
                  ["mollify", "--n", "2", "--gamma-box", "1e154", "--delta", "1e157"],
                  ["goodfn", "--b", "1e200"], ["goodfn", "--a", "1e200", "--b", "1e-5"],
-                 ["goodfn", "--a", "1e30", "--kappa", "15", "--gamma", "0.01"]):
+                 ["goodfn", "--a", "1e30", "--kappa", "15", "--gamma", "0.01"],
+                 # finite extreme bases: orbit points past 2^53-entry words,
+                 # and a base point whose y^2 underflows
+                 ["box", "--base", "1e150,0,0,1e-150", "--T", "20", "50"],
+                 ["orbit", "--base", "1e150,0,0,1e-150", "--N", "100"],
+                 ["twist", "--base", "1e150,0,0,1e-150", "--T", "20"],
+                 ["orbit", "--base", "1e-85,0,0,1e85", "--N", "100"]):
         code, _, err = _run_quiet(argv)
         assert code == 2, argv
         _assert_one_line(err, "numeric failure: ", argv)
@@ -435,6 +504,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 _FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e200", "1e308", "abc"]
+_FUZZ_BASES = _FUZZ_VALUES + [_deep_base(x, t) for x in (golden_ratio, math.sqrt(2.0), math.e)
+                              for t in (20.0, 36.5, 40.0, 60.0, 80.0)]
 # subcommand -> (fixed arguments that keep it cheap, flags to draw)
 _FUZZ_COMMANDS = {
     "constants": ([], ["--s", "--kappa", "--eps"]),
@@ -452,8 +523,9 @@ _FUZZ_COMMANDS = {
 def _fuzz_runs(draw):
     sub = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
     fixed, flags = _FUZZ_COMMANDS[sub]
-    pairs = draw(st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(_FUZZ_VALUES)),
-                          max_size=3))
+    pair = st.sampled_from(flags).flatmap(lambda flag: st.tuples(
+        st.just(flag), st.sampled_from(_FUZZ_BASES if flag == "--base" else _FUZZ_VALUES)))
+    pairs = draw(st.lists(pair, max_size=3))
     via_config = draw(st.booleans())
     return sub, fixed, pairs, via_config
 
@@ -505,13 +577,8 @@ def test_tracing_wrapped_names_resolve(monkeypatch):
     # bench/tracing.py rebinds these names for --trace 1; a rename would
     # break the traced pass without failing any test under tests/
     import importlib
-    import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing", monkeypatch)
     assert tracing.WRAPPED
     for mod_name, attr, _, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)

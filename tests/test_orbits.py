@@ -26,7 +26,7 @@ from homodyn.orbits import (
 )
 from homodyn.psl2 import GroupElement, identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
-from helpers import PHI2, ZETA3, eisenstein_e2, haar_integral
+from helpers import PHI2, ZETA3, eisenstein_e2, haar_integral, reduced_rep_reference
 
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
@@ -95,18 +95,20 @@ def test_sample_sparse_matches_pointwise_reduce():
     series = sample_sparse(GOLDEN_P, 0.01, 200)
     for n in (1, 7, 100, 199):
         t = float(n) ** 1.01
-        q = reduce(GOLDEN_P.rep @ unipotent(t))
+        g = GOLDEN_P.rep @ unipotent(t)
+        q = reduce(g)
         assert series.xs[n] == pytest.approx(q.z_reduced.real, abs=1e-8)
         assert series.ys[n] == pytest.approx(q.z_reduced.imag, abs=1e-8)
-        assert series.thetas[n] == pytest.approx(q.iwasawa.k_angle, abs=1e-7)
+        assert series.thetas[n] == pytest.approx(reduced_rep_reference(g).iwasawa().k_angle,
+                                                 abs=1e-7)
 
 
 def test_horocycle_theta_in_half_open_range():
     # the angle of this point lands on pi in floats; iwasawa() folds it to 0
-    p = reduce(GroupElement(1.0, 0.0, -1e-20, 1.0))
-    theta = horocycle_points(p, [0.0])[2]
+    g = GroupElement(1.0, 0.0, -1e-20, 1.0)
+    theta = horocycle_points(reduce(g), [0.0])[2]
     assert 0.0 <= theta[0] < math.pi
-    assert theta[0] == p.iwasawa.k_angle
+    assert theta[0] == reduced_rep_reference(g).iwasawa().k_angle == 0.0
     thetas = horocycle_points(GOLDEN_P, np.arange(5000) ** 1.1)[2]
     assert ((thetas >= 0.0) & (thetas < math.pi)).all()
 

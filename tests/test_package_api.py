@@ -8,6 +8,7 @@ tests call belongs in tests/helpers.py.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +57,24 @@ def test_no_test_only_public_api():
 def test_allowlist_names_existing_definitions():
     names = {name for _, _, name in _public_definitions()}
     assert set(_ALLOWED) <= names
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one runtime dependency: every import in the package is
+    # standard library, numpy or relative (mpmath and scipy are test oracles)
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    roots, outside = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                roots.add(name.split(".")[0])
+                if name.split(".")[0] not in allowed:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert {"numpy", "math"} <= roots  # the walk sees the imports
+    assert not outside, "imports outside the standard library and numpy: " + ", ".join(outside)

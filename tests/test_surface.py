@@ -1,6 +1,7 @@
 """Fundamental-domain reduction, cusp norm, flows, and the cusp geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from helpers import (
     random_element,
     random_gamma_word,
     reduce_xy_reference,
+    reduced_rep_reference,
     rng,
 )
 
@@ -60,11 +62,13 @@ def test_reduce_invariants_and_integer_word():
     for _ in range(300):
         g = random_element(r, y_low=1e-3, y_high=1e3)
         p = reduce(g)
+        assert p.rep is g
         assert abs(p.z_reduced.real) <= 0.5 + 1e-9
         assert abs(p.z_reduced) >= 1.0 - 1e-9
-        # reduced_rep = gamma * rep with integer gamma
-        gm = np.array([[p.reduced_rep.a, p.reduced_rep.b],
-                       [p.reduced_rep.c, p.reduced_rep.d]])
+        # the reduced point is (gamma g) i with an integer gamma
+        h = reduced_rep_reference(g)
+        assert abs(h.mobius(1j) - p.z_reduced) < 1e-9
+        gm = np.array([[h.a, h.b], [h.c, h.d]])
         inv = np.array([[g.d, -g.b], [-g.c, g.a]])
         word = gm @ inv
         signed = word if abs(word[0, 0] - round(word[0, 0])) < 0.5 else -word
@@ -75,7 +79,7 @@ def test_reduce_idempotent():
     r = rng(11)
     for _ in range(200):
         p = reduce(random_element(r, y_low=1e-3, y_high=1e3))
-        q = reduce(p.reduced_rep)
+        q = reduce(reduced_rep_reference(p.rep))
         assert abs(p.z_reduced - q.z_reduced) < 1e-9
 
 
@@ -94,17 +98,16 @@ def test_dist_examples():
 
 
 def test_cusp_norm_examples():
-    assert cusp_norm(reduce(identity())) == pytest.approx(1.0)
+    assert cusp_norm(identity()) == pytest.approx(1.0)
     for t in (0.0, 1.0, 3.3, 7.0):
-        p = reduce(diagonal_flow(t))
-        assert cusp_norm(p) == pytest.approx(math.exp(-t / 2.0), rel=1e-12)
+        assert cusp_norm(diagonal_flow(t)) == pytest.approx(math.exp(-t / 2.0), rel=1e-12)
 
 
 def test_cusp_norm_matches_enumeration_oracle():
     r = rng(13)
     for _ in range(120):
         g = random_element(r, y_low=5e-2, y_high=20.0)
-        lam = cusp_norm(reduce(g))
+        lam = cusp_norm(g)
         if lam <= 2.0:
             assert lam == pytest.approx(brute_force_cusp_norm(g, bound=50), rel=1e-9)
 
@@ -114,9 +117,7 @@ def test_cusp_norm_gamma_invariant():
     for _ in range(200):
         g = random_element(r)
         gamma = gamma_to_element(random_gamma_word(r))
-        assert cusp_norm(reduce(gamma @ g)) == pytest.approx(
-            cusp_norm(reduce(g)), rel=1e-8
-        )
+        assert cusp_norm(gamma @ g) == pytest.approx(cusp_norm(g), rel=1e-8)
 
 
 def test_separation_at_most_one_short_vector():
@@ -203,17 +204,30 @@ def test_dist_vs_norm_report():
     # on-axis closed form: ratio == 1 at height y >= 2 exactly
     for y in (4.0, 9.0, 25.0):
         p = reduce(from_point(0.0, y))
-        assert math.exp(dist(p)) * cusp_norm(p) ** 2 == pytest.approx(1.0, rel=1e-9)
+        assert math.exp(dist(p)) * cusp_norm(p.rep) ** 2 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_reduce_rejects_degenerate_input():
-    import pytest as _pytest
-    from homodyn.surface import ReductionError
-    from homodyn.psl2 import GroupElement
+    # g i overflows (1e200, 1e170), or its y^2 underflows (1e-85); either is
+    # refused with one ReductionError and no float warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e200, 1e170, 1e-85):
+            with pytest.raises(ReductionError):
+                reduce(GroupElement(s, 0.0, 0.0, 1.0 / s))
 
-    g = GroupElement(1e200, 0.0, 0.0, 1e-200)  # orbit point overflows
-    with _pytest.raises(ReductionError):
-        reduce(g)
+
+def test_reduce_points_extreme_heights_keep_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or 0/0 warning fails the test
+        # y^2 past the float range: y >= 1 never inverts, so it is not formed
+        got = reduce_points([0.25, -0.3], [1e300, 1.7e308])
+        assert got[0].tolist() == [0.25, -0.3] and got[1].tolist() == [1e300, 1.7e308]
+        # from y = 2^-537 up y^2 is not 0, and S inverts exactly
+        x, y, *word = reduce_points(0.0, 2.0**-537)
+        assert y[0] == 2.0**537 and [w[0] for w in word] == [0.0, -1.0, 1.0, 0.0]
+        with pytest.raises(ReductionError, match="2\\^-537"):
+            reduce_points(0.0, 2.0**-538)
 
 
 def _assert_kernel_matches_reference(x, y):
