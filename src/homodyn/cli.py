@@ -70,8 +70,7 @@ def parse_base(text: str) -> GroupElement:
     m = re.fullmatch(r"liouville\((\d+(?:\.\d+)?)\)", t)
     if m:
         zeta = float(m.group(1))
-        cf = cf_from_quotients(planted_quotients(zeta))
-        return slope_base(float(cf.exact_value))
+        return slope_base(cf_from_quotients(planted_quotients(zeta)).x)
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) == 4:
         try:

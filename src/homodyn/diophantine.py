@@ -5,18 +5,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import check_capacity, coprime_mask
+from .lattice import check_capacity, coprime_mask, pair_blocks
 from .psl2 import GroupElement
 from .surface import SurfacePoint, excursion_profile
 
 _Q_GUARD = 2**62  # convergent denominators stay below this (exact int range)
 _NOISE_FLOOR = 1e-15
-_BLOCK_CELLS = 2**16  # coprime-mask cells per block of the witness search
 
 
 class DivergentOrbitError(RuntimeError):
@@ -38,18 +36,16 @@ class ContinuedFraction:
     """Partial quotients and convergents of a real number.
 
     quotients[0] is the integer part a0; convergents hold exact integer
-    pairs (p_n, q_n).  exact_value is set when the expansion came from a
-    prescribed quotient list (then x is its float image).
+    pairs (p_n, q_n).  exact is set when the expansion came from a
+    prescribed quotient list: the number is then p_N / q_N, the last
+    convergent, and x is its float image.
     """
 
     x: float
     quotients: tuple
     convergents: tuple
-    exact_value: Optional[Fraction] = None
+    exact: bool = False
     terminated: bool = False  # stopped at the noise floor / rational input
-
-    def value(self):
-        return self.exact_value if self.exact_value is not None else self.x
 
 
 def _convergents(quotients):
@@ -105,10 +101,8 @@ def cf_from_quotients(quotients) -> ContinuedFraction:
     if conv[-1][1] > _Q_GUARD:
         raise ValueError("denominators exceed the exact-integer guard")
     p, q = conv[-1]
-    val = Fraction(p, q)
-    return ContinuedFraction(
-        x=float(val), quotients=tuple(quotients), convergents=conv,
-        exact_value=val, terminated=True,
+    return ContinuedFraction(  # int true division rounds correctly
+        x=p / q, quotients=tuple(quotients), convergents=conv, exact=True, terminated=True,
     )
 
 
@@ -150,19 +144,18 @@ def type_estimate(cf: ContinuedFraction) -> TypeEstimate:
     """
     if len(cf.convergents) < 3:
         raise ValueError("need at least 3 convergents")
-    xval = cf.value()
-    exact = isinstance(xval, Fraction)
+    p_last, q_last = cf.convergents[-1]  # coprime: the exact value in lowest terms
     series = []
     for n, (p, q) in enumerate(cf.convergents):
         if q < 2:
             continue
-        if exact:
-            num = abs(q * xval.numerator - p * xval.denominator)
+        if cf.exact:
+            num = abs(q * p_last - p * q_last)
             if num == 0:
                 continue  # terminal convergent of a rational
-            log_err = math.log(num) - math.log(xval.denominator)
+            log_err = math.log(num) - math.log(q_last)
         else:
-            err = abs(q * xval - p)
+            err = abs(q * cf.x - p)
             if err <= 0.0:
                 continue
             log_err = math.log(err)
@@ -187,19 +180,6 @@ class DiophantineWitness:
     vectors_checked: int
 
 
-def _pair_blocks(bound: int):
-    """Sign-canonical primitive (m, n), |m|, |n| <= bound, in (n, m) order
-    after (1, 0): one (m, n) block per run of coprime-mask rows holding
-    about _BLOCK_CELLS cells."""
-    mask = coprime_mask(bound, bound)
-    width = mask.shape[1]
-    rows = max(1, _BLOCK_CELLS // width)
-    yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for r0 in range(0, bound, rows):
-        n, m = np.divmod(np.flatnonzero(mask[r0:r0 + rows]), width)
-        yield m - bound, n + (r0 + 1)
-
-
 def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     """Witness report for the type-kappa condition at p, as a 1-tuple.
 
@@ -218,7 +198,7 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     mu = nu = symmetric = np.inf
     axis_vectors = []
     checked = 0
-    for m, n in _pair_blocks(search_bound):
+    for m, n in pair_blocks(coprime_mask(search_bound, search_bound), search_bound):
         # g^{-1} (m, n) = (d m - b n, a n - c m)
         a_comp = g.d * m - g.b * n
         abs_b = np.abs(g.a * n - g.c * m)

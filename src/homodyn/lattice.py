@@ -15,7 +15,7 @@ import numpy as np
 
 _RADIUS_GUARD = 1e5
 _COUNT_GUARD = 5 * 10**7  # secondary memory guard (density ~ 0.955 / unit area)
-_BLOCK = 2**16  # vectors per block of a sector test
+_BLOCK = 2**16  # vectors or mask cells per block of a sector test or pair stream
 
 
 class CapacityError(ValueError):
@@ -78,17 +78,16 @@ def coprime_mask(N: int, M: int) -> np.ndarray:
     return mask
 
 
-def canonical_pairs(mask: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alphas, betas) of the set entries of a coprime_mask(N, M)-shaped
-    mask, after (1, 0), ordered by (beta, alpha)."""
-    cells = np.flatnonzero(mask)
-    alphas = np.empty(cells.size + 1, dtype=np.int64)
-    betas = np.empty_like(alphas)
-    alphas[0], betas[0] = 1, 0
-    np.divmod(cells, mask.shape[1], out=(betas[1:], alphas[1:]))
-    betas[1:] += 1
-    alphas[1:] -= M
-    return alphas, betas
+def pair_blocks(mask: np.ndarray, M: int):
+    """(m, n) int64 blocks of the set entries of a coprime_mask(N, M)-shaped
+    mask: (1, 0) first, then in (n, m) order, one block per run of rows
+    holding about _BLOCK cells."""
+    width = mask.shape[1]
+    rows = max(1, _BLOCK // width)
+    yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for r0 in range(0, mask.shape[0], rows):
+        n, m = np.divmod(np.flatnonzero(mask[r0:r0 + rows]), width)
+        yield m - M, n + (r0 + 1)
 
 
 def enumerate_orbit(R: float) -> PrimitiveVectorSet:
@@ -103,7 +102,12 @@ def enumerate_orbit(R: float) -> PrimitiveVectorSet:
     a = np.arange(-M, M + 1, dtype=np.int64)
     mask = coprime_mask(M, M)
     mask &= (a * a)[None, :] <= room[:, None]
-    alphas, betas = canonical_pairs(mask, M)
+    alphas = np.empty(1 + np.count_nonzero(mask), dtype=np.int64)
+    betas = np.empty_like(alphas)
+    i = 0
+    for m, n in pair_blocks(mask, M):
+        alphas[i:i + m.size], betas[i:i + m.size] = m, n
+        i += m.size
     return PrimitiveVectorSet(radius=float(R), alphas=alphas, betas=betas)
 
 

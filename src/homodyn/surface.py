@@ -91,7 +91,10 @@ def lattice_min_sq(u1, u2, v1, v2):
     u1, u2, v1, v2 = (np.asarray(a, dtype=float).ravel() for a in (u1, u2, v1, v2))
     if not all(np.isfinite(a).all() for a in (u1, u2, v1, v2)):
         raise ReductionError("non-finite lattice basis")
-    nu, nv = u1 * u1 + u2 * u2, v1 * v1 + v2 * v2
+    with np.errstate(over="ignore"):
+        nu, nv = u1 * u1 + u2 * u2, v1 * v1 + v2 * v2
+    if not (np.isfinite(nu).all() and np.isfinite(nv).all()):
+        raise ReductionError("squared length of a lattice basis vector overflowed")
     out = np.empty(nu.size)
     idx = np.arange(nu.size)
     for _ in range(256):
@@ -99,7 +102,8 @@ def lattice_min_sq(u1, u2, v1, v2):
         u1, u2, nu, v1, v2, nv = (np.where(swap, b, a) for a, b in (
             (u1, v1), (u2, v2), (nu, nv), (v1, u1), (v2, u2), (nv, nu)))
         if not nv.all():
-            raise ReductionError("degenerate lattice basis: a zero vector")
+            raise ReductionError("shortest cusp vector lost to float rounding or underflow: "
+                                 "the point is too deep in the cusp")
         mu = np.rint((u1 * v1 + u2 * v2) / nv)
         done = mu == 0.0
         if done.all():
@@ -174,9 +178,14 @@ def r_factors(a, b, c, d, T):
 
 
 def base_point_image(a, b, c, d):
-    """(x, y) of the points g i, g = (a, b; c, d) of determinant one (arrays)."""
-    den = c * c + d * d
-    return (a * c + b * d) / den, 1.0 / den
+    """(x, y) of the points g i, g = (a, b; c, d) of determinant one (arrays).
+    An x or y past the float range is not finite: reduce_points refuses it."""
+    with np.errstate(all="ignore"):
+        den = c * c + d * d
+        x, y = (a * c + b * d) / den, 1.0 / den
+    if not np.isfinite(den).all():
+        raise ReductionError("c^2 + d^2 of a base point image overflowed")
+    return x, y
 
 
 def height_distance(x, y, x0=0.0, y0=1.0):

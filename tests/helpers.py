@@ -348,7 +348,7 @@ def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int 
 
 @functools.lru_cache(maxsize=8)
 def primitive_pairs_reference(bound: int):
-    """Reference for lattice.canonical_pairs over coprime_mask(bound, bound):
+    """Reference for lattice.pair_blocks over coprime_mask(bound, bound):
     the former per-row np.gcd loop.  Sign-canonical primitive (m, n),
     |m|, |n| <= bound, (1, 0) first, then by (n, m).  Cached, so the arrays
     are read-only."""

@@ -390,10 +390,12 @@ def test_cli_deep_cusp_base_is_not_a_config_error(tmp_path, monkeypatch):
         assert (code, err) == (0, ""), argv
         assert out, argv
     # the block factors and the excursion profile go deeper still: refused
-    for argv in (["pieces", "--N", "1000"], ["dio", "--bound", "100"]):
+    for argv in (["pieces", "--N", "1000"], ["pieces", "--N", "10"], ["dio", "--bound", "100"]):
         code, _, err = _run_quiet(argv + ["--base", _DEEP_BASE])
         assert code == 2, argv
         _assert_one_line(err, "numeric failure: ", argv)
+        if argv[0] == "pieces":  # the basis has det 1: rounding lost its short vector
+            assert "lost to float rounding or underflow" in err and "too deep" in err, err
 
 
 def test_cli_box_one_value_sweep_fits_no_exponent(tmp_path, monkeypatch):
@@ -474,7 +476,11 @@ def test_cli_numeric_failures_exit_2(tmp_path, monkeypatch):
                  ["box", "--base", "1e150,0,0,1e-150", "--T", "20", "50"],
                  ["orbit", "--base", "1e150,0,0,1e-150", "--N", "100"],
                  ["twist", "--base", "1e150,0,0,1e-150", "--T", "20"],
-                 ["orbit", "--base", "1e-85,0,0,1e85", "--N", "100"]):
+                 ["orbit", "--base", "1e-85,0,0,1e85", "--N", "100"],
+                 # c^2 + d^2 of the curve points, and the squared lengths of
+                 # the cusp lattice basis, past the float range
+                 ["curve", "--xmax", "1e300", "--points", "100"],
+                 ["dio", "--base", "1e150,0,0,1e-150", "--bound", "20"]):
         code, _, err = _run_quiet(argv)
         assert code == 2, argv
         _assert_one_line(err, "numeric failure: ", argv)

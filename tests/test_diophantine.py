@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from homodyn.diophantine import (
     DivergentOrbitError,
     OpenExcursionError,
-    _BLOCK_CELLS,
     cf_expand,
     cf_from_quotients,
     excursion_type_estimate,
@@ -19,7 +19,7 @@ from homodyn.diophantine import (
     slope_base,
     type_estimate,
 )
-from homodyn.lattice import CapacityError, canonical_pairs, coprime_mask
+from homodyn.lattice import _BLOCK, CapacityError, coprime_mask, pair_blocks
 from homodyn.psl2 import identity, unipotent, diagonal_flow
 from homodyn.surface import reduce
 
@@ -136,6 +136,24 @@ def test_planted_quotients_refuse_a_rational():
             planted_quotients(zeta)
 
 
+def test_exact_type_estimate_matches_fraction_path():
+    # the exact branch reads p_N / q_N off the last convergent: the integers,
+    # and the float image, of the Fraction(p_N, q_N) it replaces
+    r = rng(5)
+    lists = [planted_quotients(z) for z in (1.0, 2.0, 3.0, 7.5)]
+    lists += [[0] + r.integers(1, 50, 12).tolist() for _ in range(20)]
+    for quots in lists:
+        cf = cf_from_quotients(quots)
+        val = Fraction(*cf.convergents[-1])
+        assert cf.exact and cf.x == float(val)
+        want = tuple(
+            (n, q, -(math.log(abs(q * val.numerator - p * val.denominator))
+                     - math.log(val.denominator)) / math.log(q))
+            for n, (p, q) in enumerate(cf.convergents)
+            if q >= 2 and q * val.numerator != p * val.denominator)
+        assert type_estimate(cf).series == want
+
+
 def test_type_estimate_dirichlet_floor():
     for x in (GOLDEN, math.sqrt(2.0), math.pi, 0.37193):
         est = type_estimate(cf_expand(x, 18))
@@ -183,7 +201,7 @@ def test_excursion_estimate_divergent_orbit():
 
 def test_excursion_estimate_planted_types():
     for zeta, tol in ((2.0, 0.3), (3.0, 0.3)):
-        x = float(cf_from_quotients(planted_quotients(zeta)).exact_value)
+        x = cf_from_quotients(planted_quotients(zeta)).x
         p = reduce(slope_base(x))
         kappa, peaks = excursion_type_estimate(p, 40.0)
         assert kappa == pytest.approx(zeta, abs=tol)
@@ -194,7 +212,7 @@ def test_excursion_and_convergent_estimates_agree():
         quots = planted_quotients(zeta)
         cf = cf_from_quotients(quots)
         z_conv = type_estimate(cf).value
-        p = reduce(slope_base(float(cf.exact_value)))
+        p = reduce(slope_base(cf.x))
         z_exc, _ = excursion_type_estimate(p, 40.0)
         assert abs(z_exc - z_conv) <= 0.3
 
@@ -231,9 +249,12 @@ def test_excursion_profile_bounded_for_badly_approximable_slope():
     assert float(vals.max()) <= 3.0
 
 
-@pytest.mark.parametrize("bound", [10, 11, 1000])
+@pytest.mark.parametrize("bound", [10, 11, 180, 181, 1000])
 def test_primitive_pairs_sieve_matches_gcd_loop(bound):
-    m, n = canonical_pairs(coprime_mask(bound, bound), bound)
+    # the whole mask is one block of rows up to bound 180, several from 181
+    blocks = list(pair_blocks(coprime_mask(bound, bound), bound))
+    assert (len(blocks) == 2) == (bound <= 180)  # (1, 0), then the row blocks
+    m, n = (np.concatenate(cols) for cols in zip(*blocks))
     ref_m, ref_n = primitive_pairs_reference(bound)
     assert np.array_equal(m, ref_m) and np.array_equal(n, ref_n)
     assert (m[0], n[0]) == (1, 0)
@@ -249,14 +270,14 @@ def test_primitive_pairs_guarded(bound):
 
 
 # the largest bound whose whole coprime mask is one block of the search
-_ONE_BLOCK = max(b for b in range(10, 1000) if b * (2 * b + 1) <= _BLOCK_CELLS)
+_ONE_BLOCK = max(b for b in range(10, 1000) if b * (2 * b + 1) <= _BLOCK)
 
 
 def _witness_bases():
     r = rng(12)
     named = [identity(), slope_base(GOLDEN), slope_base(math.sqrt(2.0)),
              slope_base(math.e),
-             slope_base(float(cf_from_quotients(planted_quotients(2.0)).exact_value))]
+             slope_base(cf_from_quotients(planted_quotients(2.0)).x)]
     return named + [random_element(r), random_element(r)]
 
 

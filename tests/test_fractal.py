@@ -135,6 +135,24 @@ def test_build_tree_matches_scalar_reference(kappa, eps, schedule):
     _assert_matches_reference(kappa, eps, schedule)
 
 
+@pytest.mark.parametrize("kappa,eps,schedule", _REFERENCE_CASES)
+def test_children_disjoint_by_theorem(kappa, eps, schedule):
+    # build_tree's proof, level by level: adjacent children a/b < a'/b' lie
+    # at least 1/(b b') apart, their half-widths sum to under 0.18/(b b')
+    try:
+        fam = build_tree(kappa, eps, len(schedule), schedule)
+    except EmptyLevelError:
+        return
+    e = float(fam.exponent)
+    assert e >= 2.0
+    for l, pairs in zip(schedule, fam.levels[1:]):
+        a, b = pairs[:, 0], pairs[:, 1]
+        assert (l / math.sqrt(2.0) < b).all() and (b <= 2.0 * l).all()
+        assert (a[1:] * b[:-1] - a[:-1] * b[1:] >= 1).all()
+        b1, b2 = b[:-1].astype(float), b[1:].astype(float)
+        assert ((b1**-e + b2**-e) / 18.0 < 0.18 / (b1 * b2)).all()
+
+
 @pytest.mark.parametrize("guard", [1000, 5000, 60000])
 def test_build_tree_guard_matches_scalar_reference(guard, monkeypatch):
     # kappa = 1: the guard trips on the root's level (1000), midway through

@@ -162,9 +162,10 @@ def test_sector_rejections():
 
 
 def test_enumerate_and_sector_count_memory():
-    # the pairs come from one flatnonzero into two preallocated int64 columns,
-    # and the sector test runs per block: the peak is three 8-byte arrays
-    # over the vectors plus one block (eight float64 temporaries of _BLOCK)
+    # the pair stream fills two preallocated int64 columns block by block,
+    # and the sector test runs per block: the peak is two 8-byte arrays over
+    # the vectors, the coprime mask and one block (eight 8-byte arrays of
+    # _BLOCK)
     enumerate_orbit(10.0)
     sector_count(enumerate_orbit(10.0), SectorQuery(2.0, 0.1, 1.0))
     tracemalloc.start()
@@ -176,7 +177,7 @@ def test_enumerate_and_sector_count_memory():
     finally:
         tracemalloc.stop()
     assert len(s) > 8 * _BLOCK  # several blocks
-    assert peak <= 3 * 8 * len(s) + 8 * 8 * _BLOCK, peak
+    assert peak <= 2 * 8 * len(s) + 800 * 1601 + 8 * 8 * _BLOCK, peak
     # the blocked count is the full-array one
     a, b = s.alphas.astype(float), s.betas.astype(float)
     r2, theta = a * a + b * b, np.arctan2(b, a)

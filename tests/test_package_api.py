@@ -78,3 +78,12 @@ def test_package_imports_only_stdlib_and_numpy():
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert {"numpy", "math"} <= roots  # the walk sees the imports
     assert not outside, "imports outside the standard library and numpy: " + ", ".join(outside)
+
+
+def test_package_root_binds_only_version():
+    # the root re-exports nothing: callers import from the submodules
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    names = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    others = [ast.unparse(node) for node in tree.body
+              if not isinstance(node, (ast.Assign, ast.Expr))]  # imports among them
+    assert names == ["__version__"] and not others, (names, others)
