@@ -46,7 +46,7 @@ from .orbits import (
     sample_sparse,
     twisted_average,
 )
-from .psl2 import GroupElement, GroupError, identity
+from .psl2 import GroupElement, identity
 from .report import ExperimentReport, emit_csv, emit_svg
 from .surface import reduce
 
@@ -75,7 +75,7 @@ def parse_base(text: str) -> GroupElement:
     if len(parts) == 4:
         try:
             return GroupElement(*(float(p) for p in parts))
-        except (ValueError, GroupError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad matrix base {text!r}: {exc}") from None
     raise ConfigError(f"unknown base point {text!r}")
 

@@ -36,16 +36,12 @@ class ContinuedFraction:
     """Partial quotients and convergents of a real number.
 
     quotients[0] is the integer part a0; convergents hold exact integer
-    pairs (p_n, q_n).  exact is set when the expansion came from a
-    prescribed quotient list: the number is then p_N / q_N, the last
-    convergent, and x is its float image.
+    pairs (p_n, q_n).
     """
 
     x: float
     quotients: tuple
     convergents: tuple
-    exact: bool = False
-    terminated: bool = False  # stopped at the noise floor / rational input
 
 
 def _convergents(quotients):
@@ -65,45 +61,36 @@ def _convergents(quotients):
 def cf_expand(x: float, depth: int) -> ContinuedFraction:
     """Partial quotients of x to the requested depth.
 
-    Stops early at the floating noise floor (|x - p/q| < 1e-15) or when the
-    denominators would leave the exact integer range; early termination is
-    flagged on the result (rational-input notice).
+    Stops early, with fewer than depth + 1 quotients, at the floating noise
+    floor (|x - p/q| < 1e-15) or when the denominators would leave the exact
+    integer range.
     """
     if not math.isfinite(x) or depth < 1:
         raise ValueError("need finite x and depth >= 1")
     quotients = [math.floor(x)]
     t = x - quotients[0]  # 0 <= t < 1, so every later quotient is >= 1
     p0, p, q0, q = 1, quotients[0], 0, 1  # the last two convergents
-    terminated = False
     for _ in range(depth):
         if abs(x - p / q) < _NOISE_FLOOR or q > _Q_GUARD or t <= 0.0:
-            terminated = True
             break
         t = 1.0 / t
         a = math.floor(t)
         quotients.append(a)
         p0, p, q0, q = p, a * p + p0, q, a * q + q0
         t -= a
-    return ContinuedFraction(
-        x=x,
-        quotients=tuple(quotients),
-        convergents=_convergents(quotients),
-        terminated=terminated,
-    )
+    return ContinuedFraction(x=x, quotients=tuple(quotients), convergents=_convergents(quotients))
 
 
 def cf_from_quotients(quotients) -> ContinuedFraction:
-    """Exact continued fraction from a prescribed quotient list."""
+    """Continued fraction of a prescribed quotient list; x is the float p_N / q_N."""
     quotients = [int(a) for a in quotients]
     if len(quotients) < 1 or any(a < 1 for a in quotients[1:]):
         raise ValueError("quotients after a0 must be positive integers")
     conv = _convergents(quotients)
     if conv[-1][1] > _Q_GUARD:
         raise ValueError("denominators exceed the exact-integer guard")
-    p, q = conv[-1]
-    return ContinuedFraction(  # int true division rounds correctly
-        x=p / q, quotients=tuple(quotients), convergents=conv, exact=True, terminated=True,
-    )
+    p, q = conv[-1]  # int true division rounds correctly
+    return ContinuedFraction(x=p / q, quotients=tuple(quotients), convergents=conv)
 
 
 def planted_quotients(zeta: float):
@@ -138,28 +125,17 @@ class TypeEstimate(NamedTuple):
 def type_estimate(cf: ContinuedFraction) -> TypeEstimate:
     """Approximation-exponent estimate from the convergents.
 
-    zeta_n = -log|q_n x - p_n| / log q_n per index; the reported value is the
-    deepest admissible index (terminal exact-zero errors are skipped).  For a
-    number of type zeta the series settles toward [1, zeta].
+    zeta_n = -log|q_n x - p_n| / log q_n per index, on the float x; the
+    reported value is the deepest admissible index (exact-zero errors are
+    skipped).  For a number of type zeta the series settles toward [1, zeta].
     """
     if len(cf.convergents) < 3:
         raise ValueError("need at least 3 convergents")
-    p_last, q_last = cf.convergents[-1]  # coprime: the exact value in lowest terms
     series = []
     for n, (p, q) in enumerate(cf.convergents):
-        if q < 2:
-            continue
-        if cf.exact:
-            num = abs(q * p_last - p * q_last)
-            if num == 0:
-                continue  # terminal convergent of a rational
-            log_err = math.log(num) - math.log(q_last)
-        else:
-            err = abs(q * cf.x - p)
-            if err <= 0.0:
-                continue
-            log_err = math.log(err)
-        series.append((n, q, -log_err / math.log(q)))
+        err = abs(q * cf.x - p)
+        if q >= 2 and err > 0.0:
+            series.append((n, q, -math.log(err) / math.log(q)))
     if not series:
         raise ValueError("no admissible convergent index")
     return TypeEstimate(series[-1][2], tuple(series))

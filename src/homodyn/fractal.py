@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +31,8 @@ class TreeLikeFamily:
     levels[j] is an int64 array of shape (k_j, 2), sorted by slope: row
     (a, b) is the interval [a/b - (1/18) b^-e, a/b + (1/18) b^-e] with
     e = exponent.  Level 0, the root [0, 1], has no slope pair and is stored
-    empty; endpoints(j) gives the intervals themselves.  d_j is the largest
-    diameter at level j; Delta_j the smallest child-mass fraction over
-    level-j parents.
+    empty.  d_j is the largest diameter at level j; Delta_j the smallest
+    child-mass fraction over level-j parents.
     """
 
     l_schedule: list
@@ -43,19 +41,6 @@ class TreeLikeFamily:
     densities: list
     exact: bool
     exponent: float  # e, an int in exact mode
-
-    def endpoints(self, j: int) -> list:
-        """Level j's (lo, hi) pairs: Fractions in exact mode, floats otherwise."""
-        j = range(len(self.levels))[j]
-        if j == 0:
-            return [(Fraction(0), Fraction(1))] if self.exact else [(0.0, 1.0)]
-        e = self.exponent
-        pairs = self.levels[j].tolist()
-        if self.exact:
-            return [(Fraction(*lo), Fraction(*hi))
-                    for lo, hi in (_child_endpoints_int(a, b, e) for a, b in pairs)]
-        return [(a / b - (1.0 / 18.0) * float(b) ** (-e),
-                 a / b + (1.0 / 18.0) * float(b) ** (-e)) for a, b in pairs]
 
 
 def _child_endpoints_int(a: int, b: int, e: int):
@@ -132,7 +117,7 @@ def _level_children(l: float, parents, parent_pw, e, exact: bool, prior: int):
     betas = np.arange(b_min, b_max + 1, dtype=np.int64)
     bf = betas.astype(float)
     neg_e = -float(e)
-    pw_beta = np.array([b ** neg_e for b in bf.tolist()])  # scalar pow, as endpoints()
+    pw_beta = np.array([b ** neg_e for b in bf.tolist()])  # scalar pow, as the tests' scalar reference
     # the annulus l <= r <= 2l and 0 < a < b, per beta
     rad_lo = np.maximum(np.ceil(np.sqrt(np.maximum(l * l - bf * bf, 0.0)) - 1e-9), 1.0)
     rad_hi = np.minimum(np.floor(np.sqrt(np.maximum(4.0 * l * l - bf * bf, 0.0)) + 1e-9),
@@ -223,8 +208,14 @@ def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLi
     diameters = [1.0]
     densities = []
     total = 0
-    for l in l_schedule:
-        pairs, pw, owner = _level_children(l, parents, parent_pw, e, exact, total)
+    for level, l in enumerate(l_schedule, 1):
+        try:
+            pairs, pw, owner = _level_children(l, parents, parent_pw, e, exact, total)
+        except EmptyLevelError as exc:
+            sched = ",".join(f"{s:g}" for s in l_schedule)
+            raise EmptyLevelError(f"level {level} of schedule {sched}: {exc}, at exponent kappa "
+                                  f"+ eps + 1 = {e:g}; the schedule is too aggressive for this "
+                                  "exponent") from None
         total += len(pairs)
         widths = (2.0 / 18.0) * pw
         mass = np.bincount(owner, weights=widths)  # every parent has children

@@ -102,13 +102,6 @@ class OrbitSeries:
     def __len__(self):
         return int(self.times.size)
 
-    def __post_init__(self):
-        n = self.times.size
-        if not (self.xs.size == self.ys.size == self.thetas.size == n):
-            raise ValueError("coordinate arrays must match the time grid")
-        if n > 1 and not (np.diff(self.times) > 0).all():
-            raise ValueError("times must be strictly increasing")
-
 
 def _points(entries, times):
     """Reduced (x, y, theta) of the points entries(t) i, in blocks of _CHUNK."""

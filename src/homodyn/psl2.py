@@ -40,16 +40,8 @@ class GroupElement:
             b /= r
             c /= r
             d /= r
-        # canonical sign: first nonzero of (a, b, c, d) positive
-        if a != 0.0:
-            flip = a < 0.0
-        elif b != 0.0:
-            flip = b < 0.0
-        elif c != 0.0:
-            flip = c < 0.0
-        else:
-            flip = d < 0.0
-        if flip:
+        # canonical sign: first nonzero of (a, b) positive; det > 0 rules out a = b = 0
+        if (a if a != 0.0 else b) < 0.0:
             a, b, c, d = -a, -b, -c, -d
         self.a = a
         self.b = b

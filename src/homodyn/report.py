@@ -8,13 +8,7 @@ from . import __version__
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 @dataclass
@@ -38,8 +32,6 @@ def emit_csv(report: ExperimentReport, path: str) -> None:
     lines = [f"# homodyn v{__version__}"]
     lines.append(",".join(str(c) for c in report.columns))
     for row in report.rows:
-        if len(row) != len(report.columns):
-            raise ValueError("report row width does not match declared columns")
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="\n", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

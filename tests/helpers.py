@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from homodyn.diophantine import DiophantineWitness
+from homodyn.diophantine import DiophantineWitness, TypeEstimate
+from homodyn.fractal import _child_endpoints_int
 from homodyn.mollify import MollifierSpec, mollifier_profile
 from homodyn.orbits import FUNDAMENTAL_AREA
 from homodyn.psl2 import GroupElement, IwasawaNAK, diagonal_flow, hyperbolic_distance
@@ -297,6 +298,21 @@ def _ref_sector_children(l: float, parent, e, exact: bool):
     return out
 
 
+def tree_endpoints(fam, j: int) -> list:
+    """Level j's (lo, hi) intervals of a TreeLikeFamily: Fractions when the
+    exponent is an integer (fam.exact), floats otherwise."""
+    j = range(len(fam.levels))[j]
+    if j == 0:
+        return [(Fraction(0), Fraction(1))] if fam.exact else [(0.0, 1.0)]
+    e = fam.exponent
+    pairs = fam.levels[j].tolist()
+    if fam.exact:
+        return [(Fraction(*lo), Fraction(*hi))
+                for lo, hi in (_child_endpoints_int(a, b, e) for a, b in pairs)]
+    return [(a / b - (1.0 / 18.0) * float(b) ** (-e),
+             a / b + (1.0 / 18.0) * float(b) ** (-e)) for a, b in pairs]
+
+
 def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int = 2 * 10**6):
     """Scalar reference for fractal.build_tree: the former one-call-per-parent
     loop.  Returns (pair levels, diameters, densities); pair level j lists the
@@ -312,7 +328,7 @@ def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int 
     parent_lens = [1.0]
     pair_levels, diameters, densities = [[]], [1.0], []
     total = 0
-    for l in l_schedule:
+    for level, l in enumerate(l_schedule, 1):
         level_pairs, worst, max_diam = [], math.inf, 0.0
         for parent, parent_len in zip(parents, parent_lens):
             children = _ref_sector_children(l, parent, e, exact)
@@ -323,8 +339,10 @@ def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int 
                 else:
                     span = parent
                 raise EmptyLevelError(
+                    f"level {level} of schedule {','.join(f'{s:g}' for s in l_schedule)}: "
                     f"parent ({span[0]:.6g}, {span[1]:.6g}) got no children "
-                    f"at sector scale l={l:g}"
+                    f"at sector scale l={l:g}, at exponent kappa + eps + 1 = {e:g}; "
+                    f"the schedule is too aggressive for this exponent"
                 )
             total += len(children)
             if total > child_guard:
@@ -504,6 +522,23 @@ def cf_expand_reference(x: float, depth: int, q_guard: int = 2**62):
         qs.append(a)
         t -= a
     return qs, convergents(qs), False
+
+
+def type_estimate_exact(cf) -> TypeEstimate:
+    """diophantine.type_estimate on the rational p_N / q_N of the last
+    convergent, in integers: the planted-type checks read the number that
+    the quotient list defines, not its float image."""
+    if len(cf.convergents) < 3:
+        raise ValueError("need at least 3 convergents")
+    p_last, q_last = cf.convergents[-1]  # coprime: the exact value in lowest terms
+    series = []
+    for n, (p, q) in enumerate(cf.convergents):
+        num = abs(q * p_last - p * q_last)
+        if q >= 2 and num != 0:  # the terminal convergent has num = 0
+            series.append((n, q, -(math.log(num) - math.log(q_last)) / math.log(q)))
+    if not series:
+        raise ValueError("no admissible convergent index")
+    return TypeEstimate(series[-1][2], tuple(series))
 
 
 ZETA3 = 1.2020569031595942854  # zeta(3)

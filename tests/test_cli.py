@@ -459,10 +459,11 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
 def test_cli_numeric_failures_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # dim: EmptyLevelError, a parent interval gets no children at kappa = 3
-    # or at a scale below 1; mollify: finite parameters whose knots overflow,
+    # or 1.5 on the default schedule, or at a scale below 1; mollify: finite parameters whose knots overflow,
     # so the mass is NaN, or whose box volume or L1 grid cell overflows;
     # goodfn: |a|^kappa |b| or f(1) past the float range
     for argv in (["dim", "--kappa", "3", "--schedule", "50,2500"],
+                 ["dim", "--kappa", "1.5"],
                  ["dim", "--schedule", "0.1,100"],
                  ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "1"],
                  ["mollify", "--delta", "1e308", "--gamma-box", "1e308", "--n", "2"],

@@ -29,6 +29,7 @@ from helpers import (
     primitive_pairs_reference,
     random_element,
     rng,
+    type_estimate_exact,
     violations,
 )
 
@@ -39,7 +40,7 @@ def test_cf_expand_golden_all_ones():
     cf = cf_expand(GOLDEN, 10)
     assert cf.quotients[0] == 1
     assert all(a == 1 for a in cf.quotients[1:])
-    assert not cf.terminated
+    assert len(cf.quotients) == 11  # ran to full depth
 
 
 def test_cf_expand_sqrt2():
@@ -50,12 +51,13 @@ def test_cf_expand_sqrt2():
 
 def test_cf_expand_rational_terminates():
     cf = cf_expand(0.5, 5)
-    assert cf.terminated
     assert cf.quotients == (0, 2)
 
 
-def _cf_triple(cf):
-    return list(cf.quotients), list(cf.convergents), cf.terminated
+def _cf_triple(cf, depth):
+    """The reference's (quotients, convergents, terminated): an expansion
+    stopped early holds fewer than depth + 1 quotients."""
+    return list(cf.quotients), list(cf.convergents), len(cf.quotients) <= depth
 
 
 def test_cf_expand_matches_reference(monkeypatch):
@@ -65,18 +67,18 @@ def test_cf_expand_matches_reference(monkeypatch):
         + list(r.uniform(0.0, 1e-3, 50))
     for x in xs:
         for depth in (1, 3, 12, 60):  # short depths stop unterminated
-            assert _cf_triple(cf_expand(x, depth)) == cf_expand_reference(x, depth), x
+            assert _cf_triple(cf_expand(x, depth), depth) == cf_expand_reference(x, depth), x
     # the noise-floor exit and the rational exit
-    assert cf_expand(math.pi, 60).terminated and cf_expand(0.5, 60).terminated
-    assert not cf_expand(math.pi, 3).terminated
+    assert _cf_triple(cf_expand(math.pi, 60), 60)[2] and _cf_triple(cf_expand(0.5, 60), 60)[2]
+    assert not _cf_triple(cf_expand(math.pi, 3), 3)[2]
     # the denominator-guard exit, which a float reaches only past its noise
     # floor at the real guard, so test it at a lowered one
     import homodyn.diophantine as dio
     monkeypatch.setattr(dio, "_Q_GUARD", 10**6)
     for x in (math.pi, math.sqrt(2.0), GOLDEN, -math.e):
         cf = cf_expand(x, 60)
-        assert cf.terminated and cf.convergents[-1][1] > 10**6
-        assert _cf_triple(cf) == cf_expand_reference(x, 60, q_guard=10**6)
+        assert len(cf.quotients) <= 60 and cf.convergents[-1][1] > 10**6
+        assert _cf_triple(cf, 60) == cf_expand_reference(x, 60, q_guard=10**6)
 
 
 def test_convergent_recurrence_and_alternation():
@@ -112,7 +114,7 @@ def test_type_estimate_planted_spike():
     conv = cf_from_quotients(quots).convergents
     q3 = conv[-1][1]
     planted = cf_from_quotients(quots + [q3 * q3])
-    est = type_estimate(planted)
+    est = type_estimate_exact(planted)
     spike = dict(((n, z) for n, q, z in est.series))
     # the spike shows at the index whose error is 1/q_{next} ~ q^-3
     assert spike[len(quots) - 1] == pytest.approx(3.0, abs=0.1)
@@ -121,7 +123,7 @@ def test_type_estimate_planted_spike():
 def test_type_estimate_planted_types():
     for zeta in (2.0, 3.0):
         cf = cf_from_quotients(planted_quotients(zeta))
-        assert type_estimate(cf).value == pytest.approx(zeta, abs=0.25)
+        assert type_estimate_exact(cf).value == pytest.approx(zeta, abs=0.25)
 
 
 def test_planted_quotients_refuse_a_rational():
@@ -137,21 +139,21 @@ def test_planted_quotients_refuse_a_rational():
 
 
 def test_exact_type_estimate_matches_fraction_path():
-    # the exact branch reads p_N / q_N off the last convergent: the integers,
-    # and the float image, of the Fraction(p_N, q_N) it replaces
+    # the exact estimator reads p_N / q_N off the last convergent: the
+    # integers, and the float image, of the Fraction(p_N, q_N) it replaces
     r = rng(5)
     lists = [planted_quotients(z) for z in (1.0, 2.0, 3.0, 7.5)]
     lists += [[0] + r.integers(1, 50, 12).tolist() for _ in range(20)]
     for quots in lists:
         cf = cf_from_quotients(quots)
         val = Fraction(*cf.convergents[-1])
-        assert cf.exact and cf.x == float(val)
+        assert cf.x == float(val)
         want = tuple(
             (n, q, -(math.log(abs(q * val.numerator - p * val.denominator))
                      - math.log(val.denominator)) / math.log(q))
             for n, (p, q) in enumerate(cf.convergents)
             if q >= 2 and q * val.numerator != p * val.denominator)
-        assert type_estimate(cf).series == want
+        assert type_estimate_exact(cf).series == want
 
 
 def test_type_estimate_dirichlet_floor():
@@ -211,7 +213,7 @@ def test_excursion_and_convergent_estimates_agree():
     for zeta in (1.0, 2.0, 3.0):
         quots = planted_quotients(zeta)
         cf = cf_from_quotients(quots)
-        z_conv = type_estimate(cf).value
+        z_conv = type_estimate_exact(cf).value
         p = reduce(slope_base(cf.x))
         z_exc, _ = excursion_type_estimate(p, 40.0)
         assert abs(z_exc - z_conv) <= 0.3

@@ -19,12 +19,12 @@ from homodyn.fractal import (
     dimension_lower_bound,
 )
 
-from helpers import build_tree_reference, sector_children_reference
+from helpers import build_tree_reference, sector_children_reference, tree_endpoints
 
 
 def test_single_level_tree_is_root():
     fam = build_tree(1.0, 0.0, 1, [50.0])
-    assert fam.endpoints(0) == [(Fraction(0), Fraction(1))]
+    assert tree_endpoints(fam, 0) == [(Fraction(0), Fraction(1))]
     assert len(fam.levels) - 1 == 1
     assert len(fam.levels[1]) > 0
 
@@ -36,7 +36,7 @@ def test_two_level_tree_kappa_one():
     # every level-1 interval received children (construction would raise)
     assert len(fam.levels[2]) >= len(fam.levels[1])
     # containment and disjointness at every level (parents are sorted)
-    levels = [fam.endpoints(j) for j in range(len(fam.levels))]
+    levels = [tree_endpoints(fam, j) for j in range(len(fam.levels))]
     for parents, children in zip(levels, levels[1:]):
         lows = [float(lo) for lo, _ in parents]
         for c_lo, c_hi in children:
@@ -62,8 +62,8 @@ def test_tree_matches_brute_force_packing():
     # brute-force packing of that parent at the same sector scale
     fam = build_tree(1.0, 0.0, 2, [10.0, 300.0])
     matched = 0
-    level2 = fam.endpoints(2)
-    for lo, hi in fam.endpoints(1):
+    level2 = tree_endpoints(fam, 2)
+    for lo, hi in tree_endpoints(fam, 1):
         got = [iv for iv in level2 if lo <= iv[0] and iv[1] <= hi]
         assert got == sector_children_reference(lo, hi, 300.0, 2)
         matched += len(got)
@@ -197,9 +197,9 @@ def test_build_tree_independent_of_block_sizes(monkeypatch):
 
 def test_endpoints_float_exponent():
     fam = build_tree(1.0, 0.5, 2, [5.0, 300.0])
-    assert not fam.exact and fam.endpoints(0) == [(0.0, 1.0)]
+    assert not fam.exact and tree_endpoints(fam, 0) == [(0.0, 1.0)]
     for j in (1, 2):
-        ends = fam.endpoints(j)
+        ends = tree_endpoints(fam, j)
         assert len(ends) == len(fam.levels[j])
         for (a, b), (lo, hi) in zip(fam.levels[j].tolist(), ends):
             assert (lo + hi) / 2 == pytest.approx(a / b, abs=1e-15)
@@ -271,7 +271,7 @@ def test_deepest_level_certificate():
     # endpoints via the stored interval midpoints
     fam = build_tree(1.0, 0.0, 2, [50.0, 2500.0])
     l_last = fam.l_schedule[-1]
-    for lo, hi in fam.endpoints(-1)[:200]:
+    for lo, hi in tree_endpoints(fam, -1)[:200]:
         mid = (lo + hi) / 2  # = a/b by construction
         b = mid.denominator
         assert l_last * math.sqrt(0.5) - 1 <= b <= 2 * l_last

@@ -7,7 +7,6 @@ import pytest
 
 from homodyn.diophantine import slope_base
 from homodyn.orbits import (
-    OrbitSeries,
     angle_weight,
     default_suite,
     discrepancy,
@@ -128,12 +127,6 @@ def test_sample_curve_start():
     q = reduce(GOLDEN_P.rep @ unipotent(1.0))  # x = 1 -> p * (1, 1; 0, 1)
     assert series.xs[0] == pytest.approx(q.z_reduced.real, abs=1e-9)
     assert series.ys[0] == pytest.approx(q.z_reduced.imag, abs=1e-9)
-
-
-def test_orbit_series_validation():
-    with pytest.raises(ValueError):
-        OrbitSeries("sparse", 0.0, np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
-                    np.zeros(2))
 
 
 def test_discrepancy_constant_function_is_zero():

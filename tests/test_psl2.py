@@ -57,6 +57,8 @@ def test_rejects_bad_input():
         GroupElement(1.0, 0.0, 0.0, -1.0)
     with pytest.raises(GroupError):
         unipotent(float("inf"))
+    with pytest.raises(GroupError):  # a = b = 0 gives det 0: the sign rule needs no c, d
+        GroupElement(0.0, 0.0, 1.0, 1.0)
 
 
 def test_sign_canonicalization():
