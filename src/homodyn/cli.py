@@ -95,6 +95,15 @@ def load_config(path: str) -> dict:
     return out
 
 
+_SVG_MAX = 2 * 10**6  # points an --svg scatter may draw
+
+
+def _check_svg(args, n: int) -> None:
+    """Refuse --svg above _SVG_MAX points, before any point is sampled."""
+    if args.svg and n > _SVG_MAX:
+        raise ConfigError(f"--svg draws at most {_SVG_MAX} points, not {n}")
+
+
 def _series_report(args, series) -> ExperimentReport:
     """Discrepancy table of an orbit sample; --threads is recorded, --svg drawn."""
     rep = discrepancy(series, default_suite())
@@ -105,11 +114,13 @@ def _series_report(args, series) -> ExperimentReport:
 
 
 def run_orbit(args) -> ExperimentReport:
+    _check_svg(args, args.N)
     p = reduce(parse_base(args.base))
     return _series_report(args, sample_sparse(p, args.gamma, args.N))
 
 
 def run_curve(args) -> ExperimentReport:
+    _check_svg(args, args.points)
     p = reduce(parse_base(args.base))
     check_capacity(args.points, "curve points")
     if not (1.0 <= args.xmax < math.inf):

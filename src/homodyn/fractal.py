@@ -213,6 +213,12 @@ def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLi
             pairs, pw, owner = _level_children(l, parents, parent_pw, e, exact, total)
         except EmptyLevelError as exc:
             sched = ",".join(f"{s:g}" for s in l_schedule)
+            # at the root every primitive a/b in the sector has its interval
+            # inside [0, 1], so only too small a scale leaves level 1 empty
+            if level == 1:
+                raise EmptyLevelError(
+                    f"level 1 of schedule {sched}: the first sector scale l={l:g} is too small "
+                    "to hold a primitive (a, b) with 0 < a < b and l <= |(a, b)| <= 2l") from None
             raise EmptyLevelError(f"level {level} of schedule {sched}: {exc}, at exponent kappa "
                                   f"+ eps + 1 = {e:g}; the schedule is too aggressive for this "
                                   "exponent") from None

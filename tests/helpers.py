@@ -274,7 +274,7 @@ def _ref_sector_children(l: float, parent, e, exact: bool):
     a_lo = np.maximum(a_lo, np.ceil(np.sqrt(np.maximum(l * l - bf * bf, 0.0)) - 1e-9))
     a_hi = np.floor(hi_f * bf + 1e-6)
     a_hi = np.minimum(a_hi, bf - 1.0)
-    a_hi = np.minimum(a_hi, np.floor(np.sqrt(4.0 * l * l - bf * bf) + 1e-9))
+    a_hi = np.minimum(a_hi, np.floor(np.sqrt(np.maximum(4.0 * l * l - bf * bf, 0.0)) + 1e-9))
     out = []
     l2, l4 = l * l, 4.0 * l * l
     for i in np.nonzero(a_lo <= a_hi)[0].tolist():
@@ -332,6 +332,12 @@ def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int 
         level_pairs, worst, max_diam = [], math.inf, 0.0
         for parent, parent_len in zip(parents, parent_lens):
             children = _ref_sector_children(l, parent, e, exact)
+            if not children and level == 1:
+                raise EmptyLevelError(
+                    f"level 1 of schedule {','.join(f'{s:g}' for s in l_schedule)}: "
+                    f"the first sector scale l={l:g} is too small to hold a primitive "
+                    f"(a, b) with 0 < a < b and l <= |(a, b)| <= 2l"
+                )
             if not children:
                 if exact:
                     (plo, qlo), (phi, qhi) = parent
@@ -486,6 +492,27 @@ def emit_svg_reference(xs, ys, path: str) -> None:
     width = x1 - x0
     height = y1 - y0
     body = "\n".join(marks)
+    svg = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{x0} {-y1} {width} {height}">\n'
+        f'<rect x="{x0}" y="{-y1}" width="{width}" height="{height}" '
+        f'fill="white" stroke="black" stroke-width="0.004"/>\n'
+        f'<g fill="black">\n{body}\n</g>\n</svg>\n'
+    )
+    with open(path, "w", newline="\n", encoding="ascii") as fh:
+        fh.write(svg)
+
+
+def emit_svg_fstring(xs, ys, path: str) -> None:
+    """Reference for report.emit_svg: its former writer, one f-string per
+    marker, deduped on the printed line by dict.fromkeys."""
+    x0, y0, x1, y1 = (-0.6, 0.8, 0.6, 4.0)
+    # SVG y axis points down: plot (x, -y)
+    marks = (f'<circle cx="{float(x):.6f}" cy="{-min(float(y), y1):.6f}" r="0.006"/>'
+             for x, y in zip(xs, ys))
+    width = x1 - x0
+    height = y1 - y0
+    body = "\n".join(dict.fromkeys(marks))
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {-y1} {width} {height}">\n'

@@ -24,7 +24,7 @@ from homodyn.psl2 import GroupElement, identity
 from homodyn.report import ExperimentReport, emit_csv, emit_svg
 from homodyn.surface import reduce
 
-from helpers import emit_svg_reference, psl_allclose
+from helpers import emit_svg_fstring, emit_svg_reference, psl_allclose
 
 
 def run_cli(args):
@@ -96,6 +96,109 @@ def test_svg_drops_only_repeated_lines(tmp_path, base):
     new_lines = new.read_text().splitlines()
     assert len(new_lines) < len(ref_lines)  # the rounded keys let repeats through
     assert new_lines == list(dict.fromkeys(ref_lines))
+
+
+def _assert_svg_matches_fstring(xs, ys, directory):
+    new, ref = directory / "new.svg", directory / "ref.svg"
+    emit_svg(xs, ys, str(new))
+    emit_svg_fstring(xs, ys, str(ref))
+    assert new.read_bytes() == ref.read_bytes()
+    return new.read_text().count("<circle")
+
+
+def test_svg_matches_fstring_writer_on_adversarial_points(tmp_path):
+    tie = 0.1234565
+    # rounding ties (0.0078125 is one in binary too), signed zeros and
+    # values that print -0.000000, the cell's edges, points apart only
+    # below print precision, and heights at and above the border
+    xs = [tie, tie + 1e-12, tie - 1e-12, -0.4999995, 0.0078125, -0.0078125, -0.0, 0.0,
+          1e-9, -1e-9, 0.5, -0.5, math.nextafter(0.5, 1.0), 0.2, 0.2 + 1e-8]
+    ys = [1.0000005, 3.9999995, 2.0000025, tie, 0.4999995, 4.0, 4.0000001, 9.9, 1e300,
+          1.5, 1.5 + 1e-8, 1e-9, 1e-300]
+    px, py = zip(*[(x, y) for x in xs for y in ys])
+    markers = _assert_svg_matches_fstring(2 * px, 2 * py, tmp_path)  # exact repeats too
+    assert markers < len(px)
+    assert _assert_svg_matches_fstring([], [], tmp_path) == 0
+
+
+# coordinates with 6 to 8 decimals: every value with 7 or 8 whose last
+# digit is 5 is a rounding tie of %.6f
+@st.composite
+def _decimal_points(draw):
+    scale = 10 ** draw(st.integers(6, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(-scale // 2, scale // 2),
+                                    st.integers(1, 5 * scale)), max_size=60))
+    pairs += pairs[::3]
+    return [m / scale for m, _ in pairs], [m / scale for _, m in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_decimal_points())
+def test_svg_matches_fstring_writer_on_decimal_points(points):
+    with tempfile.TemporaryDirectory() as d:
+        _assert_svg_matches_fstring(*points, Path(d))
+
+
+@pytest.mark.parametrize("x,y", [(0.6, 1.0), (-0.5 - 1e-6, 1.0), (0.0, 0.0), (0.0, -1.0),
+                                 (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                 (math.inf, 1.0)])
+def test_svg_refuses_unreduced_points(tmp_path, x, y):
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match=r"SVG point 2 \(.*\) is not a reduced point"):
+        emit_svg([0.0, 0.1, x, 0.2], [1.0, 2.0, y, 3.0], str(path))
+    assert not path.exists()
+
+
+class _Sampled(Exception):
+    pass
+
+
+def test_svg_cap_refuses_before_sampling(tmp_path, monkeypatch):
+    import homodyn.cli as cli
+
+    def sampled(*args):
+        raise _Sampled
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "sample_sparse", sampled)
+    monkeypatch.setattr(cli, "sample_curve", sampled)
+    cap = cli._SVG_MAX
+    for argv in (["orbit", "--N", str(cap + 1), "--svg", "o.svg", "--out", "o.csv"],
+                 ["curve", "--points", str(cap + 1), "--svg", "o.svg", "--out", "o.csv"]):
+        code, _, err = _run_quiet(argv)
+        assert code == 1, argv
+        _assert_one_line(err, f"config error: --svg draws at most {cap} points", argv)
+        assert not list(tmp_path.iterdir()), argv  # no SVG, no CSV
+    # at the cap, and above it without --svg, sampling starts
+    for argv in (["orbit", "--N", str(cap), "--svg", "o.svg"],
+                 ["curve", "--points", str(cap), "--svg", "o.svg"],
+                 ["orbit", "--N", str(cap + 1)]):
+        with pytest.raises(_Sampled):
+            run_cli(argv)
+
+
+# a launcher between pytest and the command: the child's ru_maxrss holds
+# the RSS of the process it was forked from, so it must be a small one
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+_SVG_EXTRA_MB = 10.0  # the f-string writer added 29 MB at this N
+
+
+def test_svg_adds_bounded_memory(tmp_path):
+    def peak_mb(*flags):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "homodyn.cli",
+             "orbit", "--N", "200000", *flags],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path, env=_child_env(),
+            check=True)
+        return int(proc.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
+
+    plain, svg = peak_mb(), peak_mb("--svg", "o.svg")
+    assert (tmp_path / "o.svg").read_text().count("<circle") > 10**5
+    assert svg - plain <= _SVG_EXTRA_MB, (plain, svg)
 
 
 def test_cli_constants_table(capsys, tmp_path, monkeypatch):
@@ -485,6 +588,18 @@ def test_cli_numeric_failures_exit_2(tmp_path, monkeypatch):
         code, _, err = _run_quiet(argv)
         assert code == 2, argv
         _assert_one_line(err, "numeric failure: ", argv)
+
+
+@pytest.mark.parametrize("argv", [["dim", "--schedule", "0.1,100"],
+                                  ["dim", "--levels", "1", "--schedule", "0.5"]])
+def test_dim_empty_first_level_names_the_scale(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run_quiet(argv)
+    assert code == 2
+    schedule = argv[-1]
+    _assert_one_line(err, f"numeric failure: level 1 of schedule {schedule}: the first "
+                          f"sector scale l={schedule.split(',')[0]} is too small", argv)
+    assert "exponent" not in err
 
 
 def test_cli_config_booleans(tmp_path, capsys, monkeypatch):

@@ -96,7 +96,8 @@ def test_sector_children_ratio_stability():
 
 
 # (kappa, eps, schedule): exponent e = 2, 3, 4 and the float exponent 2.5,
-# one to three levels; the last three stop with EmptyLevelError
+# one to three levels; the last five stop with EmptyLevelError, the last
+# two at level 1, whose scale is too small for any child
 _REFERENCE_CASES = [
     (1.0, 0.0, [50.0]),
     (1.0, 0.0, [10.0, 300.0]),
@@ -108,6 +109,8 @@ _REFERENCE_CASES = [
     (3.0, 0.0, [50.0, 2500.0]),
     (1.0, 0.5, [3.0, 60.0, 3000.0]),
     (3.0, 0.0, [2.0, 350.0, 49999.0]),
+    (1.0, 0.0, [0.5]),
+    (1.0, 0.0, [0.1, 100.0]),
 ]
 
 
