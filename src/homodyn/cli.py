@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import math
 import re
 import sys
@@ -14,41 +16,46 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diophantine import (
-    DivergentOrbitError,
-    OpenExcursionError,
-    cf_expand,
-    cf_from_quotients,
-    excursion_type_estimate,
-    exponent_bundle,
-    planted_quotients,
-    point_type_check,
-    slope_base,
-    type_estimate,
-)
-from .fractal import assembled_dimension, build_tree, cover_sum, dimension_lower_bound
-from .goodfn import GoodFnParams, verify_good
-from .lattice import SectorQuery, check_capacity, enumerate_orbit, gap_constants, sector_count
-from .mollify import (
-    MollifierSpec,
-    box_decay_report,
-    verify_mollifier,
-    weighted_box_average,
-)
-from .orbits import (
-    default_suite,
-    discrepancy,
-    golden_ratio,
-    height_band,
-    piece_decomposition,
-    progression_average,
-    sample_curve,
-    sample_sparse,
-    twisted_average,
-)
-from .psl2 import GroupElement, identity
+from .psl2 import GroupElement, golden_ratio, identity, slope_base
 from .report import ExperimentReport, emit_csv, emit_svg
-from .surface import reduce
+
+# module -> the names the runners call from it.  A command imports only the
+# modules of its experiment (see _RUNNERS): their names are bound into this
+# module's globals on first use.
+_HELPERS = {
+    "diophantine": ("DivergentOrbitError", "OpenExcursionError", "cf_expand",
+                    "cf_from_quotients", "excursion_type_estimate", "exponent_bundle",
+                    "planted_quotients", "point_type_check", "type_estimate"),
+    "fractal": ("assembled_dimension", "build_tree", "cover_sum", "dimension_lower_bound"),
+    "goodfn": ("GoodFnParams", "verify_good"),
+    "lattice": ("SectorQuery", "check_capacity", "enumerate_orbit", "gap_constants",
+                "sector_count"),
+    "mollify": ("MollifierSpec", "box_decay_report", "verify_mollifier",
+                "weighted_box_average"),
+    "orbits": ("default_suite", "discrepancy", "height_band", "piece_decomposition",
+               "progression_average", "sample_curve", "sample_sparse", "twisted_average"),
+    "surface": ("reduce",),
+}
+_HOME = {name: module for module, names in _HELPERS.items() for name in names}
+
+
+def _bind(*modules) -> None:
+    """Import ``modules`` and bind their helper names here.  A name already
+    bound keeps its value, so a function set on this module from outside
+    (a test's fake, the benchmark's span wrapper) stays in place."""
+    names = globals()
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in _HELPERS[module]:
+            names.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    """Every helper is an attribute of this module, bound on first lookup."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
 
 
 class ConfigError(ValueError):
@@ -69,6 +76,7 @@ def parse_base(text: str) -> GroupElement:
         return slope_base(math.e)
     m = re.fullmatch(r"liouville\((\d+(?:\.\d+)?)\)", t)
     if m:
+        _bind("diophantine")
         zeta = float(m.group(1))
         return slope_base(cf_from_quotients(planted_quotients(zeta)).x)
     parts = [p for p in text.split(",") if p.strip()]
@@ -271,10 +279,20 @@ def run_constants(args) -> ExperimentReport:
     return rep
 
 
+# experiment -> (runner, the modules whose helpers it calls)
 _RUNNERS = {
-    "orbit": run_orbit, "curve": run_curve, "twist": run_twist, "prog": run_prog,
-    "pieces": run_pieces, "dio": run_dio, "goodfn": run_goodfn, "count": run_count,
-    "dim": run_dim, "mollify": run_mollify, "box": run_box, "constants": run_constants,
+    "orbit": (run_orbit, ("orbits", "surface")),
+    "curve": (run_curve, ("lattice", "orbits", "surface")),
+    "twist": (run_twist, ("orbits", "surface")),
+    "prog": (run_prog, ("orbits", "surface")),
+    "pieces": (run_pieces, ("orbits", "surface")),
+    "dio": (run_dio, ("diophantine", "surface")),
+    "goodfn": (run_goodfn, ("goodfn",)),
+    "count": (run_count, ("lattice",)),
+    "dim": (run_dim, ("fractal",)),
+    "mollify": (run_mollify, ("mollify",)),
+    "box": (run_box, ("mollify", "orbits", "surface")),
+    "constants": (run_constants, ("diophantine",)),
 }
 
 
@@ -416,7 +434,8 @@ def _apply_config(argv):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    as_program = argv is None
+    argv = list(sys.argv[1:] if as_program else argv)
     parser = build_parser()
     try:
         if argv and argv[0] in _RUNNERS:
@@ -428,8 +447,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for bad flags: map the latter to 1
         return 0 if exc.code in (0, None) else 1
+    runner, modules = _RUNNERS[args.experiment]
+    _bind(*modules)
+    if as_program:
+        # The process ends with this command, so what exists now (modules,
+        # parser) lives to the exit: frozen, no collection traverses it, the
+        # full ones of interpreter teardown included.  Called with argv, main
+        # runs inside a process that goes on, and leaves its heap alone.
+        gc.freeze()
     try:
-        report = _RUNNERS[args.experiment](args)
+        report = runner(args)
     except ValueError as exc:  # bad parameters: every parameter check raises one
         print(f"config error: {exc}", file=sys.stderr)
         return 1

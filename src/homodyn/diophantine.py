@@ -10,7 +10,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import check_capacity, coprime_mask, pair_blocks
-from .psl2 import GroupElement
 from .surface import SurfacePoint, excursion_profile
 
 _Q_GUARD = 2**62  # convergent denominators stay below this (exact int range)
@@ -277,8 +276,3 @@ def exponent_bundle(s: float, kappa_list, epsilon: float = 1e-3) -> ExponentBund
     g_prog = min(2.0 * beta / (k + 4.0) for k in kappa_list)
     return ExponentBundle(kappa_mix=kappa_mix, beta=beta,
                           gamma0_spectral=g_spec, gamma0_progression=g_prog)
-
-
-def slope_base(x: float) -> GroupElement:
-    """A determinant-one representative with top-left/bottom-left ratio x."""
-    return GroupElement(x, -1.0, 1.0, 0.0)

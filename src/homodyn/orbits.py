@@ -20,8 +20,6 @@ FUNDAMENTAL_AREA = math.pi / 3.0
 _CHUNK = 8192         # points per kernel call: bounds the kernels' temporaries
 _QUAD_POINTS = 1000   # fewest midpoint nodes of a twisted average
 
-golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
-
 
 class TestFunction:
     """A bounded observable on the quotient, evaluated in reduced coordinates.

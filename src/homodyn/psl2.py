@@ -110,6 +110,14 @@ def identity() -> GroupElement:
     return GroupElement(1.0, 0.0, 0.0, 1.0)
 
 
+golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def slope_base(x: float) -> GroupElement:
+    """A determinant-one representative with top-left/bottom-left ratio x."""
+    return GroupElement(x, -1.0, 1.0, 0.0)
+
+
 def unipotent(t: float) -> GroupElement:
     """The horocyclic shear u(t) = (1, t; 0, 1)."""
     if not math.isfinite(t):

@@ -78,6 +78,18 @@ def _marker_lines(keys) -> bytes:
     return buf.tobytes().replace(b"\0", b"")
 
 
+def _first_occurrences(keys):
+    """Indices of the first occurrence of each distinct key, ascending.  The
+    (unstable) argsort leaves each run of equal keys in any order, so the
+    run's smallest index is its first occurrence."""
+    if not keys.size:
+        return np.empty(0, np.intp)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return np.sort(np.minimum.reduceat(order, starts))
+
+
 def emit_svg(xs, ys, path: str) -> None:
     """Scatter of fundamental-domain points; y > 4 is drawn on the top border.
 
@@ -103,7 +115,7 @@ def emit_svg(xs, ys, path: str) -> None:
             raise ValueError(f"SVG point {i} ({float(xs[i])!r}, {float(ys[i])!r}) is not "
                              "a reduced point: need |x| <= 1/2 and finite y > 0")
         keys[lo:lo + x.size] = _field_codes(x) << 24 | _field_codes(-np.minimum(y, y1))
-    keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    keys = keys[_first_occurrences(keys)]
     width = x1 - x0
     height = y1 - y0
     head = (

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from homodyn.cli import main as cli_main
-from homodyn.diophantine import exponent_bundle, slope_base
+from homodyn.diophantine import exponent_bundle
 from homodyn.fractal import (
     EmptyLevelError,
     assembled_dimension,
@@ -27,14 +27,13 @@ from homodyn.orbits import (
     angle_weight,
     default_suite,
     fejer_coefficient_check,
-    golden_ratio,
     height_band,
     hyperbolic_disc,
     progression_average,
     sample_sparse,
     twisted_average,
 )
-from homodyn.psl2 import IwasawaNAK, hyperbolic_distance, identity, unipotent
+from homodyn.psl2 import IwasawaNAK, golden_ratio, hyperbolic_distance, identity, slope_base, unipotent
 from homodyn.surface import reduce
 
 from helpers import gamma_to_element, psl_allclose, random_gamma_word, rng

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import math
 import os
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 
 import homodyn
 from homodyn.cli import build_parser, main, parse_base
-from homodyn.orbits import golden_ratio, sample_sparse
-from homodyn.psl2 import GroupElement, identity
+from homodyn.orbits import sample_sparse
+from homodyn.psl2 import GroupElement, golden_ratio, identity
 from homodyn.report import ExperimentReport, emit_csv, emit_svg
 from homodyn.surface import reduce
 
@@ -119,6 +120,8 @@ def test_svg_matches_fstring_writer_on_adversarial_points(tmp_path):
     markers = _assert_svg_matches_fstring(2 * px, 2 * py, tmp_path)  # exact repeats too
     assert markers < len(px)
     assert _assert_svg_matches_fstring([], [], tmp_path) == 0
+    assert _assert_svg_matches_fstring([0.25] * 50, [2.0] * 50, tmp_path) == 1  # all keys equal
+    assert _assert_svg_matches_fstring([-0.25], [1.5], tmp_path) == 1  # a single key
 
 
 # coordinates with 6 to 8 decimals: every value with 7 or 8 whose last
@@ -261,13 +264,32 @@ def _child_env() -> dict:
     return env
 
 
-def test_cli_entrypoint_subprocess(tmp_path):
+def test_cli_entrypoint_subprocess(tmp_path, monkeypatch):
+    # run as the program, main freezes the heap; the output is the same
     proc = subprocess.run(
         [sys.executable, "-m", "homodyn.cli", "constants", "--s", "0.5"],
         capture_output=True, text=True, timeout=120, cwd=tmp_path, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "gamma0" in proc.stdout
+    child_csv = (tmp_path / "homodyn_constants.csv").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert _run_quiet(["constants", "--s", "0.5", "--out", "in_process.csv"]) == (
+        0, proc.stdout, "")
+    assert (tmp_path / "in_process.csv").read_bytes() == child_csv
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(tmp_path, monkeypatch):
+    # tests and the benchmark's traced pass call main(argv) in a process
+    # that goes on running: its heap must stay collectable
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    try:
+        assert run_cli(["constants"]) == 0
+        assert gc.get_freeze_count() == frozen
+    finally:
+        if gc.get_freeze_count() != frozen:
+            gc.unfreeze()
 
 
 def test_cli_pieces_and_box_smoke(capsys, tmp_path, monkeypatch):
@@ -416,6 +438,74 @@ def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, monkeypatch):
         code, out, err = _run_quiet(argv)
         assert (code, err) == (0, ""), argv
         assert out
+
+
+# the homodyn modules a command loads besides cli, psl2 and report: its
+# experiment's modules and what they import
+_ORBITS = {"goodfn", "lattice", "orbits", "surface"}
+_LOADED = {
+    "orbit": _ORBITS, "curve": _ORBITS, "pieces": _ORBITS, "twist": _ORBITS,
+    "prog": _ORBITS, "box": _ORBITS | {"mollify"}, "mollify": _ORBITS | {"mollify"},
+    "dio": {"diophantine", "lattice", "surface"},
+    "constants": {"diophantine", "lattice", "surface"},
+    "goodfn": {"goodfn", "lattice", "surface"},
+    "count": {"lattice"},
+    "dim": {"fractal", "lattice"},
+}
+# main() reads the command from sys.argv, as the homodyn script does; then
+# the child prints the homodyn modules it loaded and its freeze count
+_FRESH_MAIN = """
+import gc, sys
+from homodyn.cli import main
+code = main()
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("homodyn."))
+print(" ".join(loaded), gc.get_freeze_count() > 0)
+sys.exit(code)
+"""
+
+
+def test_cli_small_runs_in_fresh_processes_load_only_their_modules(tmp_path):
+    # in-process runs cannot see a missing bind: every homodyn module is
+    # already imported here
+    assert {argv[0] for argv in _SMALL_RUNS} == set(_LOADED)
+    for argv in _SMALL_RUNS + [["orbit", "--N", "50", "--base", "liouville(2)"]]:
+        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], capture_output=True,
+                              text=True, timeout=300, cwd=tmp_path, env=_child_env())
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        *out, last = proc.stdout.splitlines()
+        loaded = _LOADED[argv[0]] | {"cli", "psl2", "report"}
+        if "liouville(2)" in argv:
+            loaded |= {"diophantine"}
+        assert out and last == " ".join(sorted(loaded)) + " True", argv
+
+
+def _named_in(fn):
+    """Global names the code of fn and of the nested code in it looks up."""
+    names, codes = set(), [fn.__code__]
+    while codes:
+        code = codes.pop()
+        names |= set(code.co_names)
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+    return names
+
+
+def test_runners_name_only_helpers_of_their_modules():
+    # a helper is bound only when one of its experiment's modules is: the
+    # runner and the private cli functions it calls name no other
+    import homodyn.cli as cli
+
+    for experiment, (runner, modules) in cli._RUNNERS.items():
+        todo, seen, named = [runner], set(), set()
+        while todo:
+            fn = todo.pop()
+            seen.add(fn)
+            names = _named_in(fn)
+            named |= names & set(cli._HOME)
+            todo += [f for n in names if n.startswith("_")
+                     and hasattr(f := vars(cli).get(n), "__code__") and f not in seen]
+        assert named, experiment
+        strays = {n: cli._HOME[n] for n in named if cli._HOME[n] not in modules}
+        assert not strays, (experiment, strays)
 
 
 def _readme_commands():
@@ -616,13 +706,15 @@ def test_cli_config_booleans(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # the product path needs numpy only; scipy is a test-only oracle
+    # the product path needs numpy only; scipy is a test-only oracle.  And
+    # the experiments' modules load with their commands, not with cli.
     code = ("import sys, homodyn.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'homodyn')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == str(["homodyn", "homodyn.cli", "homodyn.psl2",
+                                       "homodyn.report"])
 
 
 _FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e200", "1e308", "abc"]

@@ -16,11 +16,10 @@ from homodyn.diophantine import (
     exponent_bundle,
     planted_quotients,
     point_type_check,
-    slope_base,
     type_estimate,
 )
 from homodyn.lattice import _BLOCK, CapacityError, coprime_mask, pair_blocks
-from homodyn.psl2 import identity, unipotent, diagonal_flow
+from homodyn.psl2 import diagonal_flow, identity, slope_base, unipotent
 from homodyn.surface import reduce
 
 from helpers import (

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from homodyn.diophantine import slope_base
 from homodyn.goodfn import (
     GoodFnParams,
     curve_hit_ratios,
@@ -15,6 +14,7 @@ from homodyn.goodfn import (
     sublevel_floor,
     verify_good,
 )
+from homodyn.psl2 import slope_base
 from homodyn.surface import reduce
 
 from helpers import eval_g_prime, verify_good_reference

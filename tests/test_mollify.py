@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from homodyn.diophantine import slope_base
 from homodyn.mollify import (
     INJECTIVITY_FACTOR,
     MollifierSpec,
@@ -17,8 +16,8 @@ from homodyn.mollify import (
     verify_mollifier,
     weighted_box_average,
 )
-from homodyn.orbits import golden_ratio, height_band
-from homodyn.psl2 import identity, unipotent
+from homodyn.orbits import height_band
+from homodyn.psl2 import golden_ratio, identity, slope_base, unipotent
 from homodyn.surface import cusp_norm, reduce
 from helpers import bump_kernel, eval_mollifier, geodesic_flow
 

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from homodyn.diophantine import slope_base
 from homodyn.orbits import (
     angle_weight,
     default_suite,
     discrepancy,
     fejer_coefficient_check,
-    golden_ratio,
     height_band,
     horocycle_points,
     hyperbolic_disc,
@@ -23,7 +21,7 @@ from homodyn.orbits import (
     smooth_bump,
     twisted_average,
 )
-from homodyn.psl2 import GroupElement, identity, unipotent, diagonal_flow
+from homodyn.psl2 import GroupElement, diagonal_flow, golden_ratio, identity, slope_base, unipotent
 from homodyn.surface import reduce
 from helpers import PHI2, ZETA3, eisenstein_e2, haar_integral, reduced_rep_reference
 

@@ -327,8 +327,8 @@ def test_lattice_min_sq_matches_scalar_reference():
 
 
 def test_sample_sparse_blocks_concatenate():
-    from homodyn.diophantine import slope_base
-    from homodyn.orbits import _CHUNK, golden_ratio, horocycle_points, sample_sparse
+    from homodyn.orbits import _CHUNK, horocycle_points, sample_sparse
+    from homodyn.psl2 import golden_ratio, slope_base
 
     p = reduce(slope_base(golden_ratio))
     n = 2 * _CHUNK + 1
