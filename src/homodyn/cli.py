@@ -181,8 +181,7 @@ def run_dio(args) -> ExperimentReport:
     )
     if args.x is not None:
         cf = cf_expand(args.x, args.depth)
-        est = type_estimate(cf)
-        rep.add_row("type_estimate", est.value)
+        rep.add_row("type_estimate", type_estimate(cf))
         rep.add_row("quotient_count", len(cf.quotients))
         p = reduce(slope_base(args.x))
     else:
@@ -193,8 +192,7 @@ def run_dio(args) -> ExperimentReport:
     rep.add_row("witness_symmetric", witness.symmetric)
     rep.add_row("axis_vectors", len(witness.axis_vectors))
     try:
-        kappa_hat, _ = excursion_type_estimate(p, args.tmax)
-        rep.add_row("excursion_type", kappa_hat)
+        rep.add_row("excursion_type", excursion_type_estimate(p, args.tmax))
     except (DivergentOrbitError, OpenExcursionError):
         rep.add_row("excursion_type", float("nan"))
     return rep
@@ -413,24 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv):
-    """Config-file values become defaults; explicit flags win.  A value of
-    true or false turns into the switch --key or --no-key."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config needs a path")
-    cfg = load_config(argv[i + 1])
-    sub = argv[0]
+def _apply_config(argv, path):
+    """argv with the values of config file path as defaults: they go before
+    the explicit flags, and argparse keeps a flag's last value, so these
+    win however they are spelled.  A value of true or false turns into the
+    switch --key or --no-key."""
     extra = []
-    for key, value in cfg.items():
-        flag, no_flag = f"--{key}", f"--no-{key}"
-        if flag in argv or no_flag in argv:
-            continue
-        switch = {"true": [flag], "false": [no_flag]}.get(value.lower())
-        extra.extend(switch or [flag, value])
-    return [sub] + extra + argv[1:]
+    for key, value in load_config(path).items():
+        switch = {"true": [f"--{key}"], "false": [f"--no-{key}"]}.get(value.lower())
+        extra.extend(switch or [f"--{key}", value])
+    return argv[:1] + extra + argv[1:]
 
 
 def main(argv=None) -> int:
@@ -438,9 +428,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if as_program else argv)
     parser = build_parser()
     try:
-        if argv and argv[0] in _RUNNERS:
-            argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        if args.config is not None:  # --config FILE or --config=FILE
+            args = parser.parse_args(_apply_config(argv, args.config))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -463,12 +453,21 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError, OSError) as exc:  # numeric failure
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    for key, value in report.params.items():
-        print(f"# {key} = {value}")
-    for row in report.rows[:40]:
-        print(",".join(str(v) for v in row))
+    text = "".join(f"# {key} = {value}\n" for key, value in report.params.items())
+    text += "".join(",".join(str(v) for v in row) + "\n" for row in report.rows[:40])
     if len(report.rows) > 40:
-        print(f"# ... {len(report.rows) - 40} more rows")
+        text += f"# ... {len(report.rows) - 40} more rows\n"
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        import os
+
+        # what the buffer still holds goes nowhere, so the flush at exit
+        # adds no line to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that stops early is no failure
+            print(f"numeric failure: cannot write stdout: {exc}", file=sys.stderr)
+            return 2
     out = args.out or f"homodyn_{args.experiment}.csv"
     try:
         emit_csv(report, out)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,28 +115,21 @@ def planted_quotients(zeta: float):
     return quotients
 
 
-class TypeEstimate(NamedTuple):
-    value: float
-    series: tuple  # (n, q_n, zeta_n) per admissible index
-
-
-def type_estimate(cf: ContinuedFraction) -> TypeEstimate:
+def type_estimate(cf: ContinuedFraction) -> float:
     """Approximation-exponent estimate from the convergents.
 
     zeta_n = -log|q_n x - p_n| / log q_n per index, on the float x; the
-    reported value is the deepest admissible index (exact-zero errors are
-    skipped).  For a number of type zeta the series settles toward [1, zeta].
+    estimate is zeta_n at the deepest admissible index (exact-zero errors
+    are skipped).  For a number of type zeta the series settles toward
+    [1, zeta].
     """
     if len(cf.convergents) < 3:
         raise ValueError("need at least 3 convergents")
-    series = []
-    for n, (p, q) in enumerate(cf.convergents):
+    for p, q in reversed(cf.convergents):
         err = abs(q * cf.x - p)
         if q >= 2 and err > 0.0:
-            series.append((n, q, -math.log(err) / math.log(q)))
-    if not series:
-        raise ValueError("no admissible convergent index")
-    return TypeEstimate(series[-1][2], tuple(series))
+            return -math.log(err) / math.log(q)
+    raise ValueError("no admissible convergent index")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +186,7 @@ def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
     return (witness,)
 
 
-def excursion_type_estimate(p: SurfacePoint, t_max: float) -> tuple:
+def excursion_type_estimate(p: SurfacePoint, t_max: float) -> float:
     """Type exponent from the gated excursion profile of the geodesic orbit.
 
     Fits the record-peak envelope slope m and inverts kappa = (1+m)/(1-m).
@@ -233,7 +225,7 @@ def excursion_type_estimate(p: SurfacePoint, t_max: float) -> tuple:
                 )
     if not peaks:
         if float(np.max(vals)) == 0.0:
-            return 1.0, []  # never entered the gate: bounded, type 1
+            return 1.0  # never entered the gate: bounded, type 1
         raise OpenExcursionError("no completed excursion below t_max; increase t_max")
     if len(peaks) == 1:
         t1, v1 = peaks[0]
@@ -242,7 +234,7 @@ def excursion_type_estimate(p: SurfacePoint, t_max: float) -> tuple:
         arr = np.asarray(peaks)
         slope = float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0])
     slope = min(max(slope, 0.0), 1.0 - 1e-9)
-    return (1.0 + slope) / (1.0 - slope), peaks
+    return (1.0 + slope) / (1.0 - slope)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,17 +30,14 @@ class TreeLikeFamily:
 
     levels[j] is an int64 array of shape (k_j, 2), sorted by slope: row
     (a, b) is the interval [a/b - (1/18) b^-e, a/b + (1/18) b^-e] with
-    e = exponent.  Level 0, the root [0, 1], has no slope pair and is stored
-    empty.  d_j is the largest diameter at level j; Delta_j the smallest
-    child-mass fraction over level-j parents.
+    e = kappa + eps + 1.  Level 0, the root [0, 1], has no slope pair and is
+    stored empty.  d_j is the largest diameter at level j; Delta_j the
+    smallest child-mass fraction over level-j parents.
     """
 
-    l_schedule: list
     levels: list
     diameters: list
     densities: list
-    exact: bool
-    exponent: float  # e, an int in exact mode
 
 
 def _child_endpoints_int(a: int, b: int, e: int):
@@ -230,10 +227,7 @@ def build_tree(kappa: float, eps: float, level_count: int, l_schedule) -> TreeLi
         diameters.append(float(widths.max()))
         levels.append(pairs)
         parents, parent_pw = pairs, pw
-    return TreeLikeFamily(
-        l_schedule=l_schedule, levels=levels, diameters=diameters,
-        densities=densities, exact=exact, exponent=e,
-    )
+    return TreeLikeFamily(levels=levels, diameters=diameters, densities=densities)
 
 
 class DimensionBound(NamedTuple):

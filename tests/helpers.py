@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from homodyn.diophantine import DiophantineWitness, TypeEstimate
+from homodyn.diophantine import DiophantineWitness
 from homodyn.fractal import _child_endpoints_int
 from homodyn.mollify import MollifierSpec, mollifier_profile
 from homodyn.orbits import FUNDAMENTAL_AREA
@@ -298,15 +298,16 @@ def _ref_sector_children(l: float, parent, e, exact: bool):
     return out
 
 
-def tree_endpoints(fam, j: int) -> list:
-    """Level j's (lo, hi) intervals of a TreeLikeFamily: Fractions when the
-    exponent is an integer (fam.exact), floats otherwise."""
+def tree_endpoints(fam, j: int, e) -> list:
+    """Level j's (lo, hi) intervals of a TreeLikeFamily built at exponent
+    e = kappa + eps + 1: Fractions when e is an int (build_tree's exact
+    mode), floats otherwise."""
     j = range(len(fam.levels))[j]
+    exact = isinstance(e, int)
     if j == 0:
-        return [(Fraction(0), Fraction(1))] if fam.exact else [(0.0, 1.0)]
-    e = fam.exponent
+        return [(Fraction(0), Fraction(1))] if exact else [(0.0, 1.0)]
     pairs = fam.levels[j].tolist()
-    if fam.exact:
+    if exact:
         return [(Fraction(*lo), Fraction(*hi))
                 for lo, hi in (_child_endpoints_int(a, b, e) for a, b in pairs)]
     return [(a / b - (1.0 / 18.0) * float(b) ** (-e),
@@ -551,21 +552,35 @@ def cf_expand_reference(x: float, depth: int, q_guard: int = 2**62):
     return qs, convergents(qs), False
 
 
-def type_estimate_exact(cf) -> TypeEstimate:
-    """diophantine.type_estimate on the rational p_N / q_N of the last
-    convergent, in integers: the planted-type checks read the number that
-    the quotient list defines, not its float image."""
+def type_series(cf, exact: bool = False) -> tuple:
+    """(n, q_n, zeta_n) per admissible convergent index, the series whose
+    deepest entry diophantine.type_estimate returns: zeta_n =
+    -log|q_n x - p_n| / log q_n on the float x or, with exact, on the
+    rational p_N / q_N of the last convergent, in integers (the planted-type
+    checks read the number that the quotient list defines, not its float
+    image)."""
     if len(cf.convergents) < 3:
         raise ValueError("need at least 3 convergents")
     p_last, q_last = cf.convergents[-1]  # coprime: the exact value in lowest terms
     series = []
     for n, (p, q) in enumerate(cf.convergents):
-        num = abs(q * p_last - p * q_last)
-        if q >= 2 and num != 0:  # the terminal convergent has num = 0
-            series.append((n, q, -(math.log(num) - math.log(q_last)) / math.log(q)))
+        if exact:
+            num = abs(q * p_last - p * q_last)
+            if q >= 2 and num != 0:  # the terminal convergent has num = 0
+                series.append((n, q, -(math.log(num) - math.log(q_last)) / math.log(q)))
+        else:
+            err = abs(q * cf.x - p)
+            if q >= 2 and err > 0.0:
+                series.append((n, q, -math.log(err) / math.log(q)))
     if not series:
         raise ValueError("no admissible convergent index")
-    return TypeEstimate(series[-1][2], tuple(series))
+    return tuple(series)
+
+
+def type_estimate_exact(cf) -> float:
+    """diophantine.type_estimate on the rational p_N / q_N of the last
+    convergent, in integers."""
+    return type_series(cf, exact=True)[-1][2]
 
 
 ZETA3 = 1.2020569031595942854  # zeta(3)

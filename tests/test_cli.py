@@ -236,11 +236,15 @@ def test_cli_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N=500\ngamma=0.0\n")
     out = tmp_path / "out.csv"
-    code = run_cli(["orbit", "--config", str(cfg), "--base", "identity",
-                    "--out", str(out)])
-    assert code == 0
-    header = out.read_text().splitlines()
-    assert header[0].startswith("# homodyn v")
+    # either spelling of --config; an explicit flag wins, in either spelling
+    for config, n in ((["--config", str(cfg)], "500"), ([f"--config={cfg}"], "500"),
+                      ([f"--config={cfg}", "--N=64"], "64")):
+        code = run_cli(["orbit", *config, "--base", "identity", "--out", str(out)])
+        assert code == 0, config
+        assert "# gamma = 0.0\n" in capsys.readouterr().out, config
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# homodyn v")
+        assert lines[1].split(",")[1] == "N_prefix" and lines[-1].split(",")[1] == n, config
 
 
 def test_cli_dim_and_mollify_smoke(tmp_path, capsys, monkeypatch):
@@ -277,6 +281,30 @@ def test_cli_entrypoint_subprocess(tmp_path, monkeypatch):
     assert _run_quiet(["constants", "--s", "0.5", "--out", "in_process.csv"]) == (
         0, proc.stdout, "")
     assert (tmp_path / "in_process.csv").read_bytes() == child_csv
+
+
+def test_cli_closed_stdout(tmp_path):
+    # `homodyn orbit | head -3`: a reader that has closed the pipe is no
+    # failure, so the run writes its CSV, exits 0 and leaves stderr empty,
+    # with stdout buffered or not.  A stdout that takes no bytes is a
+    # numeric failure.
+    argv = [sys.executable, "-m", "homodyn.cli", "orbit", "--N", "100"]
+    for unbuffered in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120, cwd=tmp_path,
+                                  env=dict(_child_env(), PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, ""), unbuffered
+        (tmp_path / "homodyn_orbit.csv").unlink()  # raises unless the CSV was written
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 2
+    _assert_one_line(proc.stderr, "numeric failure: cannot write stdout: ", argv)
 
 
 def test_in_process_main_leaves_the_heap_unfrozen(tmp_path, monkeypatch):
@@ -615,6 +643,7 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  ["mollify", "--delta", "nan"], ["mollify", "--delta", "inf"],
                  ["mollify", "--gamma-box", "inf"],
                  ["orbit", "--config", str(tmp_path / "missing.cfg")],
+                 ["orbit", f"--config={tmp_path / 'missing.cfg'}"],
                  ["dim", "--kappa", "nan"], ["dim", "--eps", "nan"],
                  ["dim", "--kappa", "inf"], ["dim", "--eps", "inf"],
                  ["dio", "--kappa", "nan", "--bound", "50"],
@@ -744,28 +773,41 @@ def _fuzz_runs(draw):
     return sub, fixed, pairs, via_config
 
 
+def _fuzz_argv(run, tmp, joined):
+    """The argv of a fuzz run: the drawn flags, or a --config file that holds
+    them, each spelled --flag=value (joined) or --flag value."""
+    sub, fixed, pairs, via_config = run
+    argv = [sub] + fixed + ["--out", os.path.join(tmp, "out.csv")]
+    if via_config:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{flag[2:]}={value}\n" for flag, value in pairs)
+        pairs = [("--config", cfg)]
+    return argv + [tok for flag, value in pairs
+                   for tok in ([f"{flag}={value}"] if joined else [flag, value])]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_fuzz_runs())
 def test_cli_fuzz_exit_contract(run):
     # whatever the values, main returns 0, 1 or 2, raises nothing and keeps
     # the stderr contract: nothing at exit 0, one prefixed line at exits 1
-    # and 2 (argparse's usage message excepted), never errno text
-    sub, fixed, pairs, via_config = run
+    # and 2 (argparse's usage message excepted), never errno text.  Both
+    # spellings of every flag run the same, unless argparse refuses one: it
+    # reads a separate value such as -inf as a flag
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sub] + fixed + ["--out", os.path.join(tmp, "out.csv")]
-        if via_config:
-            cfg = os.path.join(tmp, "run.cfg")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                fh.writelines(f"{flag[2:]}={value}\n" for flag, value in pairs)
-            argv += ["--config", cfg]
-        else:
-            argv += [f"{flag}={value}" for flag, value in pairs]
-        code, _, err = _run_quiet(argv)
-    assert code in (0, 1, 2), argv
-    if code == 0:
-        assert err == "", argv
-    elif not (code == 1 and err.startswith("usage:")):
-        _assert_one_line(err, {1: "config error: ", 2: "numeric failure: "}[code], argv)
+        for joined in (False, True):
+            argv = _fuzz_argv(run, tmp, joined)
+            code, out, err = _run_quiet(argv)
+            assert code in (0, 1, 2), argv
+            if code == 0:
+                assert err == "", argv
+            elif not (code == 1 and err.startswith("usage:")):
+                _assert_one_line(err, {1: "config error: ", 2: "numeric failure: "}[code], argv)
+            runs.append((code, out, err))
+    if not any(code == 1 and err.startswith("usage:") for code, _, err in runs):
+        assert runs[0] == runs[1], argv
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

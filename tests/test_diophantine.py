@@ -29,6 +29,7 @@ from helpers import (
     random_element,
     rng,
     type_estimate_exact,
+    type_series,
     violations,
 )
 
@@ -100,9 +101,9 @@ def test_convergent_recurrence_and_alternation():
 def test_type_estimate_bounded_quotient_numbers():
     # badly approximable numbers have exponent 1; finite depth reads slightly
     # above it (frozen oracle values from the convergent data itself)
-    z_golden = type_estimate(cf_expand(GOLDEN, 20)).value
+    z_golden = type_estimate(cf_expand(GOLDEN, 20))
     assert z_golden == pytest.approx(1.0, abs=0.1)
-    z_sqrt2 = type_estimate(cf_expand(math.sqrt(2.0), 20)).value
+    z_sqrt2 = type_estimate(cf_expand(math.sqrt(2.0), 20))
     assert z_sqrt2 == pytest.approx(1.0, abs=0.1)
     assert z_golden >= 1.0 - 0.02 and z_sqrt2 >= 1.0 - 0.02
 
@@ -113,8 +114,7 @@ def test_type_estimate_planted_spike():
     conv = cf_from_quotients(quots).convergents
     q3 = conv[-1][1]
     planted = cf_from_quotients(quots + [q3 * q3])
-    est = type_estimate_exact(planted)
-    spike = dict(((n, z) for n, q, z in est.series))
+    spike = {n: z for n, q, z in type_series(planted, exact=True)}
     # the spike shows at the index whose error is 1/q_{next} ~ q^-3
     assert spike[len(quots) - 1] == pytest.approx(3.0, abs=0.1)
 
@@ -122,7 +122,7 @@ def test_type_estimate_planted_spike():
 def test_type_estimate_planted_types():
     for zeta in (2.0, 3.0):
         cf = cf_from_quotients(planted_quotients(zeta))
-        assert type_estimate_exact(cf).value == pytest.approx(zeta, abs=0.25)
+        assert type_estimate_exact(cf) == pytest.approx(zeta, abs=0.25)
 
 
 def test_planted_quotients_refuse_a_rational():
@@ -152,14 +152,15 @@ def test_exact_type_estimate_matches_fraction_path():
                      - math.log(val.denominator)) / math.log(q))
             for n, (p, q) in enumerate(cf.convergents)
             if q >= 2 and q * val.numerator != p * val.denominator)
-        assert type_estimate_exact(cf).series == want
+        assert type_series(cf, exact=True) == want
 
 
 def test_type_estimate_dirichlet_floor():
     for x in (GOLDEN, math.sqrt(2.0), math.pi, 0.37193):
-        est = type_estimate(cf_expand(x, 18))
-        assert est.value >= 1.0 - 0.02
-        assert all(z >= 1.0 - 0.02 for _, _, z in est.series)
+        cf = cf_expand(x, 18)
+        series = type_series(cf)
+        assert type_estimate(cf) == series[-1][2] >= 1.0 - 0.02
+        assert all(z >= 1.0 - 0.02 for _, _, z in series)
 
 
 def test_point_type_check_identity_has_axis_vector():
@@ -191,8 +192,7 @@ def test_point_type_check_AN_translate_same_class():
 
 def test_excursion_estimate_bounded_orbit_reports_one():
     p = reduce(slope_base(GOLDEN))
-    kappa, peaks = excursion_type_estimate(p, 40.0)
-    assert kappa == pytest.approx(1.0, abs=0.1)
+    assert excursion_type_estimate(p, 40.0) == pytest.approx(1.0, abs=0.1)
 
 
 def test_excursion_estimate_divergent_orbit():
@@ -204,17 +204,16 @@ def test_excursion_estimate_planted_types():
     for zeta, tol in ((2.0, 0.3), (3.0, 0.3)):
         x = cf_from_quotients(planted_quotients(zeta)).x
         p = reduce(slope_base(x))
-        kappa, peaks = excursion_type_estimate(p, 40.0)
-        assert kappa == pytest.approx(zeta, abs=tol)
+        assert excursion_type_estimate(p, 40.0) == pytest.approx(zeta, abs=tol)
 
 
 def test_excursion_and_convergent_estimates_agree():
     for zeta in (1.0, 2.0, 3.0):
         quots = planted_quotients(zeta)
         cf = cf_from_quotients(quots)
-        z_conv = type_estimate_exact(cf).value
+        z_conv = type_estimate_exact(cf)
         p = reduce(slope_base(cf.x))
-        z_exc, _ = excursion_type_estimate(p, 40.0)
+        z_exc = excursion_type_estimate(p, 40.0)
         assert abs(z_exc - z_conv) <= 0.3
 
 

@@ -24,7 +24,7 @@ from helpers import build_tree_reference, sector_children_reference, tree_endpoi
 
 def test_single_level_tree_is_root():
     fam = build_tree(1.0, 0.0, 1, [50.0])
-    assert tree_endpoints(fam, 0) == [(Fraction(0), Fraction(1))]
+    assert tree_endpoints(fam, 0, 2) == [(Fraction(0), Fraction(1))]
     assert len(fam.levels) - 1 == 1
     assert len(fam.levels[1]) > 0
 
@@ -36,7 +36,7 @@ def test_two_level_tree_kappa_one():
     # every level-1 interval received children (construction would raise)
     assert len(fam.levels[2]) >= len(fam.levels[1])
     # containment and disjointness at every level (parents are sorted)
-    levels = [tree_endpoints(fam, j) for j in range(len(fam.levels))]
+    levels = [tree_endpoints(fam, j, 2) for j in range(len(fam.levels))]
     for parents, children in zip(levels, levels[1:]):
         lows = [float(lo) for lo, _ in parents]
         for c_lo, c_hi in children:
@@ -45,7 +45,6 @@ def test_two_level_tree_kappa_one():
             assert lo <= c_lo and c_hi <= hi
         for (a_lo, a_hi), (b_lo, b_hi) in zip(children, children[1:]):
             assert a_hi <= b_lo
-    assert fam.exact
     # diameters strictly decreasing, densities in (0, 1]
     assert all(d2 < d1 for d1, d2 in zip(fam.diameters, fam.diameters[1:]))
     assert all(0.0 < d <= 1.0 for d in fam.densities)
@@ -62,8 +61,8 @@ def test_tree_matches_brute_force_packing():
     # brute-force packing of that parent at the same sector scale
     fam = build_tree(1.0, 0.0, 2, [10.0, 300.0])
     matched = 0
-    level2 = tree_endpoints(fam, 2)
-    for lo, hi in tree_endpoints(fam, 1):
+    level2 = tree_endpoints(fam, 2, 2)
+    for lo, hi in tree_endpoints(fam, 1, 2):
         got = [iv for iv in level2 if lo <= iv[0] and iv[1] <= hi]
         assert got == sector_children_reference(lo, hi, 300.0, 2)
         matched += len(got)
@@ -124,7 +123,6 @@ def _assert_matches_reference(kappa, eps, schedule, child_guard=fractal._CHILD_G
         return
     pair_levels, diameters, densities = ref
     fam = build_tree(kappa, eps, len(schedule), schedule)
-    assert fam.exact == float(kappa + eps).is_integer()
     assert len(fam.levels) == len(pair_levels)
     for level, pairs in zip(fam.levels, pair_levels):
         assert level.dtype == np.int64 and level.shape == (len(pairs), 2)
@@ -146,7 +144,7 @@ def test_children_disjoint_by_theorem(kappa, eps, schedule):
         fam = build_tree(kappa, eps, len(schedule), schedule)
     except EmptyLevelError:
         return
-    e = float(fam.exponent)
+    e = kappa + eps + 1.0
     assert e >= 2.0
     for l, pairs in zip(schedule, fam.levels[1:]):
         a, b = pairs[:, 0], pairs[:, 1]
@@ -200,9 +198,9 @@ def test_build_tree_independent_of_block_sizes(monkeypatch):
 
 def test_endpoints_float_exponent():
     fam = build_tree(1.0, 0.5, 2, [5.0, 300.0])
-    assert not fam.exact and tree_endpoints(fam, 0) == [(0.0, 1.0)]
+    assert tree_endpoints(fam, 0, 2.5) == [(0.0, 1.0)]
     for j in (1, 2):
-        ends = tree_endpoints(fam, j)
+        ends = tree_endpoints(fam, j, 2.5)
         assert len(ends) == len(fam.levels[j])
         for (a, b), (lo, hi) in zip(fam.levels[j].tolist(), ends):
             assert (lo + hi) / 2 == pytest.approx(a / b, abs=1e-15)
@@ -272,9 +270,10 @@ def test_deepest_level_certificate():
     # every deepest-level interval is within its own half-width of a slope
     # a/b with b in the last sector band: true by construction, checked on
     # endpoints via the stored interval midpoints
-    fam = build_tree(1.0, 0.0, 2, [50.0, 2500.0])
-    l_last = fam.l_schedule[-1]
-    for lo, hi in tree_endpoints(fam, -1)[:200]:
+    schedule = [50.0, 2500.0]
+    fam = build_tree(1.0, 0.0, 2, schedule)
+    l_last = schedule[-1]
+    for lo, hi in tree_endpoints(fam, -1, 2)[:200]:
         mid = (lo + hi) / 2  # = a/b by construction
         b = mid.denominator
         assert l_last * math.sqrt(0.5) - 1 <= b <= 2 * l_last

@@ -2,19 +2,30 @@
 
 Every public function, class and method in src/homodyn must be named
 somewhere a user-facing path reaches it: the package's own modules, the
-benchmark harness, the acceptance suite or the README.  In Python files
-only code counts, so a name that survives only in a docstring or comment
-is unreached.  What only module tests call belongs in tests/helpers.py.
+benchmark harness (its tests excepted), the acceptance suite or the
+README.  In Python files only code counts, so a name that survives only in
+a docstring or comment is unreached.  What only module tests call belongs
+in tests/helpers.py.
+
+The same holds for the fields of every dataclass and NamedTuple: each must
+be read on one of those paths, by an attribute load or by unpacking the
+whole record.  A read counts for the record its receiver is known to be
+(see _field_reads); an unresolved read of a field name that two records
+share counts for neither.
 """
 
 import ast
 import re
+import shutil
 import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "homodyn"
+README = ROOT / "README.md"
 
 # name -> why it stays although no product path names it
 _ALLOWED = {
@@ -35,20 +46,24 @@ def _public_definitions():
                     yield path, defn.lineno, defn.name
 
 
+def _corpus_files(package=PACKAGE):
+    """The Python files of the product paths: the package, the benchmark
+    harness without its tests, and the acceptance suite."""
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    files += [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    return files + [ROOT / "tests" / "test_acceptance.py"]
+
+
 def _corpus():
     """(file, line number, text) of what a product path reads: each NAME
     token of the Python files, each line of the README."""
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").glob("*.py"))
-    files += [ROOT / "tests" / "test_acceptance.py"]
-    for path in files:
+    for path in _corpus_files():
         with path.open("rb") as fh:
             for tok in tokenize.tokenize(fh.readline):
                 if tok.type == tokenize.NAME:
                     yield path, tok.start[0], tok.string
-    readme = ROOT / "README.md"
-    for i, line in enumerate(readme.read_text(encoding="utf-8").splitlines(), 1):
-        yield readme, i, line
+    for i, line in enumerate(README.read_text(encoding="utf-8").splitlines(), 1):
+        yield README, i, line
 
 
 def test_no_test_only_public_api():
@@ -65,6 +80,158 @@ def test_no_test_only_public_api():
 def test_allowlist_names_existing_definitions():
     names = {name for _, _, name in _public_definitions()}
     assert set(_ALLOWED) <= names
+
+
+# (record, field) -> why it stays although no product path reads it
+_FIELDS_ALLOWED = {
+    ("CoverSumResult", "partial"): "ROADMAP item 6 replaces it with the fitted decay exponent, "
+                                   "which moves dim output and waits for the reference re-capture",
+    ("CoverSumResult", "tail_estimate"): "as partial (ROADMAP item 6)",
+    # run_dio prints both from point_type_check's 1-tuple, whose element
+    # type no annotation names, and GoodFnParams shares the names
+    ("DiophantineWitness", "mu"): "run_dio prints witness.mu",
+    ("DiophantineWitness", "nu"): "run_dio prints witness.nu",
+}
+
+
+def _named(node):
+    """The name an annotation or callee spells: x, m.x or 'x'."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _records(package=PACKAGE):
+    """{record: (file, {field: declaration line})} of each dataclass and
+    NamedTuple in the package."""
+    records = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and {"dataclass", "NamedTuple"} & {
+                    _named(d.func if isinstance(d, ast.Call) else d)
+                    for d in node.decorator_list + node.bases}:
+                records[node.name] = (path, {s.target.id: s.lineno for s in node.body
+                                             if isinstance(s, ast.AnnAssign)})
+    return records
+
+
+def _returns(package, records):
+    """{function or method: record} where the return annotation names a record."""
+    return {node.name: _named(node.returns)
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and _named(node.returns) in records}
+
+
+def _scope_nodes(scope):
+    """The nodes of one scope: nested functions are yielded, not entered."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            yield from _scope_nodes(child)
+
+
+def _field_reads(tree, records, returns):
+    """(record, field) of each attribute load and whole-record unpacking in
+    tree.  The record is the receiver's, known from a parameter annotation,
+    the first parameter of a record's method, or an assignment from a
+    constructor or from a call whose return annotation names a record (a
+    name assigned two ways is unknown); None when unknown."""
+    methods = {id(f): c.name for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) and c.name in records for f in c.body}
+    reads = []
+
+    def visit(scope, env):
+        env = dict(env)
+        if not isinstance(scope, ast.Module):
+            args = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
+            for a in args:
+                env[a.arg] = _named(a.annotation) if _named(a.annotation) in records else None
+            if id(scope) in methods and args:
+                env[args[0].arg] = methods[id(scope)]
+        nodes = list(_scope_nodes(scope))
+
+        def type_of(node):
+            if isinstance(node, ast.Name):
+                return env.get(node.id)
+            if isinstance(node, ast.Call):
+                callee = _named(node.func)
+                return callee if callee in records else returns.get(callee)
+            return None
+
+        assigned = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, set()).add(type_of(node.value))
+                        known = assigned[target.id]
+                        env[target.id] = next(iter(known)) if len(known) == 1 else None
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((type_of(node.value), node.attr))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, (ast.Tuple, ast.List)) for t in node.targets):
+                rec = type_of(node.value)
+                reads.extend((rec, f) for f in records.get(rec, (None, {}))[1])
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                visit(node, env)
+
+    visit(tree, {})
+    return reads
+
+
+def _unread_fields(package=PACKAGE):
+    """'file:line Record.field' of each record field that no product path
+    reads and no _FIELDS_ALLOWED entry keeps."""
+    records = _records(package)
+    returns = _returns(package, records)
+    reads = []
+    for path in _corpus_files(package):
+        reads += _field_reads(ast.parse(path.read_text(encoding="utf-8")), records, returns)
+    # the README's x.field mentions are reads whose receiver is unknown
+    reads += [(None, m) for m in re.findall(r"\w\.(\w+)", README.read_text(encoding="utf-8"))]
+    owners = {}
+    for rec, (_, fields) in records.items():
+        for f in fields:
+            owners.setdefault(f, []).append(rec)
+    read = set()
+    for rec, f in reads:
+        if rec in records:
+            read.add((rec, f))
+        elif len(owners.get(f, ())) == 1:  # a shared name read unresolved counts for neither
+            read.add((owners[f][0], f))
+    return [f"{path.name}:{line} {rec}.{f}"
+            for rec, (path, fields) in records.items() for f, line in fields.items()
+            if (rec, f) not in read and (rec, f) not in _FIELDS_ALLOWED]
+
+
+def test_no_test_only_record_fields():
+    unread = _unread_fields()
+    assert not unread, "record fields only module tests read: " + ", ".join(unread)
+
+
+def test_field_allowlist_names_existing_fields():
+    fields = {(rec, f) for rec, (_, fs) in _records().items() for f in fs}
+    assert set(_FIELDS_ALLOWED) <= fields
+
+
+@pytest.mark.parametrize("field", ["planted", "value"])
+def test_field_census_sees_a_planted_field(tmp_path, field):
+    # a field no product path reads fails the census, also one whose name
+    # another record's field shares (DimensionBound.value, read as bound.value)
+    package = tmp_path / "homodyn"
+    shutil.copytree(PACKAGE, package)
+    source = (package / "fractal.py").read_text(encoding="utf-8")
+    declared = "    convergent: bool  # delta (kappa+1) - 2 > 0\n"
+    assert declared in source
+    (package / "fractal.py").write_text(
+        source.replace(declared, declared + f"    {field}: float = 0.0\n"), encoding="utf-8")
+    assert [u.split()[1] for u in _unread_fields(package)] == [f"CoverSumResult.{field}"]
 
 
 def test_package_imports_only_stdlib_and_numpy():

@@ -16,6 +16,10 @@ Then prints each statement that none of them executed, as ``file:line``
 and its first source line.  A statement on the list is a candidate for
 deletion, not a verdict: refusals of bad input, guards and branches that
 other flag values reach never run on these inputs either.
+
+A line census cannot see a record field that only module tests read: the
+field's declaration is executed either way.  tests/test_package_api.py
+checks fields by their attribute reads instead.
 """
 
 from __future__ import annotations
