@@ -228,10 +228,10 @@ def run_dim(args) -> ExperimentReport:
     )
     crit = 2.0 / (args.kappa + 1.0)
     rep.add_row("slice_dimension_closed_form", crit)
-    cs_above = cover_sum(args.kappa, min(1.0, crit + 0.05), args.R)
-    cs_below = cover_sum(args.kappa, max(0.05, crit - 0.05), args.R)
-    rep.add_row("cover_sum_above_threshold_convergent", int(cs_above.convergent))
-    rep.add_row("cover_sum_below_threshold_convergent", int(cs_below.convergent))
+    for side, delta in (("above", min(1.0, crit + 0.05)), ("below", max(0.05, crit - 0.05))):
+        cs = cover_sum(args.kappa, delta, args.R)
+        rep.params[f"cover_sum_decay_{side}"] = cs.decay
+        rep.add_row(f"cover_sum_{side}_threshold_convergent", int(cs.convergent))
     fam = build_tree(args.kappa, args.eps, args.levels, args.schedule)
     bound = dimension_lower_bound(fam)
     for j, v in enumerate(bound.series):
@@ -411,15 +411,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv, path):
+def _apply_config(argv, path, parser, experiment):
     """argv with the values of config file path as defaults: they go before
     the explicit flags, and argparse keeps a flag's last value, so these
-    win however they are spelled.  A value of true or false turns into the
-    switch --key or --no-key."""
+    win however they are spelled.  A value true or false turns into the
+    switch --key or --no-key; that of an nargs="+" flag splits at spaces."""
+    sub = next(a for a in parser._actions if a.nargs == argparse.PARSER).choices[experiment]
+    several = {f for a in sub._actions if a.nargs == "+" for f in a.option_strings}
     extra = []
     for key, value in load_config(path).items():
         switch = {"true": [f"--{key}"], "false": [f"--no-{key}"]}.get(value.lower())
-        extra.extend(switch or [f"--{key}", value])
+        values = value.split() if f"--{key}" in several else [value]
+        extra.extend(switch or [f"--{key}", *values])
     return argv[:1] + extra + argv[1:]
 
 
@@ -430,7 +433,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:  # --config FILE or --config=FILE
-            args = parser.parse_args(_apply_config(argv, args.config))
+            args = parser.parse_args(_apply_config(argv, args.config, parser, args.experiment))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

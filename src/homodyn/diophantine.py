@@ -147,7 +147,8 @@ class DiophantineWitness:
     vectors_checked: int
 
 
-def point_type_check(p: SurfacePoint, kappa: float, search_bound: int) -> tuple:
+def point_type_check(p: SurfacePoint, kappa: float,
+                     search_bound: int) -> tuple[DiophantineWitness]:
     """Witness report for the type-kappa condition at p, as a 1-tuple.
 
     Enumerates the cusp-orbit vectors g^{-1}(m, n) over sign-canonical

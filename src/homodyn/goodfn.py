@@ -1,5 +1,5 @@
 """Sublevel-measure control for the explicit orbit-distance functions, and
-the cusp-hitting frequency of expanding translates.
+the cusp-hitting ratios of expanding translates.
 
 The central object is the family
 
@@ -246,10 +246,3 @@ def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.
     norms = cusp_norms(*curve_entries(p.rep.entries, n, gamma))
     return norms / n ** (-0.25 + 1.0 / (kappa + 4.0))
 
-
-def hitting_frequency(p: SurfacePoint, gamma: float, kappa: float, eps: float,
-                      N: int) -> float:
-    """Fraction of n in [1, N] whose expanding translate sits in S_theta(n, eps)."""
-    if eps <= 0.0:
-        return 0.0
-    return float((curve_hit_ratios(p, gamma, kappa, N) <= eps).mean())

@@ -12,6 +12,7 @@ import numpy as np
 
 from homodyn.diophantine import DiophantineWitness
 from homodyn.fractal import _child_endpoints_int
+from homodyn.goodfn import curve_hit_ratios
 from homodyn.mollify import MollifierSpec, mollifier_profile
 from homodyn.orbits import FUNDAMENTAL_AREA
 from homodyn.psl2 import GroupElement, IwasawaNAK, diagonal_flow, hyperbolic_distance
@@ -615,3 +616,10 @@ def eisenstein_e2(x, y):
         series = (_E2_COEFFS * k * waves).sum(axis=1)
         out[block] = yb * yb + PHI2 / yb + 360.0 / math.pi**2 * np.sqrt(yb) * series
     return out
+
+
+def hitting_frequency(p, gamma: float, kappa: float, eps: float, N: int) -> float:
+    """Fraction of n in [1, N] whose expanding translate sits in S_theta(n, eps)."""
+    if eps <= 0.0:
+        return 0.0
+    return float((curve_hit_ratios(p, gamma, kappa, N) <= eps).mean())

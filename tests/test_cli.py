@@ -27,6 +27,9 @@ from homodyn.surface import reduce
 
 from helpers import emit_svg_fstring, emit_svg_reference, psl_allclose
 
+# a numpy warning is a stderr line outside pytest: here it fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run_cli(args):
     return main(list(args))
@@ -245,6 +248,42 @@ def test_cli_config_file_defaults(tmp_path, capsys):
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# homodyn v")
         assert lines[1].split(",")[1] == "N_prefix" and lines[-1].split(",")[1] == n, config
+
+
+@pytest.mark.parametrize("sub, line, argv", [
+    # flags of several values take a config value split at spaces
+    ("box", "T=100 1000", ["--T", "100", "1000"]),
+    ("constants", "kappa=1 3", ["--kappa", "1", "3"]),
+    # flags of one value take it whole, spaces included
+    ("orbit", "base=0.8, 0.3, 1.2, 1.7", ["--base", "0.8, 0.3, 1.2, 1.7"]),
+    ("dim", "schedule=50, 2500", ["--schedule", "50, 2500"]),
+])
+def test_cli_config_value_runs_as_the_flag(tmp_path, monkeypatch, sub, line, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    size = ["--N", "100"] if sub == "orbit" else []
+    via_config = _run_quiet([sub, "--config", str(cfg)] + size)
+    assert via_config == _run_quiet([sub] + argv + size)
+    assert via_config[0] == 0 and via_config[2] == "", via_config
+
+
+@pytest.mark.parametrize("R", ["63", "10000"])
+@pytest.mark.parametrize("kappa, verdicts", [("1", (0, 0)), ("2", (1, 0)), ("3", (1, 0))])
+def test_cli_dim_cover_sum_verdicts(tmp_path, monkeypatch, kappa, verdicts, R):
+    # the verdicts at 0.05 above and below the threshold, fitted from the
+    # sums up to R (63 is the floor); kappa = 1 caps the upper delta at the
+    # threshold 1 itself
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_quiet(["dim", "--kappa", kappa, "--levels", "1", "--schedule", "50",
+                                 "--R", R])
+    assert (code, err) == (0, "")
+    rows = dict(line.split(",") for line in out.splitlines() if not line.startswith("#"))
+    assert (int(rows["cover_sum_above_threshold_convergent"]),
+            int(rows["cover_sum_below_threshold_convergent"])) == verdicts
+    decays = [float(line.split(" = ")[1]) for line in out.splitlines()
+              if line.startswith("# cover_sum_decay_")]
+    assert len(decays) == 2 and decays[0] > decays[1]
 
 
 def test_cli_dim_and_mollify_smoke(tmp_path, capsys, monkeypatch):
@@ -646,6 +685,8 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  ["orbit", f"--config={tmp_path / 'missing.cfg'}"],
                  ["dim", "--kappa", "nan"], ["dim", "--eps", "nan"],
                  ["dim", "--kappa", "inf"], ["dim", "--eps", "inf"],
+                 # the cover-sum fit needs two complete dyadic blocks, R >= 63
+                 ["dim", "--R", "62"],
                  ["dio", "--kappa", "nan", "--bound", "50"],
                  ["dio", "--tmax", "nan", "--bound", "50"],
                  ["dio", "--bound", "100000"], ["dio", "--bound", "9999"],

@@ -219,18 +219,6 @@ def test_bad_exponents_rejected():
             assembled_dimension([1.0, kappa])
 
 
-def test_cover_sum_totient_sieve_unchanged():
-    # partial sums from the former totient loop, bit for bit
-    for R in (4, 97, 1000, 10**4):
-        phi = np.arange(R + 1, dtype=np.int64)
-        for p in range(2, R + 1):
-            if phi[p] == p:
-                phi[p::p] -= phi[p::p] // p
-        b = np.arange(2, R + 1, dtype=float)
-        expected = float((phi[2:].astype(float) * (2.0 * b ** -4.0) ** 0.6).sum())
-        assert cover_sum(3.0, 0.6, R).partial == expected
-
-
 def test_empty_level_raises():
     with pytest.raises(EmptyLevelError):
         build_tree(3.0, 0.0, 2, [50.0, 2500.0])
@@ -280,29 +268,38 @@ def test_deepest_level_certificate():
         assert (hi - lo) == 2 * Fraction(1, 18) / Fraction(b) ** 2
 
 
+# the delta of the nine cases run_dim and C12a probe: crit - 0.05, crit and
+# crit + 0.05, capped to (0, 1], for kappa = 1, 2, 3 (crit = 2/(kappa+1))
+_PROBES = [(kappa, min(1.0, max(0.05, 2.0 / (kappa + 1.0) + step)))
+           for kappa in (1.0, 2.0, 3.0) for step in (-0.05, 0.0, 0.05)]
+
+
 def test_cover_sum_threshold_flags():
-    for kappa in (1.0, 2.0, 3.0):
-        crit = 2.0 / (kappa + 1.0)
-        assert not cover_sum(kappa, crit, 1000).convergent  # harmonic-type
-        assert not cover_sum(kappa, crit - 0.05, 1000).convergent
-        if crit + 0.05 <= 1.0:  # kappa = 1 has its threshold at the delta cap
-            assert cover_sum(kappa, crit + 0.05, 1000).convergent
+    # the fit changes only when R completes a dyadic block, at R = 2^k - 1:
+    # every such R from the floor 63 to the cap gives the closed-form verdicts
+    for R in [2**k - 1 for k in range(6, 17)] + [10**5]:
+        for kappa, delta in _PROBES:
+            e = delta * (kappa + 1.0) - 2.0
+            assert cover_sum(kappa, delta, R).convergent == (e > 1e-12), (R, kappa, delta)
 
 
-def test_cover_sum_convergent_cauchy():
-    a = cover_sum(3.0, 0.6, 1000)
-    b = cover_sum(3.0, 0.6, 10000)
-    assert abs(b.partial - a.partial) <= 0.05 * (b.partial + b.tail_estimate)
-    assert b.partial > a.partial  # monotone in R
+def test_cover_sum_decay_tracks_the_exponent():
+    # the fitted decay approaches delta (kappa+1) - 2 as R grows
+    for R, tol in ((2000, 0.011), (10**4, 0.006)):
+        for kappa, delta in _PROBES:
+            decay = cover_sum(kappa, delta, R).decay
+            assert abs(decay - (delta * (kappa + 1.0) - 2.0)) <= tol, (R, kappa, delta, decay)
 
 
-def test_cover_sum_divergent_growth():
-    # delta (kappa+1) = 1.6 < 2: partial sums grow like R^0.4
-    vals = [cover_sum(3.0, 0.4, R).partial for R in (1000, 4000, 16000)]
-    slopes = [
-        math.log(v2 / v1) / math.log(4.0) for v1, v2 in zip(vals, vals[1:])
-    ]
-    assert all(s > 0.3 for s in slopes)
+@pytest.mark.filterwarnings("error")
+def test_cover_sum_extreme_exponents_warn_nothing():
+    # (kappa+1) delta far past 60: the terms underflow to 0, and the decay
+    # is unbounded without a log of 0.  A tiny delta keeps every term.
+    for kappa in (1e200, 1.7e308):
+        result = cover_sum(kappa, 0.05, 1000)
+        assert result.decay == math.inf and result.convergent
+    result = cover_sum(1e200, 1e-300, 1000)
+    assert result.decay == pytest.approx(-2.0, abs=0.01) and not result.convergent
 
 
 def test_assembled_dimension():

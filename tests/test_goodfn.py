@@ -10,14 +10,13 @@ from homodyn.goodfn import (
     curve_hit_ratios,
     eval_f,
     eval_g,
-    hitting_frequency,
     sublevel_floor,
     verify_good,
 )
 from homodyn.psl2 import slope_base
 from homodyn.surface import reduce
 
-from helpers import eval_g_prime, verify_good_reference
+from helpers import eval_g_prime, hitting_frequency, verify_good_reference
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 

@@ -27,13 +27,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "homodyn"
 README = ROOT / "README.md"
 
-# name -> why it stays although no product path names it
-_ALLOWED = {
-    "hitting_frequency": "the paper's cusp-hitting frequency of expanding translates, "
-                         "the object goodfn's module docstring names",
-}
-
-
 def _public_definitions():
     """(file, line, name) of each public top-level function or class and each
     public method in the package."""
@@ -71,27 +64,9 @@ def test_no_test_only_public_api():
     unreached = []
     for path, lineno, name in _public_definitions():
         word = re.compile(rf"\b{re.escape(name)}\b")
-        if name not in _ALLOWED and not any(
-                word.search(text) for p, i, text in corpus if (p, i) != (path, lineno)):
+        if not any(word.search(text) for p, i, text in corpus if (p, i) != (path, lineno)):
             unreached.append(f"{path.name}:{lineno} {name}")
     assert not unreached, "public names only module tests reach: " + ", ".join(unreached)
-
-
-def test_allowlist_names_existing_definitions():
-    names = {name for _, _, name in _public_definitions()}
-    assert set(_ALLOWED) <= names
-
-
-# (record, field) -> why it stays although no product path reads it
-_FIELDS_ALLOWED = {
-    ("CoverSumResult", "partial"): "ROADMAP item 6 replaces it with the fitted decay exponent, "
-                                   "which moves dim output and waits for the reference re-capture",
-    ("CoverSumResult", "tail_estimate"): "as partial (ROADMAP item 6)",
-    # run_dio prints both from point_type_check's 1-tuple, whose element
-    # type no annotation names, and GoodFnParams shares the names
-    ("DiophantineWitness", "mu"): "run_dio prints witness.mu",
-    ("DiophantineWitness", "nu"): "run_dio prints witness.nu",
-}
 
 
 def _named(node):
@@ -119,12 +94,22 @@ def _records(package=PACKAGE):
     return records
 
 
+def _returned(annotation, records):
+    """The record a return annotation names, (record,) for tuple[record],
+    else None."""
+    if (isinstance(annotation, ast.Subscript) and _named(annotation.value) == "tuple"
+            and _named(annotation.slice) in records):
+        return (_named(annotation.slice),)
+    return _named(annotation) if _named(annotation) in records else None
+
+
 def _returns(package, records):
-    """{function or method: record} where the return annotation names a record."""
-    return {node.name: _named(node.returns)
+    """{function or method: record or (record,)} where the return annotation
+    names a record or a 1-tuple of one."""
+    return {node.name: kind
             for path in sorted(package.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.FunctionDef) and _named(node.returns) in records}
+            if isinstance(node, ast.FunctionDef) and (kind := _returned(node.returns, records))}
 
 
 def _scope_nodes(scope):
@@ -140,7 +125,8 @@ def _field_reads(tree, records, returns):
     tree.  The record is the receiver's, known from a parameter annotation,
     the first parameter of a record's method, or an assignment from a
     constructor or from a call whose return annotation names a record (a
-    name assigned two ways is unknown); None when unknown."""
+    name assigned two ways is unknown); None when unknown.  (x,) = f() on a
+    callee annotated tuple[record] binds x to the record and reads no field."""
     methods = {id(f): c.name for c in ast.walk(tree)
                if isinstance(c, ast.ClassDef) and c.name in records for f in c.body}
     reads = []
@@ -167,8 +153,12 @@ def _field_reads(tree, records, returns):
         for node in nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
+                    kind = type_of(node.value)
+                    if (isinstance(target, (ast.Tuple, ast.List)) and len(target.elts) == 1
+                            and isinstance(kind, tuple)):
+                        target, kind = target.elts[0], kind[0]
                     if isinstance(target, ast.Name):
-                        assigned.setdefault(target.id, set()).add(type_of(node.value))
+                        assigned.setdefault(target.id, set()).add(kind)
                         known = assigned[target.id]
                         env[target.id] = next(iter(known)) if len(known) == 1 else None
         for node in nodes:
@@ -187,7 +177,7 @@ def _field_reads(tree, records, returns):
 
 def _unread_fields(package=PACKAGE):
     """'file:line Record.field' of each record field that no product path
-    reads and no _FIELDS_ALLOWED entry keeps."""
+    reads."""
     records = _records(package)
     returns = _returns(package, records)
     reads = []
@@ -207,7 +197,7 @@ def _unread_fields(package=PACKAGE):
             read.add((owners[f][0], f))
     return [f"{path.name}:{line} {rec}.{f}"
             for rec, (path, fields) in records.items() for f, line in fields.items()
-            if (rec, f) not in read and (rec, f) not in _FIELDS_ALLOWED]
+            if (rec, f) not in read]
 
 
 def test_no_test_only_record_fields():
@@ -215,23 +205,24 @@ def test_no_test_only_record_fields():
     assert not unread, "record fields only module tests read: " + ", ".join(unread)
 
 
-def test_field_allowlist_names_existing_fields():
-    fields = {(rec, f) for rec, (_, fs) in _records().items() for f in fs}
-    assert set(_FIELDS_ALLOWED) <= fields
-
-
-@pytest.mark.parametrize("field", ["planted", "value"])
-def test_field_census_sees_a_planted_field(tmp_path, field):
-    # a field no product path reads fails the census, also one whose name
-    # another record's field shares (DimensionBound.value, read as bound.value)
+@pytest.mark.parametrize("module, record, field", [
+    pytest.param("fractal", "CoverSumResult", "planted", id="planted"),
+    # a name another record's field shares (DimensionBound.value, read as bound.value)
+    pytest.param("fractal", "CoverSumResult", "value", id="value"),
+    # run_dio binds the record by (witness,) = point_type_check(...), which
+    # reads no field: only witness.mu and the like do
+    pytest.param("diophantine", "DiophantineWitness", "planted", id="witness-planted"),
+])
+def test_field_census_sees_a_planted_field(tmp_path, module, record, field):
+    # a field no product path reads fails the census
     package = tmp_path / "homodyn"
     shutil.copytree(PACKAGE, package)
-    source = (package / "fractal.py").read_text(encoding="utf-8")
-    declared = "    convergent: bool  # delta (kappa+1) - 2 > 0\n"
-    assert declared in source
-    (package / "fractal.py").write_text(
-        source.replace(declared, declared + f"    {field}: float = 0.0\n"), encoding="utf-8")
-    assert [u.split()[1] for u in _unread_fields(package)] == [f"CoverSumResult.{field}"]
+    path = package / f"{module}.py"
+    source = path.read_text(encoding="utf-8")
+    declared = f"class {record}:\n"
+    assert source.count(declared) == 1
+    path.write_text(source.replace(declared, declared + f"    {field}: float\n"), encoding="utf-8")
+    assert [u.split()[1] for u in _unread_fields(package)] == [f"{record}.{field}"]
 
 
 def test_package_imports_only_stdlib_and_numpy():
