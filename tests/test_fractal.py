@@ -291,6 +291,36 @@ def test_cover_sum_decay_tracks_the_exponent():
             assert abs(decay - (delta * (kappa + 1.0) - 2.0)) <= tol, (R, kappa, delta, decay)
 
 
+def test_cover_sum_totient_sieve_unchanged():
+    # the decay from the former totient loop and per-block slice sums
+    for R in (97, 1000, 10**4):
+        phi = np.arange(R + 1, dtype=np.int64)
+        for p in range(2, R + 1):
+            if phi[p] == p:
+                phi[p::p] -= phi[p::p] // p
+        b = np.arange(2, R + 1, dtype=float)
+        terms = 2.0 ** 0.6 * phi[2:] * b ** -2.4
+        blocks = [terms[2**k - 2:2**(k + 1) - 2].sum()
+                  for k in range(4, (R + 1).bit_length() - 1)]
+        slope = np.polyfit(np.arange(len(blocks)), np.log2(blocks), 1)[0]
+        assert cover_sum(3.0, 0.6, R).decay == pytest.approx(-slope, rel=1e-9)
+
+
+def test_cover_sum_convergent_cauchy():
+    # delta (kappa+1) = 2.4 > 2: the verdict holds and the decay settles as R grows
+    a = cover_sum(3.0, 0.6, 1000)
+    b = cover_sum(3.0, 0.6, 10000)
+    assert a.convergent and b.convergent
+    assert abs(b.decay - a.decay) <= 0.05 * b.decay
+    assert abs(b.decay - 0.4) < abs(a.decay - 0.4)  # closer to the exponent
+
+
+def test_cover_sum_divergent_growth():
+    # delta (kappa+1) = 1.6 < 2: the block sums grow like 2^(0.4 j)
+    results = [cover_sum(3.0, 0.4, R) for R in (1000, 4000, 16000)]
+    assert all(-r.decay > 0.3 and not r.convergent for r in results)
+
+
 @pytest.mark.filterwarnings("error")
 def test_cover_sum_extreme_exponents_warn_nothing():
     # (kappa+1) delta far past 60: the terms underflow to 0, and the decay
