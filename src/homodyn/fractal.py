@@ -275,7 +275,7 @@ def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:
         raise ValueError("need delta in (0, 1] and finite kappa >= 1")
     R = int(R)
     if not (63 <= R <= 10**5):
-        raise ValueError("need 63 <= R <= 1e5")
+        raise ValueError("need 63 <= R <= 100000")
     # totient sieve
     phi = np.arange(R + 1, dtype=np.int64)
     for p in primes_upto(R).tolist():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import check_capacity
 from .report import ExperimentReport
-from .surface import SurfacePoint, cusp_norms
+from .surface import SurfacePoint, curve_entries, cusp_norms
 
 _WINDOW_CAP = 1e8
 # The CSV's windows column.  bench/reference.json pins it, though one window
@@ -221,16 +221,6 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
                 c_req = max(c_req, m / (math.sqrt(eps / params.rho) * (seg[1] + 1e-6 - x1)))
         rep.add_row(eps, c_req, measure_total, _WINDOWS_COLUMN, 0)
     return rep
-
-
-def curve_entries(rep, xv, gamma: float):
-    """Entries of the curve matrices rep (x^(1/4), x^(3/4+gamma); 0, x^(-1/4))
-    at the array of parameters x."""
-    r11, r12, r21, r22 = rep
-    quarter = xv ** 0.25
-    shear = xv ** (0.75 + gamma)
-    return (r11 * quarter, r11 * shear + r12 / quarter,
-            r21 * quarter, r21 * shear + r22 / quarter)
 
 
 def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import check_capacity
 from .orbits import TestFunction, horocycle_points
 from .report import ExperimentReport
-from .surface import SurfacePoint, cusp_norms
+from .surface import SurfacePoint, cusp_norms, flow_entries
 
 _BOX_DIM_CAP = 3
 _STEP = 0.02  # node spacing of the box-average quadratures
@@ -149,8 +149,7 @@ def box_decay_report(p: SurfacePoint, f: TestFunction, T_list) -> ExperimentRepo
     avgs = [box_average(p, T, f) for T in T_list]
     errs = np.array([abs(avg - f.haar_mean) for avg in avgs])
     e = np.array([math.exp(0.5 * math.log(T)) for T in T_list])  # a(log T) = diag(e, 1/e)
-    a, b, c, d = p.rep.entries
-    etas = INJECTIVITY_FACTOR * cusp_norms(a * e, b * (1.0 / e), c * e, d * (1.0 / e))
+    etas = INJECTIVITY_FACTOR * cusp_norms(*flow_entries(p.rep.entries, e, 0.0))
     ts = np.array(T_list)
     if len(set(T_list)) < 2:
         slope = math.nan

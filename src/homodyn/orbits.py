@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import ExperimentReport
-from .surface import SurfacePoint, height_distance, r_factors, reduced_coordinates
-from .goodfn import curve_entries, curve_hit_ratios
+from .surface import (SurfacePoint, curve_entries, flow_entries, height_distance, r_factors,
+                      reduced_coordinates)
+from .goodfn import curve_hit_ratios
 from .lattice import check_capacity
 from .surface import reduce, r_factor  # noqa: F401  (bench/tracing.py wraps them here)
 
@@ -114,13 +115,7 @@ def _points(entries, times):
 
 def horocycle_points(p: SurfacePoint, times):
     """Reduced (x, y, theta) of the points p u(t) for the array of times t."""
-    r11, r12, r21, r22 = p.rep.entries
-    return _points(lambda t: (r11, r11 * t + r12, r21, r21 * t + r22), times)
-
-
-def curve_points(p: SurfacePoint, gamma: float, x_grid):
-    """Reduced (x, y, theta) of the expanding-translate curve points at x_grid."""
-    return _points(lambda xv: curve_entries(p.rep.entries, xv, gamma), x_grid)
+    return _points(lambda t: flow_entries(p.rep.entries, 1.0, t), times)
 
 
 def sample_sparse(p: SurfacePoint, gamma: float, N: int) -> OrbitSeries:
@@ -139,7 +134,8 @@ def sample_curve(p: SurfacePoint, gamma: float, x_grid) -> OrbitSeries:
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size < 1 or x_grid[0] < 1.0 or (np.diff(x_grid) <= 0).any():
         raise ValueError("x_grid must be increasing with x >= 1")
-    return OrbitSeries("curve", gamma, x_grid, *curve_points(p, gamma, x_grid))
+    points = _points(lambda xv: curve_entries(p.rep.entries, xv, gamma), x_grid)
+    return OrbitSeries("curve", gamma, x_grid, *points)
 
 
 def discrepancy(series: OrbitSeries, suite) -> ExperimentReport:
@@ -268,9 +264,8 @@ def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,
     )
     one_plus = 1.0 + gamma
     M = np.array([start for start, _ in blocks], dtype=float)
-    r11, r12, r21, r22 = p.rep.entries
-    t = M ** one_plus  # r_i = r_factor(p u(M^(1+gamma)), sqrt(M)) per block start M
-    r_is = r_factors(r11, r11 * t + r12, r21, r21 * t + r22, np.sqrt(M))
+    # r_i = r_factor(p u(M^(1+gamma)), sqrt(M)) per block start M
+    r_is = r_factors(*flow_entries(p.rep.entries, 1.0, M ** one_plus), np.sqrt(M))
     for (start, end), r_i in zip(blocks, r_is):
         M = float(start)
         ks = np.arange(0, end - start + 1, dtype=float)

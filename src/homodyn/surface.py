@@ -172,9 +172,27 @@ def r_factor(q: SurfacePoint, T: float) -> float:
 def r_factors(a, b, c, d, T):
     """T * exp(-dist(g a(log T) i)) for the elements g = (a, b; c, d) and the
     times T (arrays), a(log T) = diag(e, 1/e) with e = T^(1/2): one reduction."""
-    e = np.exp(0.5 * np.log(T))
-    x, y, _ = reduced_coordinates(a * e, b * (1.0 / e), c * e, d * (1.0 / e))
+    x, y, _ = reduced_coordinates(*flow_entries((a, b, c, d), np.exp(0.5 * np.log(T)), 0.0))
     return T * np.exp(-height_distance(x, y))
+
+
+def flow_entries(base, e, s):
+    """Entries of base (e, s; 0, 1/e) for base = (a, b, c, d), e and s scalars
+    or arrays: u(t) is (e, s) = (1, t) and a(tau) is (exp(tau/2), 0).  The one
+    place where base entries meet a flow parameter, with curve_entries."""
+    a, b, c, d = base
+    f = 1.0 / e
+    return a * e, a * s + b * f, c * e, c * s + d * f
+
+
+def curve_entries(rep, xv, gamma: float):
+    """Entries of the curve matrices rep (x^(1/4), x^(3/4+gamma); 0, x^(-1/4))
+    at the array of parameters x."""
+    r11, r12, r21, r22 = rep
+    quarter = xv ** 0.25
+    shear = xv ** (0.75 + gamma)
+    return (r11 * quarter, r11 * shear + r12 / quarter,
+            r21 * quarter, r21 * shear + r22 / quarter)
 
 
 def base_point_image(a, b, c, d):
@@ -204,10 +222,7 @@ def excursion_profile(p: SurfacePoint, t_max: float, steps: int):
     if t_max <= 0.0 or steps < 2:
         raise ValueError("need t_max > 0 and steps >= 2")
     ts = np.linspace(0.0, t_max, steps)
-    e = np.exp(0.5 * ts)
-    g = p.rep
-    # right-translate by diag(e, 1/e)
-    a, b, c, d = g.a * e, g.b / e, g.c * e, g.d / e
+    a, b, c, d = flow_entries(p.rep.entries, np.exp(0.5 * ts), 0.0)
     near = cusp_norms(a, b, c, d) <= CUSP_GATE
     vals = np.zeros(steps)
     x, y, _ = reduced_coordinates(a[near], b[near], c[near], d[near])

@@ -286,6 +286,16 @@ def test_cli_dim_cover_sum_verdicts(tmp_path, monkeypatch, kappa, verdicts, R):
     assert len(decays) == 2 and decays[0] > decays[1]
 
 
+def test_cli_dim_cover_sum_cap_as_spelled(tmp_path, monkeypatch):
+    # the refusal past the cap spells the cap in a form --R accepts
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run_quiet(["dim", "--R", "100001"])
+    assert code == 1
+    cap = re.search(r"R <= (\S+)", err).group(1)
+    code, _, err = _run_quiet(["dim", "--levels", "1", "--schedule", "50", "--R", cap])
+    assert (code, err) == (0, "")
+
+
 def test_cli_dim_and_mollify_smoke(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["dim", "--kappa", "1", "--levels", "2",

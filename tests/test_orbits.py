@@ -23,7 +23,8 @@ from homodyn.orbits import (
 )
 from homodyn.psl2 import GroupElement, diagonal_flow, golden_ratio, identity, slope_base, unipotent
 from homodyn.surface import reduce
-from helpers import PHI2, ZETA3, eisenstein_e2, haar_integral, reduced_rep_reference
+from helpers import (PHI2, ZETA3, dist, eisenstein_e2, geodesic_flow, haar_integral,
+                     reduced_rep_reference)
 
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
@@ -236,6 +237,21 @@ def test_piece_decomposition_taylor_residual():
         assert r_i > 0.0
     assert rep.params["covered_fraction"] <= 1.0
     assert rep.params["uncovered_fraction"] <= rep.params["obstructed_fraction"] + 1e-12
+
+
+def test_piece_r_i_match_the_group_path():
+    # r_i = T exp(-dist(q a(log T))) with q = p u(M^(1+gamma)) and T = sqrt(M),
+    # by GroupElement composition, Mobius action and math.acosh.  At M <= 5000
+    # the times reach t = M^1.1 <= 1.2e4, and both paths round the entries of
+    # p u(t) (sizes ~ t, determinant off by ~ t^2 2^-53), so they agree to
+    # t^2 2^-53.  u and a swapped, or T = M, misses by ~0.6 in the median row.
+    rep = piece_decomposition(GOLDEN_P, 0.1, 0.1, 5000, 1.0)
+    assert max(row[0] for row in rep.rows) ** 1.1 <= 1.2e4
+    for M, _, _, r_i, _, _ in rep.rows:
+        q = reduce(GOLDEN_P.rep @ unipotent(float(M) ** 1.1))
+        T = math.sqrt(M)
+        want = T * math.exp(-dist(geodesic_flow(q, math.log(T))))
+        assert r_i == pytest.approx(want, rel=1.2e4 ** 2 * 2.0 ** -53, abs=0.0), M
 
 
 def test_piece_uncovered_scales_with_eps():

@@ -12,6 +12,9 @@ be read on one of those paths, by an attribute load or by unpacking the
 whole record.  A read counts for the record its receiver is known to be
 (see _field_reads); an unresolved read of a field name that two records
 share counts for neither.
+
+Only surface.py forms flowed elements: elsewhere a group element's
+.entries may only be passed on, as an argument of a call.
 """
 
 import ast
@@ -223,6 +226,44 @@ def test_field_census_sees_a_planted_field(tmp_path, module, record, field):
     assert source.count(declared) == 1
     path.write_text(source.replace(declared, declared + f"    {field}: float\n"), encoding="utf-8")
     assert [u.split()[1] for u in _unread_fields(package)] == [f"{record}.{field}"]
+
+
+def _entry_reads(package=PACKAGE):
+    """'file:line' of each read of a group element's .entries outside
+    surface.py that is not itself an argument of a call: a site that unpacks
+    the entries to multiply them by a flow parameter inline."""
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "surface.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        passed = {id(arg.value if isinstance(arg, ast.Starred) else arg)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call) for arg in node.args}
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "entries"
+                  and isinstance(node.ctx, ast.Load) and id(node) not in passed]
+    return reads
+
+
+def test_flows_act_on_entries_only_in_surface():
+    # surface.flow_entries and surface.curve_entries form every flowed element
+    reads = _entry_reads()
+    assert not reads, "entries unpacked outside surface.py: " + ", ".join(reads)
+
+
+def test_flow_census_sees_a_planted_product(tmp_path):
+    # the p u(t) product written inline again in orbits fails the census
+    package = tmp_path / "homodyn"
+    shutil.copytree(PACKAGE, package)
+    path = package / "orbits.py"
+    source = path.read_text(encoding="utf-8")
+    routed = "    return _points(lambda t: flow_entries(p.rep.entries, 1.0, t), times)\n"
+    assert source.count(routed) == 1
+    path.write_text(source.replace(routed, (
+        "    r11, r12, r21, r22 = p.rep.entries\n"
+        "    return _points(lambda t: (r11, r11 * t + r12, r21, r21 * t + r22), times)\n")),
+        encoding="utf-8")
+    assert [r.split(":")[0] for r in _entry_reads(package)] == ["orbits.py"]
 
 
 def test_package_imports_only_stdlib_and_numpy():

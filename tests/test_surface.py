@@ -11,7 +11,9 @@ from homodyn.surface import (
     ReductionError,
     cusp_norm,
     dist_vs_norm_check,
+    curve_entries,
     excursion_profile,
+    flow_entries,
     lattice_min_sq,
     r_factor,
     r_factors,
@@ -26,6 +28,7 @@ from helpers import (
     gamma_to_element,
     geodesic_flow,
     lattice_min_sq_reference,
+    np_mat,
     random_element,
     random_gamma_word,
     reduce_xy_reference,
@@ -167,6 +170,27 @@ def test_r_factor():
         q = reduce(random_element(r))
         T = math.exp(r.uniform(0.1, 6.0))
         assert r_factor(q, T) <= T * (1 + 1e-12)
+
+
+def test_flow_entries_match_group_products():
+    # u(t), a(tau) and the curve element at x against GroupElement composition,
+    # each entry to 1e-15 of its summed terms |g| |h|: an entry is a sum of two
+    # products, relative to those.  Moderate t, tau and x keep det(g h) within
+    # 1e-12 of 1, so GroupElement repairs nothing.  The -0.0 bases check the
+    # signed zero that a * s adds at s = 0.
+    r = rng(29)
+    bases = [random_element(r, 0.1, 10.0) for _ in range(40)]
+    bases += [GroupElement(2.0, -0.0, 0.5, 0.5), GroupElement(1.0, 0.5, -0.0, 1.0)]
+    for g in bases:
+        t, tau = r.uniform(-4.0, 4.0), r.uniform(-3.0, 3.0)
+        x, gamma = r.uniform(1.0, 16.0), r.uniform(0.0, 0.25)
+        q = x ** 0.25
+        for got, h in ((flow_entries(g.entries, 1.0, t), unipotent(t)),
+                       (flow_entries(g.entries, math.exp(0.5 * tau), 0.0), diagonal_flow(tau)),
+                       (curve_entries(g.entries, x, gamma),
+                        GroupElement(q, x ** (0.75 + gamma), 0.0, 1.0 / q))):
+            scale = (np.abs(np_mat(g)) @ np.abs(np_mat(h))).ravel()
+            assert (np.abs(np.subtract(got, (g @ h).entries)) <= 1e-15 * scale).all(), (g, h)
 
 
 def test_r_factors_match_geodesic_flow_path():
