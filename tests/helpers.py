@@ -128,6 +128,26 @@ def eval_mollifier(spec: MollifierSpec, u) -> float:
     return float(np.prod(mollifier_profile(spec, u)))
 
 
+def mollifier_l1_reference(spec: MollifierSpec) -> float:
+    """L1 distance of the n-d mollifier to its box indicator: a tensor
+    Gauss-Legendre sum of |prod p - prod 1_box| over the rectangles of the
+    knots -delta, 0, delta, gamma - delta, gamma, gamma + delta.  It is
+    exact: on each rectangle the box indicator is constant, so 0 <= p <= 1
+    fixes the sign, and each factor of p is a degree-7 polynomial."""
+    d, g = spec.delta, spec.gamma
+    knots = np.array(sorted({-d, 0.0, d, g - d, g, g + d}))
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * np.diff(knots)
+    u = ((knots[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    p, box = mollifier_profile(spec, u), ((u >= 0.0) & (u <= g)).astype(float)
+    pp, bb, ww = p, box, w
+    for _ in range(spec.n - 1):
+        pp, bb, ww = (np.multiply.outer(pp, p), np.multiply.outer(bb, box),
+                      np.multiply.outer(ww, w))
+    return float((ww * np.abs(pp - bb)).sum())
+
+
 def bump_kernel(x: float) -> float:
     """The mollifier's base kernel (35/32)(1 - x^2)^3 on [-1, 1], zero outside,
     as a scalar function for quadrature."""

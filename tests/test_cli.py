@@ -191,20 +191,30 @@ subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 _SVG_EXTRA_MB = 10.0  # the f-string writer added 29 MB at this N
+_MOLLIFY_EXTRA_MB = 10.0  # the n-fold midpoint grid added 247 MB at n = 3
+
+
+def _peak_mb(tmp_path, *argv) -> float:
+    """Peak RSS in MB of one CLI run in its own process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "homodyn.cli", *argv],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=_child_env(),
+        check=True)
+    return int(proc.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def test_svg_adds_bounded_memory(tmp_path):
-    def peak_mb(*flags):
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "homodyn.cli",
-             "orbit", "--N", "200000", *flags],
-            capture_output=True, text=True, timeout=300, cwd=tmp_path, env=_child_env(),
-            check=True)
-        return int(proc.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
-
-    plain, svg = peak_mb(), peak_mb("--svg", "o.svg")
+    plain = _peak_mb(tmp_path, "orbit", "--N", "200000")
+    svg = _peak_mb(tmp_path, "orbit", "--N", "200000", "--svg", "o.svg")
     assert (tmp_path / "o.svg").read_text().count("<circle") > 10**5
     assert svg - plain <= _SVG_EXTRA_MB, (plain, svg)
+
+
+def test_mollify_box_dimension_adds_bounded_memory(tmp_path):
+    # the L1 distance comes from per-piece quadrature, not an n-d grid
+    one = _peak_mb(tmp_path, "mollify", "--n", "1")
+    three = _peak_mb(tmp_path, "mollify", "--n", "3")
+    assert three - one <= _MOLLIFY_EXTRA_MB, (one, three)
 
 
 def test_cli_constants_table(capsys, tmp_path, monkeypatch):
@@ -733,7 +743,7 @@ def test_cli_numeric_failures_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # dim: EmptyLevelError, a parent interval gets no children at kappa = 3
     # or 1.5 on the default schedule, or at a scale below 1; mollify: finite parameters whose knots overflow,
-    # so the mass is NaN, or whose box volume or L1 grid cell overflows;
+    # so the mass is NaN, or whose box volume or L1 bound overflows;
     # goodfn: |a|^kappa |b| or f(1) past the float range
     for argv in (["dim", "--kappa", "3", "--schedule", "50,2500"],
                  ["dim", "--kappa", "1.5"],

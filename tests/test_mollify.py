@@ -1,6 +1,7 @@
 """Mollifier properties, injectivity radius, horocycle box averages."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from homodyn.mollify import (
 from homodyn.orbits import height_band
 from homodyn.psl2 import golden_ratio, identity, slope_base, unipotent
 from homodyn.surface import cusp_norm, reduce
-from helpers import bump_kernel, eval_mollifier, geodesic_flow
+from helpers import bump_kernel, eval_mollifier, geodesic_flow, mollifier_l1_reference
 
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
@@ -72,12 +73,21 @@ def test_eval_mollifier_plateau_support_factorization():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
-@pytest.mark.parametrize("delta", [0.1, 0.05])
+@pytest.mark.parametrize("delta, gamma", [(0.1, 0.5), (0.1, 1.0), (0.05, 0.5), (0.05, 1.0),
+                                          (0.1, 0.15), (0.4, 0.05)])  # the last two: no plateau
 def test_verify_mollifier_grid(n, gamma, delta):
-    integral, l1 = verify_mollifier(MollifierSpec(delta=delta, n=n, gamma=gamma))
+    spec = MollifierSpec(delta=delta, n=n, gamma=gamma)
+    integral, l1 = verify_mollifier(spec)
     assert integral == pytest.approx(gamma**n, rel=1e-6)
     assert l1 <= 4.0 * n * delta * (gamma + delta) ** (n - 1)
+    # the exact L1 distance: with a plateau (gamma >= 2 delta) each side
+    # holds mass 35 delta / 256 outside the box, so L1 = 2(g^n - (g - 35 delta/128)^n)
+    if gamma >= 2.0 * delta:
+        g = Fraction(gamma)
+        want = float(2 * (g**n - (g - Fraction(35, 128) * Fraction(delta)) ** n))
+    else:
+        want = mollifier_l1_reference(spec)
+    assert l1 == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("delta, gamma", [(0.1, 0.7), (0.1, 0.2), (0.1, 0.15), (0.4, 0.05)])

@@ -14,7 +14,8 @@ whole record.  A read counts for the record its receiver is known to be
 share counts for neither.
 
 Only surface.py forms flowed elements: elsewhere a group element's
-.entries may only be passed on, as an argument of a call.
+.entries may only be passed on, as an argument of a call, and no function
+unpacks one of its own parameters into the four entries.
 """
 
 import ast
@@ -229,9 +230,10 @@ def test_field_census_sees_a_planted_field(tmp_path, module, record, field):
 
 
 def _entry_reads(package=PACKAGE):
-    """'file:line' of each read of a group element's .entries outside
-    surface.py that is not itself an argument of a call: a site that unpacks
-    the entries to multiply them by a flow parameter inline."""
+    """'file:line' of each site outside surface.py that unpacks entries to
+    multiply them by a flow parameter inline: a read of a group element's
+    .entries that is not itself an argument of a call, or an assignment
+    that unpacks one of its function's own parameters into four names."""
     reads = []
     for path in sorted(package.glob("*.py")):
         if path.name == "surface.py":
@@ -242,6 +244,15 @@ def _entry_reads(package=PACKAGE):
         reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "entries"
                   and isinstance(node.ctx, ast.Load) and id(node) not in passed]
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            reads += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                      and node.value.id in params
+                      and any(isinstance(t, (ast.Tuple, ast.List)) and len(t.elts) == 4
+                              for t in node.targets)]
     return reads
 
 
@@ -264,6 +275,26 @@ def test_flow_census_sees_a_planted_product(tmp_path):
         "    return _points(lambda t: (r11, r11 * t + r12, r21, r21 * t + r22), times)\n")),
         encoding="utf-8")
     assert [r.split(":")[0] for r in _entry_reads(package)] == ["orbits.py"]
+
+
+def test_flow_census_sees_a_planted_entries_parameter(tmp_path):
+    # the curve product restored in goodfn, on an entries tuple taken as a
+    # parameter and unpacked, fails the census
+    package = tmp_path / "homodyn"
+    shutil.copytree(PACKAGE, package)
+    path = package / "goodfn.py"
+    source = path.read_text(encoding="utf-8")
+    imported = "from .surface import SurfacePoint, curve_entries, cusp_norms\n"
+    assert source.count(imported) == 1
+    path.write_text(source.replace(imported, (
+        "from .surface import SurfacePoint, cusp_norms\n\n\n"
+        "def curve_entries(rep, xv, gamma: float):\n"
+        "    r11, r12, r21, r22 = rep\n"
+        "    quarter = xv ** 0.25\n"
+        "    shear = xv ** (0.75 + gamma)\n"
+        "    return (r11 * quarter, r11 * shear + r12 / quarter,\n"
+        "            r21 * quarter, r21 * shear + r22 / quarter)\n")), encoding="utf-8")
+    assert [r.split(":")[0] for r in _entry_reads(package)] == ["goodfn.py"]
 
 
 def test_package_imports_only_stdlib_and_numpy():
