@@ -13,19 +13,19 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .psl2 import GroupElement, golden_ratio, identity, slope_base
-from .report import ExperimentReport, emit_csv, emit_svg
+from .report import ExperimentReport, emit_csv
 
 # module -> the names the runners call from it.  A command imports only the
 # modules of its experiment (see _RUNNERS): their names are bound into this
-# module's globals on first use.
+# module's globals on first use.  numpy comes with those modules: cli itself
+# never imports it, so constants, which computes on scalars, runs without.
 _HELPERS = {
     "diophantine": ("DivergentOrbitError", "OpenExcursionError", "cf_expand",
-                    "cf_from_quotients", "excursion_type_estimate", "exponent_bundle",
-                    "planted_quotients", "point_type_check", "type_estimate"),
+                    "cf_from_quotients", "excursion_type_estimate", "planted_quotients",
+                    "point_type_check", "type_estimate"),
+    "exponents": ("exponent_bundle",),
     "fractal": ("assembled_dimension", "build_tree", "cover_sum", "dimension_lower_bound"),
     "goodfn": ("GoodFnParams", "verify_good"),
     "lattice": ("SectorQuery", "check_capacity", "enumerate_orbit", "gap_constants",
@@ -35,6 +35,7 @@ _HELPERS = {
     "orbits": ("default_suite", "discrepancy", "height_band", "piece_decomposition",
                "progression_average", "sample_curve", "sample_sparse", "twisted_average"),
     "surface": ("reduce",),
+    "svg": ("emit_svg",),
 }
 _HOME = {name: module for module, names in _HELPERS.items() for name in names}
 
@@ -133,11 +134,15 @@ def run_curve(args) -> ExperimentReport:
     check_capacity(args.points, "curve points")
     if not (1.0 <= args.xmax < math.inf):
         raise ConfigError("need finite --xmax >= 1")
+    import numpy as np  # loaded with orbits
+
     grid = np.geomspace(1.0, args.xmax, args.points)
     return _series_report(args, sample_curve(p, args.gamma, grid))
 
 
 def run_twist(args) -> ExperimentReport:
+    import numpy as np  # loaded with orbits
+
     p = reduce(parse_base(args.base))
     f = height_band(args.band)
     rep = ExperimentReport(
@@ -279,8 +284,8 @@ def run_constants(args) -> ExperimentReport:
 
 # experiment -> (runner, the modules whose helpers it calls)
 _RUNNERS = {
-    "orbit": (run_orbit, ("orbits", "surface")),
-    "curve": (run_curve, ("lattice", "orbits", "surface")),
+    "orbit": (run_orbit, ("orbits", "surface", "svg")),
+    "curve": (run_curve, ("lattice", "orbits", "surface", "svg")),
     "twist": (run_twist, ("orbits", "surface")),
     "prog": (run_prog, ("orbits", "surface")),
     "pieces": (run_pieces, ("orbits", "surface")),
@@ -290,8 +295,21 @@ _RUNNERS = {
     "dim": (run_dim, ("fractal",)),
     "mollify": (run_mollify, ("mollify",)),
     "box": (run_box, ("mollify", "orbits", "surface")),
-    "constants": (run_constants, ("diophantine",)),
+    "constants": (run_constants, ("exponents",)),
 }
+
+
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a separate negative float literal after a
+    flag (--s -1e-3, --s -inf, --base -0.8,0.3,1.2,-1.7) as the flag's value,
+    as it already does -1 and -.5: no flag of homodyn looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def positive_int(text: str) -> int:
@@ -302,7 +320,7 @@ def positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homodyn",
         description="numerical experiments on flows over the modular surface",
     )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -261,6 +262,16 @@ class CoverSumResult:
     convergent: bool  # decay > 0.1
 
 
+@lru_cache(maxsize=1)
+def _totients(R: int) -> np.ndarray:
+    """phi(0..R), read-only: dim's two cover sums at one R share one sieve."""
+    phi = np.arange(R + 1, dtype=np.int64)
+    for p in primes_upto(R).tolist():
+        phi[p::p] -= phi[p::p] // p
+    phi.flags.writeable = False
+    return phi
+
+
 def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:
     """Convergence of the cover sum over slope intervals of width
     2 b^-(kappa+1), fitted from its terms 2^delta phi(b) b^-((kappa+1) delta)
@@ -276,10 +287,7 @@ def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:
     R = int(R)
     if not (63 <= R <= 10**5):
         raise ValueError("need 63 <= R <= 100000")
-    # totient sieve
-    phi = np.arange(R + 1, dtype=np.int64)
-    for p in primes_upto(R).tolist():
-        phi[p::p] -= phi[p::p] // p
+    phi = _totients(R)
     b = np.arange(2, R + 1, dtype=float)
     terms = 2.0 ** delta * phi[2:] * b ** (-(kappa + 1.0) * delta)
     blocks = np.bincount(np.frexp(b)[1] - 1, weights=terms)[4:(R + 1).bit_length() - 1]

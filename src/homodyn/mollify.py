@@ -66,9 +66,11 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
     on each piece the profile p is a polynomial of degree 7.  Each piece lies
     inside or outside [0, gamma]; with i the mass of p inside and o outside,
     0 <= p <= 1 and i + o = gamma give the L1 distance 2((i + o)^n - i^n),
-    summed as positive binomial terms.  Raises if the integral misses gamma^n
-    beyond 1e-6 relative, or the L1 distance exceeds the bound
-    4 n delta (gamma + delta)^(n-1) or the bound is not finite (a NaN fails).
+    summed as positive binomial terms.  Where gamma + delta rounds to gamma,
+    the right outside piece rounds away, and o is twice the left outside
+    mass.  Raises if the integral misses gamma^n beyond 1e-6 relative, or the
+    L1 distance exceeds the bound 4 n delta (gamma + delta)^(n-1) or the
+    bound is not finite (a NaN fails).
     """
     d, g, n = spec.delta, spec.gamma, spec.n
     nodes, weights = np.polynomial.legendre.leggauss(4)
@@ -79,6 +81,8 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
         mass = half * (mollifier_profile(spec, mid[:, None] + half[:, None] * nodes) @ weights)
     inside = (0.0 <= mid) & (mid <= g)
     i, o = float(mass[inside].sum()), float(mass[~inside].sum())
+    if g + d == g:  # by symmetry [gamma, gamma + delta] holds what [-delta, 0] does
+        o = 2.0 * float(mass[mid < 0.0].sum())
     try:
         volume = g**n
     except OverflowError:

@@ -496,7 +496,7 @@ def verify_good_reference(params, eps_grid, window_count: int = 50):
 
 
 def emit_svg_reference(xs, ys, path: str) -> None:
-    """Reference for report.emit_svg, which dedupes the printed markers: the
+    """Reference for svg.emit_svg, which dedupes the printed markers: the
     former writer, which dedupes on points rounded to 9 decimals and so
     keeps markers that print identically at 6."""
     x0, y0, x1, y1 = (-0.6, 0.8, 0.6, 4.0)
@@ -526,7 +526,7 @@ def emit_svg_reference(xs, ys, path: str) -> None:
 
 
 def emit_svg_fstring(xs, ys, path: str) -> None:
-    """Reference for report.emit_svg: its former writer, one f-string per
+    """Reference for svg.emit_svg: its former writer, one f-string per
     marker, deduped on the printed line by dict.fromkeys."""
     x0, y0, x1, y1 = (-0.6, 0.8, 0.6, 4.0)
     # SVG y axis points down: plot (x, -y)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from homodyn.cli import main as cli_main
-from homodyn.diophantine import exponent_bundle
+from homodyn.exponents import exponent_bundle
 from homodyn.fractal import (
     EmptyLevelError,
     assembled_dimension,

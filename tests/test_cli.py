@@ -22,8 +22,9 @@ import homodyn
 from homodyn.cli import build_parser, main, parse_base
 from homodyn.orbits import sample_sparse
 from homodyn.psl2 import GroupElement, golden_ratio, identity
-from homodyn.report import ExperimentReport, emit_csv, emit_svg
+from homodyn.report import ExperimentReport, emit_csv
 from homodyn.surface import reduce
+from homodyn.svg import emit_svg
 
 from helpers import emit_svg_fstring, emit_svg_reference, psl_allclose
 
@@ -234,6 +235,20 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "no-such-dir" / "x.csv"
     code = run_cli(["constants", "--out", str(bad)])
     assert code == 2
+
+
+def test_cli_separate_negative_float_is_a_value(tmp_path, monkeypatch):
+    # --flag -1e-3 runs as --flag=-1e-3 does: the value reaches the
+    # parameter check, and a negative matrix entry reaches the base parser
+    monkeypatch.chdir(tmp_path)
+    for value in ("-inf", "-nan", "-1e-3", "-1E+3", "-.5", "-Infinity"):
+        for argv in (["constants", "--s", value], ["constants", f"--s={value}"]):
+            code, _, err = _run_quiet(argv)
+            assert code == 1, argv
+            _assert_one_line(err, "config error: spectral parameter must lie in (0, 1/2]", argv)
+    runs = [_run_quiet(["orbit", "--N", "50", *base]) for base in (
+        ["--base", "-0.8,0.3,1.2,-1.7"], ["--base=-0.8,0.3,1.2,-1.7"])]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
 
 
 def test_cli_orbit_csv_deterministic_across_threads(tmp_path, capsys):
@@ -531,10 +546,11 @@ def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, monkeypatch):
 # experiment's modules and what they import
 _ORBITS = {"goodfn", "lattice", "orbits", "surface"}
 _LOADED = {
-    "orbit": _ORBITS, "curve": _ORBITS, "pieces": _ORBITS, "twist": _ORBITS,
-    "prog": _ORBITS, "box": _ORBITS | {"mollify"}, "mollify": _ORBITS | {"mollify"},
+    "orbit": _ORBITS | {"svg"}, "curve": _ORBITS | {"svg"}, "pieces": _ORBITS,
+    "twist": _ORBITS, "prog": _ORBITS, "box": _ORBITS | {"mollify"},
+    "mollify": _ORBITS | {"mollify"},
     "dio": {"diophantine", "lattice", "surface"},
-    "constants": {"diophantine", "lattice", "surface"},
+    "constants": {"exponents"},
     "goodfn": {"goodfn", "lattice", "surface"},
     "count": {"lattice"},
     "dim": {"fractal", "lattice"},
@@ -807,6 +823,21 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                                        "homodyn.report"])
 
 
+def test_cli_import_and_constants_load_neither_numpy_nor_dataclasses(tmp_path):
+    # constants computes a dozen scalar floats: neither cli's import nor the
+    # command pays for numpy or for dataclasses (which pulls in inspect)
+    code = ("import sys, homodyn.cli\n"
+            "heavy = lambda: sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "print(heavy())\n"
+            "code = homodyn.cli.main(['constants', '--kappa', '1', '3'])\n"
+            "print(heavy(), code)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[] 0"
+
+
 _FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e200", "1e308", "abc"]
 _FUZZ_BASES = _FUZZ_VALUES + [_deep_base(x, t) for x in (golden_ratio, math.sqrt(2.0), math.e)
                               for t in (20.0, 36.5, 40.0, 60.0, 80.0)]
@@ -854,8 +885,8 @@ def test_cli_fuzz_exit_contract(run):
     # whatever the values, main returns 0, 1 or 2, raises nothing and keeps
     # the stderr contract: nothing at exit 0, one prefixed line at exits 1
     # and 2 (argparse's usage message excepted), never errno text.  Both
-    # spellings of every flag run the same, unless argparse refuses one: it
-    # reads a separate value such as -inf as a flag
+    # spellings of every flag run the same: a separate negative value such
+    # as -inf is read as the flag's value, as --flag=-inf is
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for joined in (False, True):
@@ -867,8 +898,7 @@ def test_cli_fuzz_exit_contract(run):
             elif not (code == 1 and err.startswith("usage:")):
                 _assert_one_line(err, {1: "config error: ", 2: "numeric failure: "}[code], argv)
             runs.append((code, out, err))
-    if not any(code == 1 and err.startswith("usage:") for code, _, err in runs):
-        assert runs[0] == runs[1], argv
+    assert runs[0] == runs[1], argv
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

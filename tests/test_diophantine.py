@@ -13,11 +13,11 @@ from homodyn.diophantine import (
     cf_expand,
     cf_from_quotients,
     excursion_type_estimate,
-    exponent_bundle,
     planted_quotients,
     point_type_check,
     type_estimate,
 )
+from homodyn.exponents import exponent_bundle
 from homodyn.lattice import _BLOCK, CapacityError, coprime_mask, pair_blocks
 from homodyn.psl2 import diagonal_flow, identity, slope_base, unipotent
 from homodyn.surface import reduce

@@ -74,7 +74,9 @@ def test_eval_mollifier_plateau_support_factorization():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("delta, gamma", [(0.1, 0.5), (0.1, 1.0), (0.05, 0.5), (0.05, 1.0),
-                                          (0.1, 0.15), (0.4, 0.05)])  # the last two: no plateau
+                                          (0.1, 0.15), (0.4, 0.05),  # these two: no plateau
+                                          # below half an ulp of gamma: gamma + delta == gamma
+                                          (1e-17, 1.0), (1e-300, 1.0), (1e-200, 1e100)])
 def test_verify_mollifier_grid(n, gamma, delta):
     spec = MollifierSpec(delta=delta, n=n, gamma=gamma)
     integral, l1 = verify_mollifier(spec)
@@ -87,7 +89,7 @@ def test_verify_mollifier_grid(n, gamma, delta):
         want = float(2 * (g**n - (g - Fraction(35, 128) * Fraction(delta)) ** n))
     else:
         want = mollifier_l1_reference(spec)
-    assert l1 == pytest.approx(want, rel=1e-13)
+    assert l1 == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("delta, gamma", [(0.1, 0.7), (0.1, 0.2), (0.1, 0.15), (0.4, 0.05)])

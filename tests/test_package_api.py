@@ -7,7 +7,8 @@ README.  In Python files only code counts, so a name that survives only in
 a docstring or comment is unreached.  What only module tests call belongs
 in tests/helpers.py.
 
-The same holds for the fields of every dataclass and NamedTuple: each must
+The same holds for the fields of every record (a dataclass, a NamedTuple or
+a class that declares __slots__ and annotates its fields): each must
 be read on one of those paths, by an attribute load or by unpacking the
 whole record.  A read counts for the record its receiver is known to be
 (see _field_reads); an unresolved read of a field name that two records
@@ -84,15 +85,21 @@ def _named(node):
     return None
 
 
+def _declares_slots(cls):
+    """Whether a class body assigns __slots__."""
+    return any(isinstance(s, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                                 for t in s.targets) for s in cls.body)
+
+
 def _records(package=PACKAGE):
-    """{record: (file, {field: declaration line})} of each dataclass and
-    NamedTuple in the package."""
+    """{record: (file, {field: declaration line})} of each dataclass,
+    NamedTuple and __slots__ class in the package."""
     records = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.ClassDef) and {"dataclass", "NamedTuple"} & {
+            if isinstance(node, ast.ClassDef) and ({"dataclass", "NamedTuple"} & {
                     _named(d.func if isinstance(d, ast.Call) else d)
-                    for d in node.decorator_list + node.bases}:
+                    for d in node.decorator_list + node.bases} or _declares_slots(node)):
                 records[node.name] = (path, {s.target.id: s.lineno for s in node.body
                                              if isinstance(s, ast.AnnAssign)})
     return records
@@ -216,6 +223,8 @@ def test_no_test_only_record_fields():
     # run_dio binds the record by (witness,) = point_type_check(...), which
     # reads no field: only witness.mu and the like do
     pytest.param("diophantine", "DiophantineWitness", "planted", id="witness-planted"),
+    # a __slots__ class with annotated fields is a record too
+    pytest.param("report", "ExperimentReport", "planted", id="slots-planted"),
 ])
 def test_field_census_sees_a_planted_field(tmp_path, module, record, field):
     # a field no product path reads fails the census

@@ -7,12 +7,26 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def test_startup_splits_one_tiny_command(monkeypatch):
+def _startup(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))  # startup reads parity's list
     spec = importlib.util.spec_from_file_location("startup", ROOT / "tools" / "startup.py")
     startup = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(startup)
+    return startup
+
+
+def test_startup_splits_one_tiny_command(monkeypatch):
+    startup = _startup(monkeypatch)
     ms = startup.medians_ms(SRC, ["constants"], 1)
     assert list(ms) == ["start", "imports", "main", "teardown"]
     assert all(v >= 0.0 for v in ms.values()), ms
     assert ms["start"] > 0.0 and ms["imports"] > 0.0, ms
+
+
+def test_startup_refuses_a_src_without_homodyn(monkeypatch, capsys, tmp_path):
+    # the usage and exit 2, before any child starts
+    startup = _startup(monkeypatch)
+    monkeypatch.setattr(startup, "child", None)  # a child would fail: None is not callable
+    for args in (["--help"], [str(tmp_path)], [str(SRC), "0"], [str(SRC), "x"], []):
+        assert startup.main(args) == 2, args
+        assert capsys.readouterr().err.startswith("usage: python3 tools/startup.py SRC [N]\n")

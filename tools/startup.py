@@ -71,8 +71,11 @@ def medians_ms(src, argv, n: int) -> dict:
 
 def main(args=None) -> int:
     args = sys.argv[1:] if args is None else args
-    if len(args) not in (1, 2) or (len(args) == 2 and not args[1].isdigit()):
-        print("usage: python3 tools/startup.py SRC [N]", file=sys.stderr)
+    if (len(args) not in (1, 2) or (len(args) == 2 and not (args[1].isdigit() and int(args[1])))
+            or not (Path(args[0]) / "homodyn" / "cli.py").is_file()):
+        print("usage: python3 tools/startup.py SRC [N]\n"
+              "SRC holds the homodyn package (SRC/homodyn/cli.py); N >= 1 children per command",
+              file=sys.stderr)
         return 2
     src, n = args[0], int(args[1]) if len(args) == 2 else 5
     rows = []
