@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_capacity, coprime_mask, pair_blocks
+from .lattice import check_capacity
 from .surface import SurfacePoint, excursion_profile
 
 _Q_GUARD = 2**62  # convergent denominators stay below this (exact int range)
@@ -147,44 +147,53 @@ class DiophantineWitness:
     vectors_checked: int
 
 
+def _candidate_columns(g, bound: int):
+    """(1, 0), then m = rint(beta) + {-1, 0, 1} over the rows 1 <= n <= bound,
+    clipped to |m| <= bound, at the zeros beta of B and A: an m at distance
+    >= 3/2 from both has |B| >= 3/2 |c| and |A| >= 3/2 |d|, so each witness
+    value there exceeds that of (1, 0)."""
+    yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    n = np.arange(1, bound + 1, dtype=np.int64)
+    for x, y in [(g.a, g.c)] * bool(g.c) + [(g.b, g.d)] * bool(g.d):  # beta = x n / y
+        with np.errstate(over="ignore"):  # an overflow to inf is clipped
+            center = np.rint(np.clip(x * n / y, -bound - 1, bound + 1)).astype(np.int64)
+        for off in (-1, 0, 1):
+            yield np.clip(center + off, -bound, bound), n
+
+
 def point_type_check(p: SurfacePoint, kappa: float,
                      search_bound: int) -> tuple[DiophantineWitness]:
     """Witness report for the type-kappa condition at p, as a 1-tuple.
 
-    Enumerates the cusp-orbit vectors g^{-1}(m, n) over sign-canonical
-    primitive (m, n) up to the bound and reports the per-branch minima, the
-    largest symmetric pair value, and any vectors sitting on the b = 0 axis
-    (those defeat every positive (mu, nu) outright: periodic horocycle).
-    The vectors go through block by block; min is exact, so the minima do
-    not depend on the blocking.
+    Over the cusp-orbit vectors g^{-1}(m, n) = (A, B) of the sign-canonical
+    primitive (m, n) with |m|, n <= search_bound: the per-branch minima, the
+    largest symmetric pair value, and any vectors on the b = 0 axis (those
+    defeat every positive (mu, nu) outright: periodic horocycle).
     """
     if not (1.0 <= kappa < math.inf) or search_bound < 10:
         raise ValueError("need finite kappa >= 1 and search_bound >= 10")
-    check_capacity(6.0 / math.pi**2 * (2 * search_bound + 1) * search_bound,
-                   "vectors")  # coprime share of the box
+    check_capacity(12 * search_bound, "row-array elements")  # under 12 live at once
     g = p.rep
     mu = nu = symmetric = np.inf
-    axis_vectors = []
-    checked = 0
-    for m, n in pair_blocks(coprime_mask(search_bound, search_bound), search_bound):
+    axis_nm, checked = [], 0  # the first 16 primitive axis vectors as sorted (n, m)
+    for m, n in _candidate_columns(g, search_bound):
         # g^{-1} (m, n) = (d m - b n, a n - c m)
-        a_comp = g.d * m - g.b * n
         abs_b = np.abs(g.a * n - g.c * m)
         with np.errstate(over="ignore", invalid="ignore"):  # inf; NaN only on axis vectors
-            prod = np.abs(a_comp) ** kappa * abs_b
-        axis = abs_b < 1e-12
-        if len(axis_vectors) < 16 and axis.any():
-            axis_vectors += zip(m[axis][:16].tolist(), n[axis][:16].tolist())
+            prod = np.abs(g.d * m - g.b * n) ** kappa * abs_b
+        axis = abs_b < 1e-12  # a column holds one m per row, in row order
+        am, an = m[axis], n[axis]
+        keep = np.gcd(am, an) == 1
+        axis_nm = sorted({*axis_nm, *zip(an[keep][:16].tolist(), am[keep][:16].tolist())})[:16]
         mu = np.minimum(mu, abs_b.min())
         nu = np.minimum(nu, prod.min())
         symmetric = np.minimum(symmetric, np.maximum(abs_b, prod).min())
         checked += m.size
-    if axis_vectors:
+    if axis_nm:
         mu = nu = symmetric = 0.0
-    witness = DiophantineWitness(mu=float(mu), nu=float(nu), symmetric=float(symmetric),
-                                 axis_vectors=tuple(axis_vectors[:16]),
-                                 vectors_checked=checked)
-    return (witness,)
+    return (DiophantineWitness(mu=float(mu), nu=float(nu), symmetric=float(symmetric),
+                               axis_vectors=tuple((m, n) for n, m in axis_nm),
+                               vectors_checked=checked),)
 
 
 def excursion_type_estimate(p: SurfacePoint, t_max: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 _RADIUS_GUARD = 1e5
 _COUNT_GUARD = 5 * 10**7  # secondary memory guard (density ~ 0.955 / unit area)
-_BLOCK = 2**16  # vectors or mask cells per block of a sector test or pair stream
+_BLOCK = 2**16  # vectors or mask cells per block of a sector test or enumeration
 
 
 class CapacityError(ValueError):
@@ -78,18 +78,6 @@ def coprime_mask(N: int, M: int) -> np.ndarray:
     return mask
 
 
-def pair_blocks(mask: np.ndarray, M: int):
-    """(m, n) int64 blocks of the set entries of a coprime_mask(N, M)-shaped
-    mask: (1, 0) first, then in (n, m) order, one block per run of rows
-    holding about _BLOCK cells."""
-    width = mask.shape[1]
-    rows = max(1, _BLOCK // width)
-    yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for r0 in range(0, mask.shape[0], rows):
-        n, m = np.divmod(np.flatnonzero(mask[r0:r0 + rows]), width)
-        yield m - M, n + (r0 + 1)
-
-
 def enumerate_orbit(R: float) -> PrimitiveVectorSet:
     """All normalized primitive pairs of norm <= R, by prime sieve."""
     if not (1.0 <= R <= _RADIUS_GUARD):
@@ -104,9 +92,11 @@ def enumerate_orbit(R: float) -> PrimitiveVectorSet:
     mask &= (a * a)[None, :] <= room[:, None]
     alphas = np.empty(1 + np.count_nonzero(mask), dtype=np.int64)
     betas = np.empty_like(alphas)
-    i = 0
-    for m, n in pair_blocks(mask, M):
-        alphas[i:i + m.size], betas[i:i + m.size] = m, n
+    alphas[0], betas[0], i = 1, 0, 1  # (1, 0), then by (n, m) in blocks of rows
+    rows = max(1, _BLOCK // a.size)
+    for r0 in range(0, M, rows):
+        n, m = np.divmod(np.flatnonzero(mask[r0:r0 + rows]), a.size)
+        alphas[i:i + m.size], betas[i:i + m.size] = a[m], n + (r0 + 1)
         i += m.size
     return PrimitiveVectorSet(radius=float(R), alphas=alphas, betas=betas)
 

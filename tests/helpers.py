@@ -394,10 +394,11 @@ def build_tree_reference(kappa: float, eps: float, l_schedule, child_guard: int 
 
 @functools.lru_cache(maxsize=8)
 def primitive_pairs_reference(bound: int):
-    """Reference for lattice.pair_blocks over coprime_mask(bound, bound):
-    the former per-row np.gcd loop.  Sign-canonical primitive (m, n),
-    |m|, |n| <= bound, (1, 0) first, then by (n, m).  Cached, so the arrays
-    are read-only."""
+    """Every sign-canonical primitive (m, n) with |m|, n <= bound, by a
+    per-row np.gcd loop: (1, 0) first, then by (n, m).  The box that
+    lattice.enumerate_orbit cuts to its disc and that
+    point_type_check_reference searches.  Cached, so the arrays are
+    read-only."""
     ms = [np.array([1], dtype=np.int64)]
     ns = [np.array([0], dtype=np.int64)]
     m_range = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -411,10 +412,11 @@ def primitive_pairs_reference(bound: int):
 
 
 def point_type_check_reference(p, kappa: float, search_bound: int):
-    """Reference for diophantine.point_type_check, which works block by
-    block: the former full-array search.  (witness, a_comp, b_comp), the
-    columns being the components of g^{-1}(m, n) over every pair of
-    primitive_pairs_reference(search_bound)."""
+    """Reference for diophantine.point_type_check, which evaluates only the
+    breakpoint candidates: the former full search.  (witness, a_comp,
+    b_comp), the columns being the components of g^{-1}(m, n) over every
+    pair of primitive_pairs_reference(search_bound); vectors_checked counts
+    them all."""
     g = p.rep
     m, n = primitive_pairs_reference(search_bound)
     a_comp = g.d * m - g.b * n

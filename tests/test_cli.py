@@ -725,7 +725,7 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  ["dim", "--R", "62"],
                  ["dio", "--kappa", "nan", "--bound", "50"],
                  ["dio", "--tmax", "nan", "--bound", "50"],
-                 ["dio", "--bound", "100000"], ["dio", "--bound", "9999"],
+                 ["dio", "--bound", "4166667"],
                  ["pieces", "--eps", "nan", "--N", "100"],
                  ["twist", "--frequency", "nan"], ["twist", "--frequency", "inf"],
                  ["twist", "--T", "inf"],
@@ -848,7 +848,7 @@ _FUZZ_COMMANDS = {
     "goodfn": ([], ["--a", "--b", "--kappa", "--gamma", "--mu", "--nu", "--rho"]),
     "count": (["--l", "50"], ["--l", "--theta1", "--theta2"]),
     "dim": (["--levels", "1", "--R", "1000"], ["--kappa", "--eps", "--schedule"]),
-    "dio": (["--bound", "20"], ["--x", "--depth", "--kappa", "--tmax"]),
+    "dio": (["--bound", "20"], ["--x", "--base", "--depth", "--kappa", "--tmax"]),
     "orbit": (["--N", "50"], ["--gamma", "--base", "--threads"]),
     "pieces": (["--N", "50"], ["--gamma", "--eps", "--kappa", "--base"]),
 }

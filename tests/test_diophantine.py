@@ -18,14 +18,13 @@ from homodyn.diophantine import (
     type_estimate,
 )
 from homodyn.exponents import exponent_bundle
-from homodyn.lattice import _BLOCK, CapacityError, coprime_mask, pair_blocks
-from homodyn.psl2 import diagonal_flow, identity, slope_base, unipotent
+from homodyn.lattice import CapacityError
+from homodyn.psl2 import GroupElement, diagonal_flow, identity, slope_base, unipotent
 from homodyn.surface import reduce
 
 from helpers import (
     cf_expand_reference,
     point_type_check_reference,
-    primitive_pairs_reference,
     random_element,
     rng,
     type_estimate_exact,
@@ -249,63 +248,109 @@ def test_excursion_profile_bounded_for_badly_approximable_slope():
     assert float(vals.max()) <= 3.0
 
 
-@pytest.mark.parametrize("bound", [10, 11, 180, 181, 1000])
-def test_primitive_pairs_sieve_matches_gcd_loop(bound):
-    # the whole mask is one block of rows up to bound 180, several from 181
-    blocks = list(pair_blocks(coprime_mask(bound, bound), bound))
-    assert (len(blocks) == 2) == (bound <= 180)  # (1, 0), then the row blocks
-    m, n = (np.concatenate(cols) for cols in zip(*blocks))
-    ref_m, ref_n = primitive_pairs_reference(bound)
-    assert np.array_equal(m, ref_m) and np.array_equal(n, ref_n)
-    assert (m[0], n[0]) == (1, 0)
-    assert m[n == 1].tolist() == list(range(-bound, bound + 1))  # n = 1 row
-    assert n[m == 0].tolist() == [1]  # m = 0 column: (0, 1) only
-
-
 @pytest.mark.parametrize("bound", [6500, 9999, 100000])
 def test_primitive_pairs_guarded(bound):
-    # ~0.61 (2N+1) N vectors over the count guard: refused before the sieve
+    # the guard counts a dozen arrays over the rows, not the ~0.61 (2N+1) N
+    # primitive pairs of the box: these bounds run, 4,166,667 is refused
+    p = reduce(slope_base(GOLDEN))
+    (witness,) = point_type_check(p, 1.0, bound)
+    assert witness.vectors_checked == 1 + 3 * bound  # B = 0 only: the base has d = 0
+    assert witness.mu > 0.0 and not witness.axis_vectors
     with pytest.raises(CapacityError):
-        point_type_check(reduce(slope_base(GOLDEN)), 1.0, bound)
+        point_type_check(p, 1.0, 4_166_667)
 
 
-# the largest bound whose whole coprime mask is one block of the search
-_ONE_BLOCK = max(b for b in range(10, 1000) if b * (2 * b + 1) <= _BLOCK)
+def _random_base(r):
+    """A determinant-one matrix with entries of size 10^-2 to 10^2."""
+    a, b, c = 10.0 ** r.uniform(-2.0, 2.0, 3) * r.choice([-1.0, 1.0], 3)
+    return GroupElement(float(a), float(b), float(c), float((1.0 + b * c) / a))
 
 
 def _witness_bases():
     r = rng(12)
     named = [identity(), slope_base(GOLDEN), slope_base(math.sqrt(2.0)),
              slope_base(math.e),
-             slope_base(cf_from_quotients(planted_quotients(2.0)).x)]
-    return named + [random_element(r), random_element(r)]
+             slope_base(cf_from_quotients(planted_quotients(2.0)).x),
+             GroupElement(1.0, 5.0, 0.0, 1.0),  # c = 0: no B = 0 line
+             GroupElement(2.0, 1.0, 1.0, 1.0),  # integer breakpoints
+             GroupElement(1.0, 0.0, 3.0, 1.0)]
+    r2 = rng(24)
+    return named + [random_element(r), random_element(r)] + [_random_base(r2) for _ in range(4)]
 
 
-@pytest.mark.parametrize("bound", [10, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1,
-                                   _ONE_BLOCK + 2, 1000])
+def _same_witness(w, ref):
+    return (w.mu, w.nu, w.symmetric, w.axis_vectors) == (ref.mu, ref.nu, ref.symmetric,
+                                                          ref.axis_vectors)
+
+
+@pytest.mark.parametrize("bound", [10, 179, 180, 181, 182, 1000])
 def test_point_type_check_matches_full_array_search(bound):
-    # block by block gives the full-array witness exactly, on both sides of
-    # the bound where the search first takes a second block
+    # the breakpoint candidates give the full-array witness exactly
     for g in _witness_bases():
         p = reduce(g)
-        for kappa in (1.0, 2.5):
+        for kappa in (1.0, 2.5, 8.0, 400.0):
             (witness,) = point_type_check(p, kappa, bound)
-            assert witness == point_type_check_reference(p, kappa, bound)[0], (g, kappa)
+            ref = point_type_check_reference(p, kappa, bound)[0]
+            assert _same_witness(witness, ref), (g, kappa, witness, ref)
+
+
+def test_point_type_check_matches_reference_on_random_bases():
+    r = rng(31)
+    for _ in range(40):
+        p = reduce(_random_base(r))
+        for bound in (10, 37, 100):
+            for kappa in (1.0, 2.5, 8.0, 400.0):
+                (witness,) = point_type_check(p, kappa, bound)
+                ref = point_type_check_reference(p, kappa, bound)[0]
+                assert _same_witness(witness, ref), (p.rep, kappa, bound, witness, ref)
+                assert witness.vectors_checked == 1 + 6 * bound  # B = 0 and A = 0
+
+
+def test_point_type_check_near_axis_base():
+    # |B| < 1e-12 holds on many pairs of this base: the candidates list other
+    # pairs than the full search, but as many, and the minima are zero
+    p = reduce(GroupElement(1e-13, 0.0, 1e-13, 1e13))
+    for bound in (10, 100):
+        (witness,) = point_type_check(p, 1.0, bound)
+        ref = point_type_check_reference(p, 1.0, bound)[0]
+        assert witness.mu == witness.nu == witness.symmetric == 0.0
+        assert ref.mu == ref.nu == ref.symmetric == 0.0
+        assert len(witness.axis_vectors) == len(ref.axis_vectors) == 16
+        assert witness.axis_vectors[0] == (1, 0)
+
+
+def test_point_type_check_planted_base_needs_the_offsets():
+    # the nu minimum of this base sits next to a breakpoint, not at its rint
+    a, b, c = 32.94576877838444, 2.4422877436579893, -3.514799359371663
+    p = reduce(GroupElement(a, b, c, (1.0 + b * c) / a))
+    (witness,) = point_type_check(p, 1.0, 30)
+    assert _same_witness(witness, point_type_check_reference(p, 1.0, 30)[0])
+
+
+@pytest.mark.parametrize("x, m, n", [(GOLDEN, 832040, 514229),
+                                     (math.sqrt(2.0), 665857, 470832)])
+def test_point_type_check_past_the_former_guard(x, m, n):
+    # mu at bound 10^6 is |a n - c m| at the best approximation in the box
+    p = reduce(slope_base(x))
+    (witness,) = point_type_check(p, 1.0, 10**6)
+    g = p.rep
+    assert witness.mu == abs(g.a * np.int64(n) - g.c * np.int64(m))
+    assert witness.vectors_checked == 1 + 3 * 10**6
 
 
 def test_point_type_check_memory():
-    # 1.2e6 vectors at bound 1000 go through in blocks: the peak is the 2 MB
-    # coprime mask plus one block, not the seven full-length columns (66 MB)
+    # the candidate columns go through one at a time: the peak is a few
+    # 8-byte arrays over the 10^5 rows, whatever the size of the box
     p = reduce(slope_base(GOLDEN))
     point_type_check(p, 1.0, 20)
     tracemalloc.start()
     try:
-        (witness,) = point_type_check(p, 1.0, 1000)
+        (witness,) = point_type_check(p, 1.0, 10**5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert witness.vectors_checked > 10**6
-    assert peak <= 8 * 10**6, peak
+    assert witness.vectors_checked == 1 + 3 * 10**5
+    assert peak <= 10 * 10**6, peak
 
 
 def test_bad_kappa_and_horizon_rejected():
