@@ -13,6 +13,8 @@ from .surface import SurfacePoint, excursion_profile
 
 _Q_GUARD = 2**62  # convergent denominators stay below this (exact int range)
 _NOISE_FLOOR = 1e-15
+# |B| = |a n - c m| at most a few roundings of |a| n + |c| |m|: an axis vector
+_AXIS_RTOL = 4 * 2.0**-52
 
 
 class DivergentOrbitError(RuntimeError):
@@ -143,7 +145,7 @@ class DiophantineWitness:
     mu: float            # min |b| over enumerated vectors (0 if an axis vector)
     nu: float            # min |a|^kappa |b| over enumerated vectors
     symmetric: float     # min over vectors of max(|b|, |a|^kappa |b|)
-    axis_vectors: tuple  # integer (m, n) with b-component exactly ~0
+    axis_vectors: tuple  # integer (m, n) with b-component ~0 relative to its terms
     vectors_checked: int
 
 
@@ -181,7 +183,9 @@ def point_type_check(p: SurfacePoint, kappa: float,
         abs_b = np.abs(g.a * n - g.c * m)
         with np.errstate(over="ignore", invalid="ignore"):  # inf; NaN only on axis vectors
             prod = np.abs(g.d * m - g.b * n) ** kappa * abs_b
-        axis = abs_b < 1e-12  # a column holds one m per row, in row order
+        # B is a n - c m up to the rounding of its terms; a column holds one m
+        # per row, in row order
+        axis = (abs_b <= _AXIS_RTOL * (abs(g.a) * n + abs(g.c) * np.abs(m))) & (abs_b < np.inf)
         am, an = m[axis], n[axis]
         keep = np.gcd(am, an) == 1
         axis_nm = sorted({*axis_nm, *zip(an[keep][:16].tolist(), am[keep][:16].tolist())})[:16]

@@ -279,8 +279,11 @@ def cover_sum(kappa: float, delta: float, R: float) -> CoverSumResult:
     with b >= 16 (two from R = 63 on).  Minus the least-squares slope of the
     blocks' log2 is the decay, which tends to delta (kappa+1) - 2.  One
     power of b underflows to 0 only past (kappa+1) delta = 60; a block of 0
-    gives decay inf.  Convergent means decay > 0.1: for R >= 63 the fit reads
-    at most 0.070 at delta = 2/(kappa+1), at least 0.153 at 0.05 above it.
+    gives decay inf.  Convergent means decay > 0.1, a threshold that holds
+    only with its floor R >= 63: at delta = 2/(kappa+1) the fit nears 0
+    slowly, reading 0.070 at R = 63, 0.012 at 511 and 0.005 at 10^4 (for
+    every kappa), so a threshold below 0.07 needs a higher floor on R.  At
+    0.05 above that delta the fit reads at least 0.153.
     """
     if not (0.0 < delta <= 1.0) or not (1.0 <= kappa < math.inf):
         raise ValueError("need delta in (0, 1] and finite kappa >= 1")

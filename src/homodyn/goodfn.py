@@ -15,13 +15,8 @@ at level rho is bounded by C (eps/rho)^(1/2) times the window length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .lattice import check_capacity
 from .report import ExperimentReport
-from .surface import SurfacePoint, curve_entries, cusp_norms
 
 _WINDOW_CAP = 1e8
 # The CSV's windows column.  bench/reference.json pins it, though one window
@@ -29,37 +24,37 @@ _WINDOW_CAP = 1e8
 _WINDOWS_COLUMN = 50
 
 
-@dataclass(frozen=True, slots=True)
 class GoodFnParams:
     """Vector coordinates plus exponents; rho anchors the windows.
 
     Sign normalization b >= 0 (the function is even under joint negation).
+    A plain slots class, not a dataclass, as report.ExperimentReport is.
     """
 
+    __slots__ = ("a", "b", "kappa", "gamma", "mu", "nu", "rho")
     a: float
     b: float
     kappa: float
     gamma: float
     mu: float
     nu: float
-    rho: float = 0.0
+    rho: float
 
-    def __post_init__(self):
-        if self.kappa < 1.0 or not (0.0 < self.gamma < 1.0 / (self.kappa + 4.0)):
+    def __init__(self, a, b, kappa, gamma, mu, nu, rho=0.0):
+        if kappa < 1.0 or not (0.0 < gamma < 1.0 / (kappa + 4.0)):
             raise ValueError("need kappa >= 1 and 0 < gamma < 1/(kappa+4)")
-        if not (0.0 < self.mu < math.inf and 0.0 < self.nu < math.inf):
+        if not (0.0 < mu < math.inf and 0.0 < nu < math.inf):
             raise ValueError("witness constants must be finite and positive")
         try:
-            ok = abs(self.b) >= self.mu or abs(self.a) ** self.kappa * abs(self.b) >= self.nu
+            ok = abs(b) >= mu or abs(a) ** kappa * abs(b) >= nu
         except OverflowError:
             raise OverflowError("|a|^kappa |b| overflows the float range") from None
         if not ok:
             raise ValueError("vector violates the |b| >= mu or |a|^k |b| >= nu condition")
-        if self.b < 0.0:
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "b", -self.b)
-        if self.rho <= 0.0:
-            object.__setattr__(self, "rho", min(self.f1(), 0.25))
+        if b < 0.0:
+            a, b = -a, -b
+        self.a, self.b, self.kappa, self.gamma, self.mu, self.nu = a, b, kappa, gamma, mu, nu
+        self.rho = min(self.f1(), 0.25) if rho <= 0.0 else rho
         if self.rho > self.f1():
             raise ValueError("rho must not exceed f(1)")
 
@@ -77,22 +72,18 @@ class GoodFnParams:
 
 
 def eval_f(params: GoodFnParams, x):
-    """The window function itself (vectorized over x >= 1)."""
-    x = np.asarray(x, dtype=float)
+    """The window function itself at x >= 1 (a float, or an array)."""
     a, b, g, k = params.a, params.b, params.gamma, params.kappa
     w = x ** (0.25 - 1.0 / (k + 4.0))
     first = (b * x ** (0.75 + g) - a * x ** (-0.25)) * w
     second = b * x ** 0.25 * w
-    out = first * first + second * second
-    return out if out.shape else float(out)
+    return first * first + second * second
 
 
 def eval_g(params: GoodFnParams, x):
     """The monotone factor g(x) = b x^(1+gamma-1/(kappa+4)) - a x^(-1/(kappa+4))."""
-    x = np.asarray(x, dtype=float)
     a, b, g, k = params.a, params.b, params.gamma, params.kappa
-    out = b * x ** (1.0 + g - 1.0 / (k + 4.0)) - a * x ** (-1.0 / (k + 4.0))
-    return out if out.shape else float(out)
+    return b * x ** (1.0 + g - 1.0 / (k + 4.0)) - a * x ** (-1.0 / (k + 4.0))
 
 
 def sublevel_floor(params: GoodFnParams) -> float:
@@ -124,13 +115,10 @@ def _root(fn, lo, hi) -> float:
     return float(0.5 * (lo + hi))
 
 
-def _sublevel_hull(params: GoodFnParams, eps: float, xs: np.ndarray):
-    """Hull of {f <= eps} sampled on the grid xs; an end inside the grid is
-    refined to a root of f - eps between its grid neighbours."""
-    inside = eval_f(params, xs) <= eps
-    if not inside.any():
-        return None
-    i0, i1 = int(np.argmax(inside)), len(xs) - 1 - int(np.argmax(inside[::-1]))
+def _hull_ends(params: GoodFnParams, eps: float, xs, i0: int, i1: int):
+    """Hull of {f <= eps} whose first and last points on the grid xs are
+    xs[i0] and xs[i1]; an end inside the grid is refined to a root of
+    f - eps between its grid neighbours."""
     fn = lambda x: eval_f(params, x) - eps  # noqa: E731
     lo = xs[i0] if i0 == 0 else _root(fn, xs[i0 - 1], xs[i0])
     hi = xs[i1] if i1 == len(xs) - 1 else _root(fn, xs[i1], xs[i1 + 1])
@@ -144,6 +132,9 @@ def _sublevel_interval(params: GoodFnParams, eps: float):
     (a, b > 0), so the sublevel set is contained in {|g| <= sqrt(eps)} and is
     a single interval; its endpoints are refined to 1e-10 by bisection on f.
     Outside {|g| <= sqrt(eps)} one has f >= g^2 > eps, no sampling needed.
+    Inside, the hull is trimmed by f itself (the second factor can push f
+    above eps) on 4096 even points, np.linspace's to the bit, scanned from
+    each end up to the first point in the set.
     """
     s = math.sqrt(eps)
     g1 = eval_g(params, 1.0)
@@ -153,27 +144,42 @@ def _sublevel_interval(params: GoodFnParams, eps: float):
     lo = 1.0 if g1 >= -s else _root(lambda x: eval_g(params, x) + s, 1.0, _WINDOW_CAP)
     hi = _WINDOW_CAP if g_top <= s else _root(lambda x: eval_g(params, x) - s, lo,
                                               _WINDOW_CAP)
-    # trim by f itself (the second factor can push f above eps inside)
-    return _sublevel_hull(params, eps, np.linspace(lo, hi, 4096))
+    step = (hi - lo) / 4095
+    xs = [i * step + lo for i in range(4095)] + [hi]
+    inside = lambda i: eval_f(params, xs[i]) <= eps  # noqa: E731
+    i0 = next((i for i in range(4096) if inside(i)), None)
+    if i0 is None:
+        return None
+    i1 = next(i for i in range(4095, i0 - 1, -1) if inside(i))
+    return _hull_ends(params, eps, xs, i0, i1)
 
 
 def _sublevel_measure_grid(params: GoodFnParams, eps: float):
-    """Grid-scanned sublevel hull for the non-monotone (a < 0) regime."""
-    return _sublevel_hull(params, eps, np.geomspace(1.0, _WINDOW_CAP, 200001))
+    """Grid-scanned sublevel hull for the non-monotone (a < 0) regime: one
+    array scan of 200,001 geometric points."""
+    import numpy as np
+
+    xs = np.geomspace(1.0, _WINDOW_CAP, 200001)
+    inside = np.flatnonzero(eval_f(params, xs) <= eps)
+    if not inside.size:
+        return None
+    return _hull_ends(params, eps, xs, int(inside[0]), int(inside[-1]))
 
 
 def _anchors(params: GoodFnParams):
-    """Roots of f = rho on [1, cap] (window left endpoints)."""
+    """Roots of f = rho on [1, cap] (window left endpoints), bracketed on
+    4001 geometric points (np.geomspace's up to an ulp)."""
     rho = params.rho
     if abs(params.f1() - rho) < 1e-12:
         anchors = [1.0]
     else:
         anchors = []
-    xs = np.geomspace(1.0, _WINDOW_CAP, 4001)
-    vals = eval_f(params, xs) - rho
+    step = math.log10(_WINDOW_CAP) / 4000
+    xs = [1.0, *(10.0 ** (i * step) for i in range(1, 4000)), _WINDOW_CAP]
+    vals = [eval_f(params, x) - rho for x in xs]
     for x1, x2, v1, v2 in zip(xs, xs[1:], vals, vals[1:]):
         if v1 == 0.0:
-            anchors.append(float(x1))
+            anchors.append(x1)
         elif v1 * v2 < 0.0:
             anchors.append(_root(lambda x: eval_f(params, x) - rho, x1, x2))
     return anchors
@@ -223,16 +229,20 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
     return rep
 
 
-def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int) -> np.ndarray:
+def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int):
     """Per-index ratio d(curve point) / n^(-1/4 + 1/(kappa+4)) for n in [1, N].
 
     The curve point lies in the shrinking cusp region S_(eps * n^...) exactly
     when the ratio is <= eps, so one pass serves every eps threshold.
     """
+    import numpy as np
+
+    from .lattice import check_capacity
+    from .surface import curve_entries, cusp_norms
+
     if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
         raise ValueError("need 0 < gamma < 1/(kappa+4)")
     check_capacity(N, "curve points")
     n = np.arange(1, N + 1, dtype=float)
     norms = cusp_norms(*curve_entries(p.rep.entries, n, gamma))
     return norms / n ** (-0.25 + 1.0 / (kappa + 4.0))
-

@@ -10,41 +10,54 @@ O(delta (gamma + delta)^(n-1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .lattice import check_capacity
-from .orbits import TestFunction, horocycle_points
 from .report import ExperimentReport
-from .surface import SurfacePoint, cusp_norms, flow_entries
 
 _BOX_DIM_CAP = 3
 _STEP = 0.02  # node spacing of the box-average quadratures
 INJECTIVITY_FACTOR = 0.5  # declared comparability convention, not measured
 
 _C = 35.0 / 32.0  # normalizes the bump to unit mass
+# 4-node Gauss-Legendre (node, weight) pairs on [-1, 1]: the values of
+# numpy.polynomial.legendre.leggauss(4)
+_GAUSS4 = ((-0.8611363115940526, 0.34785484513745357),
+           (-0.33998104358485626, 0.6521451548625464),
+           (0.33998104358485626, 0.6521451548625464),
+           (0.8611363115940526, 0.34785484513745357))
 
 
-def _cdf_array(x: np.ndarray) -> np.ndarray:
-    xc = np.clip(x, -1.0, 1.0)
-    val = _C * (xc - xc**3 + 0.6 * xc**5 - xc**7 / 7.0) + 0.5
-    return np.clip(val, 0.0, 1.0)
+def _bump_cdf(x):
+    """Antiderivative of the bump on [-1, 1], 0 at -1 (a float or an array)."""
+    return _C * (x - x**3 + 0.6 * x**5 - x**7 / 7.0) + 0.5
 
 
-@dataclass(frozen=True, slots=True)
+def _cdf(x: float) -> float:
+    return min(max(_bump_cdf(min(max(x, -1.0), 1.0)), 0.0), 1.0)
+
+
+def _cdf_array(x):
+    import numpy as np
+
+    return np.clip(_bump_cdf(np.clip(x, -1.0, 1.0)), 0.0, 1.0)
+
+
 class MollifierSpec:
-    """Smoothing width, box dimension, box side length."""
+    """Smoothing width, box dimension, box side length.
 
+    A plain slots class, not a dataclass, as report.ExperimentReport is.
+    """
+
+    __slots__ = ("delta", "n", "gamma")
     delta: float
     n: int
     gamma: float
 
-    def __post_init__(self):
-        if not (0.0 < self.delta < math.inf and 0.0 < self.gamma < math.inf):
+    def __init__(self, delta, n, gamma):
+        if not (0.0 < delta < math.inf and 0.0 < gamma < math.inf):
             raise ValueError("need finite positive delta and gamma")
-        if not (1 <= self.n <= _BOX_DIM_CAP):
+        if not (1 <= n <= _BOX_DIM_CAP):
             raise ValueError(f"box dimension limited to {_BOX_DIM_CAP}")
+        self.delta, self.n, self.gamma = delta, n, gamma
 
 
 def mollifier_profile(spec: MollifierSpec, u):
@@ -53,6 +66,8 @@ def mollifier_profile(spec: MollifierSpec, u):
     Exact via the polynomial antiderivative: the factor equals
     CDF(u/delta) - CDF((u - gamma)/delta).
     """
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     out = _cdf_array(u / spec.delta) - _cdf_array((u - spec.gamma) / spec.delta)
     return out if out.shape else float(out)
@@ -70,19 +85,28 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
     the right outside piece rounds away, and o is twice the left outside
     mass.  Raises if the integral misses gamma^n beyond 1e-6 relative, or the
     L1 distance exceeds the bound 4 n delta (gamma + delta)^(n-1) or the
-    bound is not finite (a NaN fails).
+    bound is not finite (a NaN fails).  Each knot is held at u and at
+    u - gamma, so each CDF term of p reads its float node where its own
+    knots -delta, 0, delta are exact, and no node loses gamma's digits.
     """
     d, g, n = spec.delta, spec.gamma, spec.n
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge knots: NaN, caught below
-        knots = np.array(sorted({-d, 0.0, d, g - d, g, g + d}))
-        half = 0.5 * np.diff(knots)
-        mid = knots[:-1] + half
-        mass = half * (mollifier_profile(spec, mid[:, None] + half[:, None] * nodes) @ weights)
-    inside = (0.0 <= mid) & (mid <= g)
-    i, o = float(mass[inside].sum()), float(mass[~inside].sum())
+    # u -> u - gamma; of two knots that round together, the later, exact at
+    # u - gamma, wins
+    knots = sorted({-d: -d - g, 0.0: -g, d: d - g, g - d: -d, g + d: d, g: 0.0}.items())
+    i = o = left = 0.0
+    for (u0, v0), (u1, v1) in zip(knots, knots[1:]):
+        half, half_v = 0.5 * (u1 - u0), 0.5 * (v1 - v0)
+        mid, mid_v = u0 + half, v0 + half_v
+        mass = half * sum(w * (_cdf((mid + half * x) / d) - _cdf((mid_v + half_v * x) / d))
+                          for x, w in _GAUSS4)
+        if 0.0 <= mid <= g:
+            i += mass
+        else:
+            o += mass
+            if mid < 0.0:
+                left += mass
     if g + d == g:  # by symmetry [gamma, gamma + delta] holds what [-delta, 0] does
-        o = 2.0 * float(mass[mid < 0.0].sum())
+        o = 2.0 * left
     try:
         volume = g**n
     except OverflowError:
@@ -106,6 +130,11 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
 
 def box_average(p: SurfacePoint, T: float, f: TestFunction) -> float:
     """(1/T) int_0^T f(p u(t)) dt by composite midpoint quadrature."""
+    import numpy as np
+
+    from .lattice import check_capacity
+    from .orbits import horocycle_points
+
     if not (10.0 <= T < math.inf):
         raise ValueError("need finite T >= 10")
     m = int(math.ceil(T / _STEP))
@@ -122,6 +151,11 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
     the reference value is (Haar mean of f) x (mass of the weight) =
     haar_mean * gamma.
     """
+    import numpy as np
+
+    from .lattice import check_capacity
+    from .orbits import horocycle_points
+
     if spec.n != 1:
         raise ValueError("weighted averages implemented for the 1-d box")
     if not (10.0 <= T < math.inf):
@@ -141,6 +175,10 @@ def box_decay_report(p: SurfacePoint, f: TestFunction, T_list) -> ExperimentRepo
     with fewer than two distinct T) and the injectivity-radius estimate
     eta = INJECTIVITY_FACTOR * d(p a(log T)) at each T.  Consumers use
     ratios of the etas, never absolute values."""
+    import numpy as np
+
+    from .surface import cusp_norms, flow_entries
+
     T_list = [float(T) for T in T_list]
     avgs = [box_average(p, T, f) for T in T_list]
     errs = np.array([abs(avg - f.haar_mean) for avg in avgs])

@@ -424,7 +424,7 @@ def point_type_check_reference(p, kappa: float, search_bound: int):
     abs_b = np.abs(b_comp)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = np.abs(a_comp) ** kappa * abs_b
-    axis = abs_b < 1e-12
+    axis = (abs_b <= 4 * 2.0**-52 * (abs(g.a) * n + abs(g.c) * np.abs(m))) & (abs_b < np.inf)
     axis_vectors = tuple((int(mm), int(nn)) for mm, nn in zip(m[axis][:16], n[axis][:16]))
     sym = np.maximum(abs_b, prod)
     witness = DiophantineWitness(

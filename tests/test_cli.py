@@ -548,10 +548,10 @@ _ORBITS = {"goodfn", "lattice", "orbits", "surface"}
 _LOADED = {
     "orbit": _ORBITS | {"svg"}, "curve": _ORBITS | {"svg"}, "pieces": _ORBITS,
     "twist": _ORBITS, "prog": _ORBITS, "box": _ORBITS | {"mollify"},
-    "mollify": _ORBITS | {"mollify"},
+    "mollify": {"mollify"},
     "dio": {"diophantine", "lattice", "surface"},
     "constants": {"exponents"},
-    "goodfn": {"goodfn", "lattice", "surface"},
+    "goodfn": {"goodfn"},
     "count": {"lattice"},
     "dim": {"fractal", "lattice"},
 }
@@ -823,19 +823,76 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                                        "homodyn.report"])
 
 
-def test_cli_import_and_constants_load_neither_numpy_nor_dataclasses(tmp_path):
-    # constants computes a dozen scalar floats: neither cli's import nor the
-    # command pays for numpy or for dataclasses (which pulls in inspect)
+# commands that compute on a few floats: constants, and the default and
+# README runs of goodfn (the generic case) and mollify
+_SCALAR_RUNS = [["constants", "--kappa", "1", "3"], ["goodfn"],
+                ["goodfn", "--a", "1", "--b", "1e-5", "--rho", "1e-4"], ["mollify"],
+                ["mollify", "--delta", "0.05", "--n", "2", "--gamma-box", "0.5"]]
+
+
+@pytest.mark.parametrize("argv", _SCALAR_RUNS, ids=" ".join)
+def test_cli_import_and_scalar_commands_load_neither_numpy_nor_dataclasses(tmp_path, argv):
+    # neither cli's import nor these commands pay for numpy or for
+    # dataclasses (which pulls in inspect)
     code = ("import sys, homodyn.cli\n"
             "heavy = lambda: sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules))\n"
             "print(heavy())\n"
-            "code = homodyn.cli.main(['constants', '--kappa', '1', '3'])\n"
+            f"code = homodyn.cli.main({argv!r})\n"
             "print(heavy(), code)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path, env=_child_env())
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stdout.splitlines()[-1] == "[] 0"
+
+
+_GOODFN_HEAD = "# kappa = {}\n# gamma = 0.02\n# mu = 0.5\n# nu = {}\n# rho = {}\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    pytest.param(["goodfn", "--a", "-1", "--b", "1e-5", "--gamma", "0.02", "--nu", "1e-6"],
+     "# a = -1.0\n# b = 1e-05\n" + _GOODFN_HEAD.format(1.0, 1e-06, 0.25)
+     + "# case = opposite_signs\n# floor = 1e-06\n"
+     "0.0625,1.9835723306221258,127718.79744439445,50,0\n"
+     "0.015625,0.0,0.0,50,0\n0.00390625,0.0,0.0,50,0\n", id="opposite_signs"),
+    pytest.param(["goodfn", "--a", "5", "--b", "0.5", "--kappa", "2", "--gamma", "0.02",
+                  "--nu", "1e-3", "--rho", "10.25"],
+     "# a = 5.0\n# b = 0.5\n" + _GOODFN_HEAD.format(2.0, 0.001, 10.25)
+     + "# case = b_floor\n# floor = 0.25\n"
+     "2.5625,1.2847867435038343,6.4732631114605805,50,0\n"
+     "0.640625,0.0,0.0,50,0\n0.16015625,0.0,0.0,50,0\n", id="b_floor"),
+])
+def test_cli_goodfn_grid_path_rows(tmp_path, monkeypatch, argv, out):
+    # the a < 0 and b >= mu cases scan 200,001 points in numpy; these rows
+    # are pinned from the runs before the generic path left numpy
+    monkeypatch.chdir(tmp_path)
+    assert _run_quiet(argv) == (0, out, "")
+
+
+# (argv, exit code, stdout) of runs at the float range's edge, where a
+# float ** raises OverflowError: each keeps the exit code and stdout it had
+# when these paths computed on numpy arrays, with no traceback
+_EDGE_RUNS = [
+    (["mollify", "--gamma-box", "1e308"], 0,
+     "# delta = 0.05\n# n = 1\n# gamma = 1e+308\n1e+308,1e+308,0.02734374999999999,0.2\n"),
+    (["mollify", "--delta", "1e308"], 2, ""),
+    (["mollify", "--delta", "1e-300", "--n", "3"], 0,
+     "# delta = 1e-300\n# n = 3\n# gamma = 1.0\n1.0,1.0,1.6406249999999994e-300,1.2e-299\n"),
+    (["mollify", "--n", "2", "--gamma-box", "1e154", "--delta", "1e157"], 2, ""),
+    (["goodfn", "--a", "1e300"], 2, ""),
+    # f >= its floor 0.5 > rho = 0.25: no window anchors
+    (["goodfn", "--a", "-1", "--b", "0.5", "--mu", "0.6", "--nu", "0.5"], 1, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out",
+                         [pytest.param(*run, id=" ".join(run[0])) for run in _EDGE_RUNS])
+def test_cli_scalar_paths_keep_the_exit_contract(tmp_path, argv, code, out):
+    proc = subprocess.run([sys.executable, "-m", "homodyn.cli", *argv], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (code, out)
+    prefix = {0: "", 1: "config error: ", 2: "numeric failure: "}[code]
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == (code > 0)
 
 
 _FUZZ_VALUES = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e200", "1e308", "abc"]

@@ -307,16 +307,23 @@ def test_point_type_check_matches_reference_on_random_bases():
 
 
 def test_point_type_check_near_axis_base():
-    # |B| < 1e-12 holds on many pairs of this base: the candidates list other
-    # pairs than the full search, but as many, and the minima are zero
+    # B = 1e-13 (n - m) on this base: tiny everywhere, but zero only at
+    # (1, 1).  The axis test is relative to |a| n + |c| |m|, so (1, 1) is the
+    # one axis vector, for the candidates and the full search alike
     p = reduce(GroupElement(1e-13, 0.0, 1e-13, 1e13))
-    for bound in (10, 100):
+    for bound in (10, 100, 1000):
         (witness,) = point_type_check(p, 1.0, bound)
-        ref = point_type_check_reference(p, 1.0, bound)[0]
+        assert _same_witness(witness, point_type_check_reference(p, 1.0, bound)[0])
+        assert witness.axis_vectors == ((1, 1),)
         assert witness.mu == witness.nu == witness.symmetric == 0.0
-        assert ref.mu == ref.nu == ref.symmetric == 0.0
-        assert len(witness.axis_vectors) == len(ref.axis_vectors) == 16
-        assert witness.axis_vectors[0] == (1, 0)
+
+
+def test_cli_dio_near_axis_base_lists_one_axis_vector(tmp_path, monkeypatch, capsys):
+    from homodyn.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["dio", "--base", "1e-13,0,1e-13,1e13"]) == 0
+    assert "axis_vectors,1\n" in capsys.readouterr().out
 
 
 def test_point_type_check_planted_base_needs_the_offsets():

@@ -293,16 +293,16 @@ def test_flow_census_sees_a_planted_entries_parameter(tmp_path):
     shutil.copytree(PACKAGE, package)
     path = package / "goodfn.py"
     source = path.read_text(encoding="utf-8")
-    imported = "from .surface import SurfacePoint, curve_entries, cusp_norms\n"
+    imported = "    from .surface import curve_entries, cusp_norms\n"
     assert source.count(imported) == 1
-    path.write_text(source.replace(imported, (
-        "from .surface import SurfacePoint, cusp_norms\n\n\n"
+    path.write_text(source.replace(imported, "    from .surface import cusp_norms\n") + (
+        "\n\n"
         "def curve_entries(rep, xv, gamma: float):\n"
         "    r11, r12, r21, r22 = rep\n"
         "    quarter = xv ** 0.25\n"
         "    shear = xv ** (0.75 + gamma)\n"
         "    return (r11 * quarter, r11 * shear + r12 / quarter,\n"
-        "            r21 * quarter, r21 * shear + r22 / quarter)\n")), encoding="utf-8")
+        "            r21 * quarter, r21 * shear + r22 / quarter)\n"), encoding="utf-8")
     assert [r.split(":")[0] for r in _entry_reads(package)] == ["goodfn.py"]
 
 
