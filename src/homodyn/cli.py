@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .psl2 import GroupElement, golden_ratio, identity, slope_base
-from .report import ExperimentReport, emit_csv
+from .report import ExperimentReport, check_capacity, emit_csv
 
 # module -> the names the runners call from it.  A command imports only the
 # modules of its experiment (see _RUNNERS): their names are bound into this
@@ -28,8 +28,7 @@ _HELPERS = {
     "exponents": ("exponent_bundle",),
     "fractal": ("assembled_dimension", "build_tree", "cover_sum", "dimension_lower_bound"),
     "goodfn": ("GoodFnParams", "verify_good"),
-    "lattice": ("SectorQuery", "check_capacity", "enumerate_orbit", "gap_constants",
-                "sector_count"),
+    "lattice": ("SectorQuery", "enumerate_orbit", "gap_constants", "sector_count"),
     "mollify": ("MollifierSpec", "box_decay_report", "verify_mollifier",
                 "weighted_box_average"),
     "orbits": ("default_suite", "discrepancy", "height_band", "piece_decomposition",
@@ -285,7 +284,7 @@ def run_constants(args) -> ExperimentReport:
 # experiment -> (runner, the modules whose helpers it calls)
 _RUNNERS = {
     "orbit": (run_orbit, ("orbits", "surface", "svg")),
-    "curve": (run_curve, ("lattice", "orbits", "surface", "svg")),
+    "curve": (run_curve, ("orbits", "surface", "svg")),
     "twist": (run_twist, ("orbits", "surface")),
     "prog": (run_prog, ("orbits", "surface")),
     "pieces": (run_pieces, ("orbits", "surface")),
@@ -319,13 +318,22 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(experiment=None) -> argparse.ArgumentParser:
+    """The parser of every experiment, or of that one only: main parses a
+    command with its own subparser alone, and every text it prints (usage,
+    help, errors) reads as the full parser's does."""
     parser = _Parser(
         prog="homodyn",
         description="numerical experiments on flows over the modular surface",
     )
     parser.add_argument("--version", action="version", version=f"homodyn {__version__}")
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    # a one-experiment parser's usage line lists every experiment, as the full one's does
+    metavar = None if experiment is None else "{" + ",".join(_RUNNERS) + "}"
+    sub = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
+
+    def add(name, summary):
+        """The subparser of name, if the parser holds it (else None)."""
+        return sub.add_parser(name, help=summary) if experiment in (None, name) else None
 
     def common(p):
         p.add_argument("--out", type=str, default=None, help="CSV output path")
@@ -337,94 +345,94 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=positive_int, default=1)
         common(p)
 
-    p = sub.add_parser("orbit", help="sparse orbit discrepancy against Haar")
-    p.add_argument("--base", default="golden")
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--N", type=int, default=100000)
-    orbit_common(p)
+    if p := add("orbit", "sparse orbit discrepancy against Haar"):
+        p.add_argument("--base", default="golden")
+        p.add_argument("--gamma", type=float, default=0.01)
+        p.add_argument("--N", type=int, default=100000)
+        orbit_common(p)
 
-    p = sub.add_parser("curve", help="expanding-translate curve discrepancy")
-    p.add_argument("--base", default="golden")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--xmax", type=float, default=1e6)
-    p.add_argument("--points", type=int, default=100000)
-    orbit_common(p)
+    if p := add("curve", "expanding-translate curve discrepancy"):
+        p.add_argument("--base", default="golden")
+        p.add_argument("--gamma", type=float, default=0.1)
+        p.add_argument("--xmax", type=float, default=1e6)
+        p.add_argument("--points", type=int, default=100000)
+        orbit_common(p)
 
-    p = sub.add_parser("twist", help="oscillation-twisted time averages")
-    p.add_argument("--base", default="golden")
-    p.add_argument("--frequency", type=float, default=0.37)
-    p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
-    p.add_argument("--band", type=float, default=2.0)
-    common(p)
+    if p := add("twist", "oscillation-twisted time averages"):
+        p.add_argument("--base", default="golden")
+        p.add_argument("--frequency", type=float, default=0.37)
+        p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
+        p.add_argument("--band", type=float, default=2.0)
+        common(p)
 
-    p = sub.add_parser("prog", help="arithmetic-progression averages")
-    p.add_argument("--base", default="golden")
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--K-exponent", dest="K_exponent", type=float, default=0.05)
-    p.add_argument("--T", type=float, nargs="+", default=[1e3, 1e4, 1e5])
-    p.add_argument("--band", type=float, default=2.0)
-    common(p)
+    if p := add("prog", "arithmetic-progression averages"):
+        p.add_argument("--base", default="golden")
+        p.add_argument("--K", type=float, default=None)
+        p.add_argument("--K-exponent", dest="K_exponent", type=float, default=0.05)
+        p.add_argument("--T", type=float, nargs="+", default=[1e3, 1e4, 1e5])
+        p.add_argument("--band", type=float, default=2.0)
+        common(p)
 
-    p = sub.add_parser("pieces", help="greedy block cover of sparse indices")
-    p.add_argument("--base", default="golden")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--N", type=int, default=50000)
-    p.add_argument("--kappa", type=float, default=1.0)
-    common(p)
+    if p := add("pieces", "greedy block cover of sparse indices"):
+        p.add_argument("--base", default="golden")
+        p.add_argument("--gamma", type=float, default=0.1)
+        p.add_argument("--eps", type=float, default=0.1)
+        p.add_argument("--N", type=int, default=50000)
+        p.add_argument("--kappa", type=float, default=1.0)
+        common(p)
 
-    p = sub.add_parser("dio", help="continued-fraction and point-type reports")
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--base", default="golden")
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--bound", type=int, default=1000)
-    p.add_argument("--tmax", type=float, default=35.0)
-    common(p)
+    if p := add("dio", "continued-fraction and point-type reports"):
+        p.add_argument("--x", type=float, default=None)
+        p.add_argument("--base", default="golden")
+        p.add_argument("--depth", type=int, default=20)
+        p.add_argument("--kappa", type=float, default=1.0)
+        p.add_argument("--bound", type=int, default=1000)
+        p.add_argument("--tmax", type=float, default=35.0)
+        common(p)
 
-    p = sub.add_parser("goodfn", help="sublevel-measure constants")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1e-5)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--nu", type=float, default=5e-6)
-    p.add_argument("--rho", type=float, default=0.0)
-    common(p)
+    if p := add("goodfn", "sublevel-measure constants"):
+        p.add_argument("--a", type=float, default=1.0)
+        p.add_argument("--b", type=float, default=1e-5)
+        p.add_argument("--kappa", type=float, default=1.0)
+        p.add_argument("--gamma", type=float, default=0.05)
+        p.add_argument("--mu", type=float, default=0.5)
+        p.add_argument("--nu", type=float, default=5e-6)
+        p.add_argument("--rho", type=float, default=0.0)
+        common(p)
 
-    p = sub.add_parser("count", help="annular sector counts of primitive vectors")
-    p.add_argument("--l", type=float, default=1000.0)
-    p.add_argument("--theta1", type=float, default=math.pi / 4.0)
-    p.add_argument("--theta2", type=float, default=math.pi / 2.0)
-    common(p)
+    if p := add("count", "annular sector counts of primitive vectors"):
+        p.add_argument("--l", type=float, default=1000.0)
+        p.add_argument("--theta1", type=float, default=math.pi / 4.0)
+        p.add_argument("--theta2", type=float, default=math.pi / 2.0)
+        common(p)
 
-    p = sub.add_parser("dim", help="dimension bounds and cover sums")
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--schedule", type=lambda s: [float(x) for x in s.split(",")],
-                   default=[50.0, 2500.0])
-    p.add_argument("--R", type=int, default=10000)
-    common(p)
+    if p := add("dim", "dimension bounds and cover sums"):
+        p.add_argument("--kappa", type=float, default=1.0)
+        p.add_argument("--eps", type=float, default=0.0)
+        p.add_argument("--levels", type=int, default=2)
+        p.add_argument("--schedule", type=lambda s: [float(x) for x in s.split(",")],
+                       default=[50.0, 2500.0])
+        p.add_argument("--R", type=int, default=10000)
+        common(p)
 
-    p = sub.add_parser("mollify", help="smoothed box indicator checks")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--gamma-box", dest="gamma_box", type=float, default=1.0)
-    common(p)
+    if p := add("mollify", "smoothed box indicator checks"):
+        p.add_argument("--delta", type=float, default=0.05)
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--gamma-box", dest="gamma_box", type=float, default=1.0)
+        common(p)
 
-    p = sub.add_parser("box", help="horocycle box-average decay")
-    p.add_argument("--base", default="golden")
-    p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
-    p.add_argument("--band", type=float, default=2.0)
-    p.add_argument("--weighted", action=argparse.BooleanOptionalAction, default=False)
-    common(p)
+    if p := add("box", "horocycle box-average decay"):
+        p.add_argument("--base", default="golden")
+        p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
+        p.add_argument("--band", type=float, default=2.0)
+        p.add_argument("--weighted", action=argparse.BooleanOptionalAction, default=False)
+        common(p)
 
-    p = sub.add_parser("constants", help="exponent tables")
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--kappa", type=float, nargs="+", default=[1.0])
-    p.add_argument("--eps", type=float, default=0.0)
-    common(p)
+    if p := add("constants", "exponent tables"):
+        p.add_argument("--s", type=float, default=0.5)
+        p.add_argument("--kappa", type=float, nargs="+", default=[1.0])
+        p.add_argument("--eps", type=float, default=0.0)
+        common(p)
 
     return parser
 
@@ -447,7 +455,7 @@ def _apply_config(argv, path, parser, experiment):
 def main(argv=None) -> int:
     as_program = argv is None
     argv = list(sys.argv[1:] if as_program else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _RUNNERS else None)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:  # --config FILE or --config=FILE

@@ -4,11 +4,10 @@ geodesic-excursion type fitting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_capacity
+from .report import check_capacity
 from .surface import SurfacePoint, excursion_profile
 
 _Q_GUARD = 2**62  # convergent denominators stay below this (exact int range)
@@ -31,7 +30,6 @@ class OpenExcursionError(ValueError):
 _T_RELIABLE = 35.0
 
 
-@dataclass(frozen=True, slots=True)
 class ContinuedFraction:
     """Partial quotients and convergents of a real number.
 
@@ -39,9 +37,13 @@ class ContinuedFraction:
     pairs (p_n, q_n).
     """
 
+    __slots__ = ("x", "quotients", "convergents")
     x: float
     quotients: tuple
     convergents: tuple
+
+    def __init__(self, x, quotients, convergents):
+        self.x, self.quotients, self.convergents = x, quotients, convergents
 
 
 def _convergents(quotients):
@@ -134,7 +136,6 @@ def type_estimate(cf: ContinuedFraction) -> float:
     raise ValueError("no admissible convergent index")
 
 
-@dataclass(frozen=True, slots=True)
 class DiophantineWitness:
     """Bounded-search report on the cusp-orbit vector set of a point.
 
@@ -142,11 +143,16 @@ class DiophantineWitness:
     records the extremes seen up to the search bound.
     """
 
+    __slots__ = ("mu", "nu", "symmetric", "axis_vectors", "vectors_checked")
     mu: float            # min |b| over enumerated vectors (0 if an axis vector)
     nu: float            # min |a|^kappa |b| over enumerated vectors
     symmetric: float     # min over vectors of max(|b|, |a|^kappa |b|)
     axis_vectors: tuple  # integer (m, n) with b-component ~0 relative to its terms
     vectors_checked: int
+
+    def __init__(self, mu, nu, symmetric, axis_vectors, vectors_checked):
+        self.mu, self.nu, self.symmetric = mu, nu, symmetric
+        self.axis_vectors, self.vectors_checked = axis_vectors, vectors_checked
 
 
 def _candidate_columns(g, bound: int):

@@ -5,7 +5,6 @@ closed-form dimension of the non-Diophantine locus."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ class EmptyLevelError(RuntimeError):
     """Some parent interval received no children (schedule too aggressive)."""
 
 
-@dataclass
 class TreeLikeFamily:
     """Nested disjoint closed-interval levels with density/diameter data.
 
@@ -36,9 +34,13 @@ class TreeLikeFamily:
     smallest child-mass fraction over level-j parents.
     """
 
+    __slots__ = ("levels", "diameters", "densities")
     levels: list
     diameters: list
     densities: list
+
+    def __init__(self, levels, diameters, densities):
+        self.levels, self.diameters, self.densities = levels, diameters, densities
 
 
 def _child_endpoints_int(a: int, b: int, e: int):
@@ -256,10 +258,13 @@ def dimension_lower_bound(fam: TreeLikeFamily) -> DimensionBound:
     return DimensionBound(series[-1], tuple(series))
 
 
-@dataclass(frozen=True, slots=True)
 class CoverSumResult:
+    __slots__ = ("decay", "convergent")
     decay: float  # fitted decay exponent of the dyadic block sums
     convergent: bool  # decay > 0.1
+
+    def __init__(self, decay, convergent):
+        self.decay, self.convergent = decay, convergent
 
 
 @lru_cache(maxsize=1)

@@ -1,5 +1,4 @@
-"""Sublevel-measure control for the explicit orbit-distance functions, and
-the cusp-hitting ratios of expanding translates.
+"""Sublevel-measure control for the explicit orbit-distance functions.
 
 The central object is the family
 
@@ -54,7 +53,10 @@ class GoodFnParams:
         if b < 0.0:
             a, b = -a, -b
         self.a, self.b, self.kappa, self.gamma, self.mu, self.nu = a, b, kappa, gamma, mu, nu
-        self.rho = min(self.f1(), 0.25) if rho <= 0.0 else rho
+        if rho <= 0.0:  # default min(f(1), 0.25), or f(1) if that is not above the floor
+            rho = min(self.f1(), 0.25)
+            rho = self.f1() if rho <= sublevel_floor(self) else rho
+        self.rho = rho
         if self.rho > self.f1():
             raise ValueError("rho must not exceed f(1)")
 
@@ -229,20 +231,12 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
     return rep
 
 
-def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int):
-    """Per-index ratio d(curve point) / n^(-1/4 + 1/(kappa+4)) for n in [1, N].
+def __getattr__(name):
+    """curve_hit_ratios, whose home is orbits since piece_decomposition is
+    its one caller, is still importable from here; importing goodfn loads
+    neither orbits nor numpy."""
+    if name == "curve_hit_ratios":
+        from .orbits import curve_hit_ratios
 
-    The curve point lies in the shrinking cusp region S_(eps * n^...) exactly
-    when the ratio is <= eps, so one pass serves every eps threshold.
-    """
-    import numpy as np
-
-    from .lattice import check_capacity
-    from .surface import curve_entries, cusp_norms
-
-    if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
-        raise ValueError("need 0 < gamma < 1/(kappa+4)")
-    check_capacity(N, "curve points")
-    n = np.arange(1, N + 1, dtype=float)
-    norms = cusp_norms(*curve_entries(p.rep.entries, n, gamma))
-    return norms / n ** (-0.25 + 1.0 / (kappa + 4.0))
+        return curve_hit_ratios
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,53 +9,46 @@ Sign normalization: beta > 0, or beta = 0 and alpha > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .report import CapacityError, check_capacity  # noqa: F401  (importable from here)
+
 _RADIUS_GUARD = 1e5
-_COUNT_GUARD = 5 * 10**7  # secondary memory guard (density ~ 0.955 / unit area)
 _BLOCK = 2**16  # vectors or mask cells per block of a sector test or enumeration
-
-
-class CapacityError(ValueError):
-    """Requested enumeration exceeds the configured guards."""
 
 
 class SectorError(ValueError):
     """Sector incompatible with the enumeration or the canonical half-plane."""
 
 
-@dataclass(frozen=True, slots=True)
 class PrimitiveVectorSet:
     """All sign-canonical primitive pairs with Euclidean norm <= radius."""
 
+    __slots__ = ("radius", "alphas", "betas")
     radius: float
     alphas: np.ndarray  # int64, ordered by (beta, alpha)
     betas: np.ndarray
+
+    def __init__(self, radius, alphas, betas):
+        self.radius, self.alphas, self.betas = radius, alphas, betas
 
     def __len__(self) -> int:
         return int(self.alphas.size)
 
 
-@dataclass(frozen=True, slots=True)
 class SectorQuery:
     """Annular sector l <= r <= 2l, theta1 < theta < theta2 (polar coords)."""
 
+    __slots__ = ("l", "theta1", "theta2")
     l: float
     theta1: float
     theta2: float
 
-    def __post_init__(self):
-        if not (self.l > 0.0 and 0.0 <= self.theta1 <= self.theta2 < 2.0 * math.pi):
+    def __init__(self, l, theta1, theta2):
+        if not (l > 0.0 and 0.0 <= theta1 <= theta2 < 2.0 * math.pi):
             raise SectorError("need l > 0 and 0 <= theta1 <= theta2 < 2*pi")
-
-
-def check_capacity(count: float, what: str) -> None:
-    """Refuse, before allocating, a request for count array elements beyond
-    the memory guard."""
-    if count > _COUNT_GUARD:
-        raise CapacityError(f"~{count:.2g} {what} exceed the memory guard")
+        self.l, self.theta1, self.theta2 = l, theta1, theta2
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -82,7 +75,7 @@ def enumerate_orbit(R: float) -> PrimitiveVectorSet:
     """All normalized primitive pairs of norm <= R, by prime sieve."""
     if not (1.0 <= R <= _RADIUS_GUARD):
         raise CapacityError(f"radius {R} outside [1, {_RADIUS_GUARD:g}]")
-    check_capacity(0.955 * R * R, "vectors")
+    check_capacity(0.955 * R * R, "vectors")  # density ~ 0.955 per unit area
     M = int(R)
     b = np.arange(1, M + 1, dtype=np.int64)
     # |a| <= isqrt(int(R^2 - b^2)), i.e. a^2 <= floor(R^2 - b^2), per row

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .report import ExperimentReport
+from .report import ExperimentReport, check_capacity
 
 _BOX_DIM_CAP = 3
 _STEP = 0.02  # node spacing of the box-average quadratures
@@ -132,7 +132,6 @@ def box_average(p: SurfacePoint, T: float, f: TestFunction) -> float:
     """(1/T) int_0^T f(p u(t)) dt by composite midpoint quadrature."""
     import numpy as np
 
-    from .lattice import check_capacity
     from .orbits import horocycle_points
 
     if not (10.0 <= T < math.inf):
@@ -153,7 +152,6 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
     """
     import numpy as np
 
-    from .lattice import check_capacity
     from .orbits import horocycle_points
 
     if spec.n != 1:

@@ -1,20 +1,18 @@
 """Orbit generation and the averaging constructs: sparse polynomial-time
 samples, Haar-reference discrepancy, twisted and progression averages, the
-triangle-kernel Fourier identity, and the block decomposition of sparse
-index ranges around cusp visits."""
+triangle-kernel Fourier identity, the cusp-hitting ratios of expanding
+translates, and the block decomposition of sparse index ranges around cusp
+visits."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .report import ExperimentReport
-from .surface import (SurfacePoint, curve_entries, flow_entries, height_distance, r_factors,
-                      reduced_coordinates)
-from .goodfn import curve_hit_ratios
-from .lattice import check_capacity
+from .report import ExperimentReport, check_capacity
+from .surface import (SurfacePoint, curve_entries, cusp_norms, flow_entries, height_distance,
+                      r_factors, reduced_coordinates)
 from .surface import reduce, r_factor  # noqa: F401  (bench/tracing.py wraps them here)
 
 FUNDAMENTAL_AREA = math.pi / 3.0
@@ -27,7 +25,8 @@ class TestFunction:
 
     The fixed suite (height band, hyperbolic disc, smooth bump, frame-angle
     weight) keeps every Haar reference integral precomputable; haar_mean is
-    the exact (or high-order quadrature) value of the normalized integral.
+    the normalized integral in closed form (for the bump, a series summed
+    to float precision).
     """
 
     def __init__(self, name, values, haar_mean):
@@ -68,16 +67,25 @@ def hyperbolic_disc(x0: float, y0: float, r: float) -> TestFunction:
                         haar_mean=mean)
 
 
+def _bump_integral(r: float) -> float:
+    """int_0^r (1 - (d/r)^2)^2 sinh(d) dd, integrated termwise over the sinh
+    series: sum_k r^(2k+2) / ((2k+1)! (k+1)(k+2)(k+3)).  Eight terms: an
+    embedded disc has r <= log(2)/2, where the ninth is below 2^-80 of the
+    first."""
+    r2 = r * r
+    power, terms = r2, []  # power = r^(2k+2) / (2k+1)!
+    for k in range(8):
+        terms.append(power / ((k + 1) * (k + 2) * (k + 3)))
+        power *= r2 / ((2 * k + 2) * (2 * k + 3))
+    return math.fsum(terms)
+
+
 def smooth_bump(x0: float, y0: float, r: float) -> TestFunction:
     _check_disc_embedded(x0, y0, r)
     bump = lambda d: np.maximum(1.0 - (d / r) ** 2, 0.0) ** 2  # noqa: E731  (at distance d)
-    # mean = (2 pi / area) * int_0^r (1 - (d/r)^2)^2 sinh(d) dd  (Gauss-Legendre)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    d = 0.5 * r * (nodes + 1.0)
-    integral = 0.5 * r * float(weights @ (bump(d) * np.sinh(d)))
     return TestFunction(f"bump({x0:g};{y0:g};{r:g})",
                         lambda x, y, theta: bump(height_distance(x, y, x0, y0)),
-                        haar_mean=2.0 * math.pi * integral / FUNDAMENTAL_AREA)
+                        haar_mean=2.0 * math.pi * _bump_integral(r) / FUNDAMENTAL_AREA)
 
 
 def default_suite() -> list:
@@ -85,18 +93,22 @@ def default_suite() -> list:
             smooth_bump(0.0, 1.8, 0.25), angle_weight()]
 
 
-@dataclass
 class OrbitSeries:
     """A reduced orbit sample: strictly increasing times and the reduced
     coordinates of every visited point (arrays, one entry per time); kind is
     "sparse" or "curve"."""
 
+    __slots__ = ("kind", "gamma", "times", "xs", "ys", "thetas")
     kind: str
     gamma: float
     times: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     thetas: np.ndarray
+
+    def __init__(self, kind, gamma, times, xs, ys, thetas):
+        self.kind, self.gamma, self.times = kind, gamma, times
+        self.xs, self.ys, self.thetas = xs, ys, thetas
 
     def __len__(self):
         return int(self.times.size)
@@ -220,6 +232,20 @@ def fejer_coefficient_check(delta: float, K: float, k_max: int) -> ExperimentRep
     for k in range(0, min(k_max, 32) + 1):
         rep.add_row(k, float(a[k]))
     return rep
+
+
+def curve_hit_ratios(p: SurfacePoint, gamma: float, kappa: float, N: int):
+    """Per-index ratio d(curve point) / n^(-1/4 + 1/(kappa+4)) for n in [1, N].
+
+    The curve point lies in the shrinking cusp region S_(eps * n^...) exactly
+    when the ratio is <= eps, so one pass serves every eps threshold.
+    """
+    if not (0.0 < gamma < 1.0 / (kappa + 4.0)):
+        raise ValueError("need 0 < gamma < 1/(kappa+4)")
+    check_capacity(N, "curve points")
+    n = np.arange(1, N + 1, dtype=float)
+    norms = cusp_norms(*curve_entries(p.rep.entries, n, gamma))
+    return norms / n ** (-0.25 + 1.0 / (kappa + 4.0))
 
 
 def piece_decomposition(p: SurfacePoint, gamma: float, eps: float, N: int,

@@ -1,8 +1,22 @@
-"""Tabular experiment records and their CSV serialization."""
+"""Tabular experiment records and their CSV serialization, and the memory
+guard that every array experiment checks before it allocates."""
 
 from __future__ import annotations
 
 from . import __version__
+
+_COUNT_GUARD = 5 * 10**7  # array elements one request may ask for
+
+
+class CapacityError(ValueError):
+    """Requested enumeration exceeds the configured guards."""
+
+
+def check_capacity(count: float, what: str) -> None:
+    """Refuse, before allocating, a request for count array elements beyond
+    the memory guard."""
+    if count > _COUNT_GUARD:
+        raise CapacityError(f"~{count:.2g} {what} exceed the memory guard")
 
 
 def _fmt(v) -> str:

@@ -11,7 +11,6 @@ identity scaling matrix, width one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,12 +141,15 @@ def reduced_coordinates(a, b, c, d):
     return x, y, np.where(theta >= math.pi, 0.0, theta)  # fold the float pi to 0
 
 
-@dataclass(frozen=True, slots=True)
 class SurfacePoint:
     """A point of the quotient: its representative and its reduced point."""
 
+    __slots__ = ("rep", "z_reduced")
     rep: GroupElement
     z_reduced: complex
+
+    def __init__(self, rep, z_reduced):
+        self.rep, self.z_reduced = rep, z_reduced
 
 
 def reduce(g: GroupElement) -> SurfacePoint:

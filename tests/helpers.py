@@ -12,9 +12,8 @@ import numpy as np
 
 from homodyn.diophantine import DiophantineWitness
 from homodyn.fractal import _child_endpoints_int
-from homodyn.goodfn import curve_hit_ratios
 from homodyn.mollify import MollifierSpec, mollifier_profile
-from homodyn.orbits import FUNDAMENTAL_AREA
+from homodyn.orbits import FUNDAMENTAL_AREA, curve_hit_ratios
 from homodyn.psl2 import GroupElement, IwasawaNAK, diagonal_flow, hyperbolic_distance
 from homodyn.surface import reduce, reduce_points
 
@@ -645,3 +644,36 @@ def hitting_frequency(p, gamma: float, kappa: float, eps: float, N: int) -> floa
     if eps <= 0.0:
         return 0.0
     return float((curve_hit_ratios(p, gamma, kappa, N) <= eps).mean())
+
+
+def totients(n: int) -> np.ndarray:
+    """phi(0..n) by a sieve: each prime p takes phi(m) to phi(m) (1 - 1/p)
+    at its multiples m."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def farey_arc_radius(c, y: float, h: float):
+    """l_c = sqrt(y/h - c^2 y^2) / c, or 0 where c^2 y h >= 1: z = x + iy
+    with |x + d/c| < l_c is lifted to height y / |cz + d|^2 > h by a matrix
+    of bottom row (c, d)."""
+    return np.sqrt(np.maximum(y / h - c * c * y * y, 0.0)) / c
+
+
+def closed_horocycle_band(y: float, h: float) -> float:
+    """Exact fraction of the closed horocycle {x + iy : 0 <= x < 1} whose
+    reduced height is at least h, for h >= 1 and y < h.
+
+    Each primitive (c, d) with c >= 1 lifts the arc |x + d/c| < l_c (see
+    farey_arc_radius) to a height of at least h; for h >= 1 these arcs are
+    disjoint, since the horoballs are, and c = 0 leaves the height y < h.
+    So F(y, h) = sum over 1 <= c <= (h y)^(-1/2) of phi(c) 2 l_c.
+    """
+    if not (h >= 1.0 and 0.0 < y < h):
+        raise ValueError("need h >= 1 and 0 < y < h")
+    c = np.arange(1, math.isqrt(int(1.0 / (h * y))) + 2, dtype=float)  # past the last arc
+    arcs = totients(c.size)[1:] * 2.0 * farey_arc_radius(c, y, h)
+    return math.fsum(arcs.tolist())

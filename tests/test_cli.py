@@ -491,6 +491,43 @@ def test_cli_flag_inventory(tmp_path, capsys, monkeypatch):
         assert (tmp_path / name).read_text().count("<circle") > 0
 
 
+# argv whose parse prints text: every help, the version and usage errors
+# at the top level and inside a subparser
+_PARSER_TEXT_RUNS = ([["--help"], ["--version"]] + [[name, "--help"] for name in _FLAGS]
+                     + [["bogus"], ["orbit", "--bogus"], ["orbit", "--N", "x"],
+                        ["dim", "--R", "1e5"]])
+
+
+def _parse_text(parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
+@pytest.mark.parametrize("argv", _PARSER_TEXT_RUNS, ids=" ".join)
+def test_cli_one_subparser_prints_what_the_full_parser_does(monkeypatch, argv):
+    # main builds only the subparser that argv[0] names, yet what it prints,
+    # and its exit code, are those of the parser of all 12 experiments
+    import homodyn.cli as cli
+
+    built = []
+
+    def spy(experiment=None):
+        built.append(experiment)
+        return build_parser(experiment)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    code, out, err = _parse_text(build_parser(), argv)
+    assert out or err
+    assert _run_quiet(argv) == ({0: 0, 2: 1}[code], out, err)
+    assert built == [argv[0] if argv[0] in _FLAGS else None]
+
+
 def _assert_one_line(err, prefix, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err)
@@ -544,25 +581,27 @@ def test_cli_small_runs_exit_0_with_empty_stderr(tmp_path, monkeypatch):
 
 # the homodyn modules a command loads besides cli, psl2 and report: its
 # experiment's modules and what they import
-_ORBITS = {"goodfn", "lattice", "orbits", "surface"}
+_ORBITS = {"orbits", "surface"}
 _LOADED = {
     "orbit": _ORBITS | {"svg"}, "curve": _ORBITS | {"svg"}, "pieces": _ORBITS,
     "twist": _ORBITS, "prog": _ORBITS, "box": _ORBITS | {"mollify"},
     "mollify": {"mollify"},
-    "dio": {"diophantine", "lattice", "surface"},
+    "dio": {"diophantine", "surface"},
     "constants": {"exponents"},
     "goodfn": {"goodfn"},
     "count": {"lattice"},
     "dim": {"fractal", "lattice"},
 }
 # main() reads the command from sys.argv, as the homodyn script does; then
-# the child prints the homodyn modules it loaded and its freeze count
+# the child prints the homodyn modules it loaded, its freeze count and which
+# of dataclasses and numpy.polynomial it loaded (no command needs either)
 _FRESH_MAIN = """
 import gc, sys
 from homodyn.cli import main
 code = main()
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("homodyn."))
-print(" ".join(loaded), gc.get_freeze_count() > 0)
+heavy = sorted({"dataclasses", "numpy.polynomial"} & set(sys.modules))
+print(" ".join(loaded), gc.get_freeze_count() > 0, heavy)
 sys.exit(code)
 """
 
@@ -579,7 +618,7 @@ def test_cli_small_runs_in_fresh_processes_load_only_their_modules(tmp_path):
         loaded = _LOADED[argv[0]] | {"cli", "psl2", "report"}
         if "liouville(2)" in argv:
             loaded |= {"diophantine"}
-        assert out and last == " ".join(sorted(loaded)) + " True", argv
+        assert out and last == " ".join(sorted(loaded)) + " True []", argv
 
 
 def _named_in(fn):
@@ -869,6 +908,23 @@ def test_cli_goodfn_grid_path_rows(tmp_path, monkeypatch, argv, out):
     assert _run_quiet(argv) == (0, out, "")
 
 
+@pytest.mark.parametrize("a, b, extra, case", [
+    pytest.param("-1", "0.5", ["--mu", "0.6", "--nu", "0.5"], "opposite_signs",
+                 id="opposite_signs"),  # floor 0.5
+    pytest.param("5", "0.9", ["--gamma", "0.02", "--nu", "1e-3"], "b_floor",
+                 id="b_floor"),  # floor 0.81
+])
+def test_cli_goodfn_default_rho_is_f1_above_the_floor(tmp_path, monkeypatch, a, b, extra, case):
+    # where min(f(1), 0.25) is not above f's floor, f never comes down to it:
+    # the default rho is then f(1), which _anchors anchors at x = 1
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_quiet(["goodfn", "--a", a, "--b", b, *extra])
+    assert (code, err) == (0, "")
+    f1 = (float(b) - float(a)) ** 2 + float(b) ** 2
+    assert f"# rho = {f1!r}\n# case = {case}\n" in out
+    assert len([line for line in out.splitlines() if not line.startswith("#")]) == 3
+
+
 # (argv, exit code, stdout) of runs at the float range's edge, where a
 # float ** raises OverflowError: each keeps the exit code and stdout it had
 # when these paths computed on numpy arrays, with no traceback
@@ -880,8 +936,12 @@ _EDGE_RUNS = [
      "# delta = 1e-300\n# n = 3\n# gamma = 1.0\n1.0,1.0,1.6406249999999994e-300,1.2e-299\n"),
     (["mollify", "--n", "2", "--gamma-box", "1e154", "--delta", "1e157"], 2, ""),
     (["goodfn", "--a", "1e300"], 2, ""),
-    # f >= its floor 0.5 > rho = 0.25: no window anchors
-    (["goodfn", "--a", "-1", "--b", "0.5", "--mu", "0.6", "--nu", "0.5"], 1, ""),
+    # f >= its floor 0.5 > 0.25, so the default rho is f(1) = 2.5 (this run
+    # exited 1 while that default was 0.25, which no window reaches)
+    (["goodfn", "--a", "-1", "--b", "0.5", "--mu", "0.6", "--nu", "0.5"], 0,
+     "# a = -1.0\n# b = 0.5\n# kappa = 1.0\n# gamma = 0.05\n# mu = 0.6\n# nu = 0.5\n"
+     "# rho = 2.5\n# case = opposite_signs\n# floor = 0.5\n"
+     "0.625,0.0,0.0,50,0\n0.15625,0.0,0.0,50,0\n0.0390625,0.0,0.0,50,0\n"),
 ]
 
 

@@ -1,18 +1,24 @@
 """The explicit window-function family and the cusp-hitting frequency."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homodyn
+
 from homodyn.goodfn import (
     GoodFnParams,
-    curve_hit_ratios,
     eval_f,
     eval_g,
     sublevel_floor,
     verify_good,
 )
+from homodyn.orbits import curve_hit_ratios
 from homodyn.psl2 import slope_base
 from homodyn.surface import reduce
 
@@ -181,6 +187,23 @@ def test_hitting_frequency_scaling():
     assert all(f <= 1.0 * e for f, e in zip(freqs, (0.2, 0.1, 0.05)))  # linear bound
     quad = [f / e**2 for f, e in zip(freqs, (0.2, 0.1, 0.05))]
     assert max(quad) / min(quad) <= 2.0
+
+
+def test_curve_hit_ratios_import_from_goodfn_loads_orbits_on_lookup():
+    # the acceptance suite imports curve_hit_ratios from goodfn, its former
+    # home: the name resolves to orbits' function, and goodfn's own import
+    # loads neither orbits nor numpy
+    code = ("import sys\n"
+            "import homodyn.goodfn as goodfn\n"
+            "print(sorted({'numpy', 'homodyn.orbits'} & set(sys.modules)))\n"
+            "from homodyn.goodfn import curve_hit_ratios\n"
+            "import homodyn.orbits as orbits\n"
+            "print(curve_hit_ratios is orbits.curve_hit_ratios, hasattr(goodfn, 'curve_hits'))\n")
+    src = str(Path(homodyn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["[]", "True False"]
 
 
 def test_hitting_deterministic():

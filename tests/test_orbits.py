@@ -29,6 +29,31 @@ from helpers import (PHI2, ZETA3, dist, eisenstein_e2, geodesic_flow, haar_integ
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
 
+def _largest_embedded_radius(y0):
+    """The largest float r at which the disc about i y0 embeds in the
+    fundamental domain: y0 sinh r <= 1/2, reached from above."""
+    r = math.asinh(0.5 / y0) * (1.0 + 1e-12)
+    while True:
+        try:
+            smooth_bump(0.0, y0, r)
+            return r
+        except ValueError:
+            r = math.nextafter(r, 0.0)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.1, 0.25, _largest_embedded_radius(1.8)])
+def test_bump_haar_mean_matches_mpmath(r):
+    # the termwise sinh series against a 40-digit quadrature of
+    # (2 pi / area) int_0^r (1 - (d/r)^2)^2 sinh(d) dd
+    import mpmath
+
+    with mpmath.workdps(40):
+        integral = mpmath.quad(lambda d: (1 - (d / r) ** 2) ** 2 * mpmath.sinh(d), [0, r])
+        ref = float(2 * mpmath.pi * integral / (mpmath.pi / 3))
+    mean = smooth_bump(0.0, 1.8, r).haar_mean
+    assert abs(mean - ref) <= 4 * math.ulp(ref), (r, mean, ref)
+
+
 def test_haar_integral_constant_one():
     const = height_band(1.0)  # y >= 1 covers the whole domain? no: arc dips to sqrt(3)/2
     # use an explicitly constant function instead

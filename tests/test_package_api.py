@@ -287,15 +287,15 @@ def test_flow_census_sees_a_planted_product(tmp_path):
 
 
 def test_flow_census_sees_a_planted_entries_parameter(tmp_path):
-    # the curve product restored in goodfn, on an entries tuple taken as a
-    # parameter and unpacked, fails the census
+    # the curve product restored in orbits, the module of curve_hit_ratios,
+    # on an entries tuple taken as a parameter and unpacked, fails the census
     package = tmp_path / "homodyn"
     shutil.copytree(PACKAGE, package)
-    path = package / "goodfn.py"
+    path = package / "orbits.py"
     source = path.read_text(encoding="utf-8")
-    imported = "    from .surface import curve_entries, cusp_norms\n"
+    imported = "from .surface import (SurfacePoint, curve_entries, cusp_norms, "
     assert source.count(imported) == 1
-    path.write_text(source.replace(imported, "    from .surface import cusp_norms\n") + (
+    path.write_text(source.replace(imported, "from .surface import (SurfacePoint, cusp_norms, ") + (
         "\n\n"
         "def curve_entries(rep, xv, gamma: float):\n"
         "    r11, r12, r21, r22 = rep\n"
@@ -303,7 +303,7 @@ def test_flow_census_sees_a_planted_entries_parameter(tmp_path):
         "    shear = xv ** (0.75 + gamma)\n"
         "    return (r11 * quarter, r11 * shear + r12 / quarter,\n"
         "            r21 * quarter, r21 * shear + r22 / quarter)\n"), encoding="utf-8")
-    assert [r.split(":")[0] for r in _entry_reads(package)] == ["goodfn.py"]
+    assert [r.split(":")[0] for r in _entry_reads(package)] == ["orbits.py"]
 
 
 def test_package_imports_only_stdlib_and_numpy():

@@ -30,3 +30,18 @@ def test_startup_refuses_a_src_without_homodyn(monkeypatch, capsys, tmp_path):
     for args in (["--help"], [str(tmp_path)], [str(SRC), "0"], [str(SRC), "x"], []):
         assert startup.main(args) == 2, args
         assert capsys.readouterr().err.startswith("usage: python3 tools/startup.py SRC [N]\n")
+
+
+def test_startup_header_names_the_bytecode_state(monkeypatch, capsys, tmp_path):
+    # the first line says whether SRC/homodyn/__pycache__ exists at the start
+    startup = _startup(monkeypatch)
+    monkeypatch.setattr(startup, "all_commands", lambda: [["constants"]])
+    monkeypatch.setattr(startup, "child", lambda src, argv: dict.fromkeys(startup.PHASES, 1e-3))
+    package = tmp_path / "homodyn"
+    package.mkdir()
+    (package / "cli.py").write_text("")
+    for state in ("absent", "exists"):
+        assert startup.main([str(tmp_path), "1"]) == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head == f"# {package / '__pycache__'}: {state} at the start"
+        (package / "__pycache__").mkdir(exist_ok=True)

@@ -24,6 +24,8 @@ from homodyn.surface import (
 from helpers import (
     brute_force_cusp_norm,
     brute_force_reduce,
+    closed_horocycle_band,
+    farey_arc_radius,
     dist,
     gamma_to_element,
     geodesic_flow,
@@ -34,6 +36,7 @@ from helpers import (
     reduce_xy_reference,
     reduced_rep_reference,
     rng,
+    totients,
 )
 
 
@@ -370,3 +373,32 @@ def test_sample_sparse_blocks_concatenate():
         assert (series.xs[i], series.ys[i]) == (x, y)
         theta = math.atan2(m21 * r11 + m22 * r21, m21 * h12 + m22 * h22) % math.pi
         assert series.thetas[i] == pytest.approx(theta, abs=1e-15)
+
+
+@pytest.mark.parametrize("h", [1.25, 2.0])
+@pytest.mark.parametrize("y", [1e-3, 1e-4])
+def test_closed_horocycle_heights_follow_the_farey_arcs(y, h):
+    # the midpoints x + iy of the closed horocycle whose reduced height is at
+    # least h are exactly those inside the Farey arcs |x - a/c| < l_c, gcd(a,
+    # c) = 1; only points within 1e-12 of an arc end are excused
+    m = round(20.0 / y)
+    x = (np.arange(m) + 0.5) / m
+    high = reduce_points(x, np.full(m, y))[1] >= h
+    inside = np.zeros(m, dtype=bool)
+    near_end = np.zeros(m, dtype=bool)
+    c_top = math.isqrt(int(1.0 / (h * y))) + 1  # past the last arc
+    phi = totients(c_top)
+    arcs = 1  # the arc about 0/1 = 1/1 is cut in two by the period
+    for c in range(1, c_top + 1):
+        radius = farey_arc_radius(float(c), y, h)
+        a = np.rint(x * c)  # arcs of one c are disjoint: only the nearest a/c can hold x
+        gap = np.abs(x - a / c)
+        primitive = np.gcd(a.astype(np.int64), c) == 1
+        inside |= primitive & (gap < radius)
+        near_end |= primitive & (np.abs(gap - radius) < 1e-12)
+        arcs += int(phi[c]) if radius > 0.0 else 0
+    assert high.any() and (~high).any()
+    assert near_end.sum() <= 2, near_end.sum()
+    assert np.array_equal(high[~near_end], inside[~near_end])
+    # each arc holds its length times m midpoints, give or take one
+    assert abs(high.mean() - closed_horocycle_band(y, h)) <= arcs / m

@@ -13,7 +13,10 @@ median CPU milliseconds of four phases:
 
 The first three are ``time.process_time`` readings taken in the child; the
 total comes from the child's ``wait4`` rusage in the parent.  The children
-run with one BLAS thread, as the benchmark's commands do.
+run with one BLAS thread, as the benchmark's commands do.  The header says
+whether SRC/homodyn/__pycache__ exists at the start: cached bytecode cuts
+the imports phase, so compare two trees only in the same state (a child
+writes the cache unless PYTHONDONTWRITEBYTECODE is set).
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ def main(args=None) -> int:
         return 2
     src, n = args[0], int(args[1]) if len(args) == 2 else 5
     rows = []
+    cache = Path(src) / "homodyn" / "__pycache__"
+    print(f"# {cache}: {'exists' if cache.is_dir() else 'absent'} at the start")
     print(" ".join(f"{p:>9}" for p in PHASES) + "  command (median CPU ms)")
     for argv in all_commands():
         row = medians_ms(src, argv, n)
