@@ -210,8 +210,8 @@ def run_goodfn(args) -> ExperimentReport:
 
 
 def run_count(args) -> ExperimentReport:
+    q = SectorQuery(args.l, args.theta1, args.theta2)  # a bad sector is refused unenumerated
     vecs = enumerate_orbit(2.0 * args.l)
-    q = SectorQuery(args.l, args.theta1, args.theta2)
     n = sector_count(vecs, q)
     c2, cx = gap_constants(vecs)
     rep = ExperimentReport(
@@ -281,23 +281,6 @@ def run_constants(args) -> ExperimentReport:
     return rep
 
 
-# experiment -> (runner, the modules whose helpers it calls)
-_RUNNERS = {
-    "orbit": (run_orbit, ("orbits", "surface", "svg")),
-    "curve": (run_curve, ("orbits", "surface", "svg")),
-    "twist": (run_twist, ("orbits", "surface")),
-    "prog": (run_prog, ("orbits", "surface")),
-    "pieces": (run_pieces, ("orbits", "surface")),
-    "dio": (run_dio, ("diophantine", "surface")),
-    "goodfn": (run_goodfn, ("goodfn",)),
-    "count": (run_count, ("lattice",)),
-    "dim": (run_dim, ("fractal",)),
-    "mollify": (run_mollify, ("mollify",)),
-    "box": (run_box, ("mollify", "orbits", "surface")),
-    "constants": (run_constants, ("exponents",)),
-}
-
-
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
 
 
@@ -318,6 +301,72 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def number_list(text: str) -> list:
+    """argparse type of --schedule: comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers (--schedule)") from None
+
+
+# experiment -> (runner, the modules whose helpers it calls, help summary,
+# flags).  A flag is (name, default[, type[, help]]), see _add_flag; every
+# experiment also takes the _FILES flags.
+_SAMPLED = (("--svg", None, None, "SVG scatter path"), ("--threads", 1, positive_int))
+_FILES = (("--out", None, None, "CSV output path"),
+          ("--config", None, None, "key=value defaults file"))
+_RUNNERS = {
+    "orbit": (run_orbit, ("orbits", "surface", "svg"), "sparse orbit discrepancy against Haar",
+              (("--base", "golden"), ("--gamma", 0.01), ("--N", 100000), *_SAMPLED)),
+    "curve": (run_curve, ("orbits", "surface", "svg"), "expanding-translate curve discrepancy",
+              (("--base", "golden"), ("--gamma", 0.1), ("--xmax", 1e6), ("--points", 100000),
+               *_SAMPLED)),
+    "twist": (run_twist, ("orbits", "surface"), "oscillation-twisted time averages",
+              (("--base", "golden"), ("--frequency", 0.37), ("--T", [1e2, 1e3, 1e4]),
+               ("--band", 2.0))),
+    "prog": (run_prog, ("orbits", "surface"), "arithmetic-progression averages",
+             (("--base", "golden"), ("--K", None, float), ("--K-exponent", 0.05),
+              ("--T", [1e3, 1e4, 1e5]), ("--band", 2.0))),
+    "pieces": (run_pieces, ("orbits", "surface"), "greedy block cover of sparse indices",
+               (("--base", "golden"), ("--gamma", 0.1), ("--eps", 0.1), ("--N", 50000),
+                ("--kappa", 1.0))),
+    "dio": (run_dio, ("diophantine", "surface"), "continued-fraction and point-type reports",
+            (("--x", None, float), ("--base", "golden"), ("--depth", 20), ("--kappa", 1.0),
+             ("--bound", 1000), ("--tmax", 35.0))),
+    "goodfn": (run_goodfn, ("goodfn",), "sublevel-measure constants",
+               (("--a", 1.0), ("--b", 1e-5), ("--kappa", 1.0), ("--gamma", 0.05),
+                ("--mu", 0.5), ("--nu", 5e-6), ("--rho", 0.0))),
+    "count": (run_count, ("lattice",), "annular sector counts of primitive vectors",
+              (("--l", 1000.0), ("--theta1", math.pi / 4.0), ("--theta2", math.pi / 2.0))),
+    "dim": (run_dim, ("fractal",), "dimension bounds and cover sums",
+            (("--kappa", 1.0), ("--eps", 0.0), ("--levels", 2),
+             ("--schedule", [50.0, 2500.0], number_list), ("--R", 10000))),
+    "mollify": (run_mollify, ("mollify",), "smoothed box indicator checks",
+                (("--delta", 0.05), ("--n", 1), ("--gamma-box", 1.0))),
+    "box": (run_box, ("mollify", "orbits", "surface"), "horocycle box-average decay",
+            (("--base", "golden"), ("--T", [1e2, 1e3, 1e4]), ("--band", 2.0),
+             ("--weighted", False))),
+    "constants": (run_constants, ("exponents",), "exponent tables",
+                  (("--s", 0.5), ("--kappa", [1.0]), ("--eps", 0.0))),
+}
+
+
+def _add_flag(parser, name, default, kind=None, help=None) -> None:
+    """Add one flag of a _RUNNERS entry to its subparser.  Without a type it
+    parses as its default's: a list of floats takes several values, a bool is
+    a --x/--no-x switch and a None default keeps the string given."""
+    if kind is not None:
+        how = {"type": kind}
+    elif isinstance(default, bool):
+        how = {"action": argparse.BooleanOptionalAction}
+    elif isinstance(default, list):
+        how = {"type": float, "nargs": "+"}
+    else:
+        how = {"type": None if default is None else type(default)}
+    parser.add_argument(name, default=default, help=help, **how)
+
+
 def build_parser(experiment=None) -> argparse.ArgumentParser:
     """The parser of every experiment, or of that one only: main parses a
     command with its own subparser alone, and every text it prints (usage,
@@ -330,110 +379,11 @@ def build_parser(experiment=None) -> argparse.ArgumentParser:
     # a one-experiment parser's usage line lists every experiment, as the full one's does
     metavar = None if experiment is None else "{" + ",".join(_RUNNERS) + "}"
     sub = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
-
-    def add(name, summary):
-        """The subparser of name, if the parser holds it (else None)."""
-        return sub.add_parser(name, help=summary) if experiment in (None, name) else None
-
-    def common(p):
-        p.add_argument("--out", type=str, default=None, help="CSV output path")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value defaults file")
-
-    def orbit_common(p):
-        p.add_argument("--svg", type=str, default=None, help="SVG scatter path")
-        p.add_argument("--threads", type=positive_int, default=1)
-        common(p)
-
-    if p := add("orbit", "sparse orbit discrepancy against Haar"):
-        p.add_argument("--base", default="golden")
-        p.add_argument("--gamma", type=float, default=0.01)
-        p.add_argument("--N", type=int, default=100000)
-        orbit_common(p)
-
-    if p := add("curve", "expanding-translate curve discrepancy"):
-        p.add_argument("--base", default="golden")
-        p.add_argument("--gamma", type=float, default=0.1)
-        p.add_argument("--xmax", type=float, default=1e6)
-        p.add_argument("--points", type=int, default=100000)
-        orbit_common(p)
-
-    if p := add("twist", "oscillation-twisted time averages"):
-        p.add_argument("--base", default="golden")
-        p.add_argument("--frequency", type=float, default=0.37)
-        p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
-        p.add_argument("--band", type=float, default=2.0)
-        common(p)
-
-    if p := add("prog", "arithmetic-progression averages"):
-        p.add_argument("--base", default="golden")
-        p.add_argument("--K", type=float, default=None)
-        p.add_argument("--K-exponent", dest="K_exponent", type=float, default=0.05)
-        p.add_argument("--T", type=float, nargs="+", default=[1e3, 1e4, 1e5])
-        p.add_argument("--band", type=float, default=2.0)
-        common(p)
-
-    if p := add("pieces", "greedy block cover of sparse indices"):
-        p.add_argument("--base", default="golden")
-        p.add_argument("--gamma", type=float, default=0.1)
-        p.add_argument("--eps", type=float, default=0.1)
-        p.add_argument("--N", type=int, default=50000)
-        p.add_argument("--kappa", type=float, default=1.0)
-        common(p)
-
-    if p := add("dio", "continued-fraction and point-type reports"):
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--base", default="golden")
-        p.add_argument("--depth", type=int, default=20)
-        p.add_argument("--kappa", type=float, default=1.0)
-        p.add_argument("--bound", type=int, default=1000)
-        p.add_argument("--tmax", type=float, default=35.0)
-        common(p)
-
-    if p := add("goodfn", "sublevel-measure constants"):
-        p.add_argument("--a", type=float, default=1.0)
-        p.add_argument("--b", type=float, default=1e-5)
-        p.add_argument("--kappa", type=float, default=1.0)
-        p.add_argument("--gamma", type=float, default=0.05)
-        p.add_argument("--mu", type=float, default=0.5)
-        p.add_argument("--nu", type=float, default=5e-6)
-        p.add_argument("--rho", type=float, default=0.0)
-        common(p)
-
-    if p := add("count", "annular sector counts of primitive vectors"):
-        p.add_argument("--l", type=float, default=1000.0)
-        p.add_argument("--theta1", type=float, default=math.pi / 4.0)
-        p.add_argument("--theta2", type=float, default=math.pi / 2.0)
-        common(p)
-
-    if p := add("dim", "dimension bounds and cover sums"):
-        p.add_argument("--kappa", type=float, default=1.0)
-        p.add_argument("--eps", type=float, default=0.0)
-        p.add_argument("--levels", type=int, default=2)
-        p.add_argument("--schedule", type=lambda s: [float(x) for x in s.split(",")],
-                       default=[50.0, 2500.0])
-        p.add_argument("--R", type=int, default=10000)
-        common(p)
-
-    if p := add("mollify", "smoothed box indicator checks"):
-        p.add_argument("--delta", type=float, default=0.05)
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--gamma-box", dest="gamma_box", type=float, default=1.0)
-        common(p)
-
-    if p := add("box", "horocycle box-average decay"):
-        p.add_argument("--base", default="golden")
-        p.add_argument("--T", type=float, nargs="+", default=[1e2, 1e3, 1e4])
-        p.add_argument("--band", type=float, default=2.0)
-        p.add_argument("--weighted", action=argparse.BooleanOptionalAction, default=False)
-        common(p)
-
-    if p := add("constants", "exponent tables"):
-        p.add_argument("--s", type=float, default=0.5)
-        p.add_argument("--kappa", type=float, nargs="+", default=[1.0])
-        p.add_argument("--eps", type=float, default=0.0)
-        common(p)
-
+    for name, (_, _, summary, flags) in _RUNNERS.items():
+        if experiment in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for flag in flags + _FILES:
+                _add_flag(p, *flag)
     return parser
 
 
@@ -466,7 +416,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for bad flags: map the latter to 1
         return 0 if exc.code in (0, None) else 1
-    runner, modules = _RUNNERS[args.experiment]
+    runner, modules, _, _ = _RUNNERS[args.experiment]
     _bind(*modules)
     if as_program:
         # The process ends with this command, so what exists now (modules,

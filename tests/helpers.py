@@ -663,17 +663,46 @@ def farey_arc_radius(c, y: float, h: float):
     return np.sqrt(np.maximum(y / h - c * c * y * y, 0.0)) / c
 
 
-def closed_horocycle_band(y: float, h: float) -> float:
-    """Exact fraction of the closed horocycle {x + iy : 0 <= x < 1} whose
-    reduced height is at least h, for h >= 1 and y < h.
+def moebius_mu(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def ramanujan_sum(c: int, k: int) -> int:
+    """c_c(k), the sum of e(k a / c) over a mod c coprime to c, as the
+    integer sum over d dividing gcd(c, k) of mu(c / d) d."""
+    g = math.gcd(c, k)
+    return sum(moebius_mu(c // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def closed_horocycle_band(y: float, h: float, k: int = 0) -> float:
+    """Exact integral of e(k x) over the x in [0, 1) where x + iy has reduced
+    height at least h, for h >= 1, 0 < y < h and integer k; at k = 0 the
+    fraction of the closed horocycle above h.
 
     Each primitive (c, d) with c >= 1 lifts the arc |x + d/c| < l_c (see
     farey_arc_radius) to a height of at least h; for h >= 1 these arcs are
     disjoint, since the horoballs are, and c = 0 leaves the height y < h.
-    So F(y, h) = sum over 1 <= c <= (h y)^(-1/2) of phi(c) 2 l_c.
+    The arc about a/c contributes e(k a/c) sin(2 pi k l_c) / (pi k), which
+    is 2 l_c at k = 0, and the sum of e(k a/c) over a is Ramanujan's
+    c_c(k), which is phi(c) at k = 0.  So the integral is the sum over
+    1 <= c <= (h y)^(-1/2) of c_c(k) sin(2 pi k l_c) / (pi k).
     """
     if not (h >= 1.0 and 0.0 < y < h):
         raise ValueError("need h >= 1 and 0 < y < h")
     c = np.arange(1, math.isqrt(int(1.0 / (h * y))) + 2, dtype=float)  # past the last arc
-    arcs = totients(c.size)[1:] * 2.0 * farey_arc_radius(c, y, h)
+    radius = farey_arc_radius(c, y, h)
+    if k == 0:
+        arcs = totients(c.size)[1:] * 2.0 * radius
+    else:
+        sums = np.array([ramanujan_sum(q, k) for q in range(1, c.size + 1)], dtype=float)
+        arcs = sums * np.sin(2.0 * math.pi * k * radius) / (math.pi * k)
     return math.fsum(arcs.tolist())

@@ -26,7 +26,7 @@ from homodyn.report import ExperimentReport, emit_csv
 from homodyn.surface import reduce
 from homodyn.svg import emit_svg
 
-from helpers import emit_svg_fstring, emit_svg_reference, psl_allclose
+from helpers import closed_horocycle_band, emit_svg_fstring, emit_svg_reference, psl_allclose
 
 # a numpy warning is a stderr line outside pytest: here it fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -184,6 +184,27 @@ def test_svg_cap_refuses_before_sampling(tmp_path, monkeypatch):
             run_cli(argv)
 
 
+class _Enumerated(Exception):
+    pass
+
+
+def test_count_refuses_its_sector_before_enumerating(tmp_path, monkeypatch):
+    import homodyn.cli as cli
+
+    def enumerated(*args):
+        raise _Enumerated
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "enumerate_orbit", enumerated)
+    for argv in (["count", "--theta1", "2", "--theta2", "1"], ["count", "--l", "-5"],
+                 ["count", "--l", "nan"]):
+        code, _, err = _run_quiet(argv)
+        assert code == 1, argv
+        _assert_one_line(err, "config error: need l > 0", argv)
+    with pytest.raises(_Enumerated):
+        run_cli(["count", "--l", "50"])
+
+
 # a launcher between pytest and the command: the child's ru_maxrss holds
 # the RSS of the process it was forked from, so it must be a small one
 _PEAK_RSS = """
@@ -258,6 +279,24 @@ def test_cli_orbit_csv_deterministic_across_threads(tmp_path, capsys):
     assert run_cli(["orbit", "--base", "golden", "--gamma", "0.01",
                     "--N", "20000", "--threads", "8", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("base, q", [("0.3333333333333333,-1,1,0", 3),
+                                     (f"{2 / 7!r},-1,1,0", 7), ("liouville(25)", 2)])
+def test_cli_orbit_on_a_rational_slope_reads_the_closed_horocycle(tmp_path, monkeypatch,
+                                                                  base, q):
+    # slope p/q traces the closed horocycle at height 1/q^2, whose band
+    # fraction is F(1/q^2, 2), not Haar's 3/(2 pi); liouville(25) lies
+    # about 1.5e-8 from 1/2 and, by a rough estimate, shadows that
+    # horocycle up to t near 3e7, well past N^(1+gamma) = 1.15e6
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_quiet(["orbit", "--base", base, "--gamma", "0.01", "--N", "1000000"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("band2,")]
+    band = float(rows[-1][2])
+    closed = closed_horocycle_band(1.0 / q**2, 2.0)
+    assert abs(band - closed) <= 1e-3, (band, closed)
+    assert abs(band - 3.0 / (2.0 * math.pi)) >= 0.01, band
 
 
 def test_cli_config_file_defaults(tmp_path, capsys):
@@ -445,6 +484,19 @@ def test_cli_threads_must_be_positive(tmp_path, capsys, monkeypatch):
         assert "positive integer" in capsys.readouterr().err
     assert run_cli(["orbit", "--N", "100", "--threads", "3"]) == 0
     assert "# threads = 3" in capsys.readouterr().out
+
+
+def test_cli_schedule_usage_error_names_the_flag(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("schedule=abc\n")
+    for argv in (["dim", "--schedule", "abc"], ["dim", "--schedule=1,,2"],
+                 ["dim", "--config", str(cfg)]):
+        code, _, err = _run_quiet(argv)
+        last = err.splitlines()[-1]
+        assert code == 1, argv
+        assert "--schedule" in last and "<lambda>" not in last, (argv, err)
+        assert "is not a comma-separated list of numbers" in last, (argv, err)
 
 
 # every flag of every subcommand; adding or removing one is a reviewed change
@@ -636,7 +688,7 @@ def test_runners_name_only_helpers_of_their_modules():
     # runner and the private cli functions it calls name no other
     import homodyn.cli as cli
 
-    for experiment, (runner, modules) in cli._RUNNERS.items():
+    for experiment, (runner, modules, _, _) in cli._RUNNERS.items():
         todo, seen, named = [runner], set(), set()
         while todo:
             fn = todo.pop()

@@ -23,8 +23,8 @@ from homodyn.orbits import (
 )
 from homodyn.psl2 import GroupElement, diagonal_flow, golden_ratio, identity, slope_base, unipotent
 from homodyn.surface import reduce
-from helpers import (PHI2, ZETA3, dist, eisenstein_e2, geodesic_flow, haar_integral,
-                     reduced_rep_reference)
+from helpers import (PHI2, ZETA3, closed_horocycle_band, dist, eisenstein_e2, farey_arc_radius,
+                     geodesic_flow, haar_integral, reduced_rep_reference, totients)
 
 GOLDEN_P = reduce(slope_base(golden_ratio))
 
@@ -204,6 +204,22 @@ def test_twisted_average_oscillatory_bound():
     const_int = np.exp(2j * np.pi * ts).sum() * (T / m) / T
     assert abs(const_int) <= 2.0 / (2.0 * math.pi * T) + 1e-6
     assert abs(g_val) <= 1.0
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("y", [1e-3, 1e-4])
+def test_twisted_average_on_a_closed_horocycle_matches_ramanujan_sums(y, k):
+    # from i y, u(t) runs once round the closed horocycle x + i y by T = 1/y,
+    # and frequency k y is e(k x): the exact value sums Ramanujan's c_c(k)
+    # over the Farey arcs.  Each arc end costs at most one node spacing 1/m
+    # of the 20/y midpoints (steps of 0.05 in t)
+    h = 2.0
+    p = reduce(GroupElement(math.sqrt(y), 0.0, 0.0, 1.0 / math.sqrt(y)))
+    mu = twisted_average(p, 1.0 / y, k * y, height_band(h))
+    c = np.arange(1, math.isqrt(int(1.0 / (h * y))) + 2)
+    arcs = 1 + int(totients(c.size)[1:][farey_arc_radius(c.astype(float), y, h) > 0.0].sum())
+    m = round(20.0 / y)
+    assert abs(mu - closed_horocycle_band(y, h, k)) <= 2.0 * arcs / m, (mu, arcs)
 
 
 def test_twisted_average_validation():

@@ -47,3 +47,9 @@ def test_parity_commands_cover_readme_and_benchmark(monkeypatch):
     assert "," in parity.matrix_base()
     assert any(f"--base={parity.matrix_base()}" in argv for argv in argvs)
     assert len(argvs) == len({tuple(argv) for argv in argvs})
+    # the parser's own text: what the one-tree parser test cannot compare
+    # with another tree's
+    texts = [["--help"], ["--version"]] + [[argv[0], "--help"]
+                                           for argv in parity.readme_commands()]
+    assert argvs[-len(texts):] == texts
+    assert len(argvs) == 79

@@ -5,9 +5,9 @@
 Traces, with ``sys.settrace`` and in this one process, every line of
 src/homodyn that these runs execute:
 
-- the commands of tools/parity.py (the README's CLI examples and every
-  full-size benchmark command on the probe bases plus one random matrix),
-  through ``homodyn.cli.main``;
+- the commands of tools/parity.py (the README's CLI examples, every
+  full-size benchmark command on the probe bases plus one random matrix,
+  and the parser's help and version texts), through ``homodyn.cli.main``;
 - tests/test_acceptance.py, under pytest;
 - the benchmark's accuracy probe ``oracle.orbit_err_max`` and its
   microkernels (``tracing.microkernels``).

@@ -2,8 +2,9 @@
 
     python3 tools/parity.py OLD_SRC NEW_SRC
 
-Runs the README's CLI examples and every full-size benchmark command
-(bench/workloads.py) on the probe bases plus one random matrix, once on
+Runs the README's CLI examples, every full-size benchmark command
+(bench/workloads.py) on the probe bases plus one random matrix, and the
+parser's own text (--help, --version and each command's --help), once on
 each tree, each run in a fresh directory.  Lists every stdout, stderr, exit
 code and written file (CSV, SVG) that differs, and exits 1 if any does.
 OLD_SRC and NEW_SRC are directories that hold the ``homodyn`` package,
@@ -45,14 +46,15 @@ def matrix_base() -> str:
 
 
 def all_commands() -> list:
-    """README examples, then each full-size benchmark command once per base."""
+    """README examples, then each full-size benchmark command once per base,
+    then --help, --version and the --help of each README command."""
     argvs = readme_commands()
     for base in PROBE_BASES + (matrix_base(),):
         for workload in WORKLOADS:
             for _, argv in commands(workload, base, "full"):
                 if argv not in argvs:
                     argvs.append(argv)
-    return argvs
+    return argvs + [["--help"], ["--version"]] + [[a[0], "--help"] for a in readme_commands()]
 
 
 def run(src, argv) -> dict:
