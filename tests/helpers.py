@@ -153,8 +153,15 @@ def bump_kernel(x: float) -> float:
     return 35.0 / 32.0 * (1.0 - x * x) ** 3 if abs(x) <= 1.0 else 0.0
 
 
+def eval_g(params, x):
+    """The monotone factor g(x) = b x^(1+gamma-1/(kappa+4)) - a x^(-1/(kappa+4))
+    of goodfn's f = g^2 + (b x^(1/2-1/(kappa+4)))^2."""
+    a, b, g, k = params.a, params.b, params.gamma, params.kappa
+    return b * x ** (1.0 + g - 1.0 / (k + 4.0)) - a * x ** (-1.0 / (k + 4.0))
+
+
 def eval_g_prime(params, x):
-    """Derivative of goodfn.eval_g in x (arrays)."""
+    """Derivative of eval_g in x (arrays)."""
     x = np.asarray(x, dtype=float)
     a, b, g, k = params.a, params.b, params.gamma, params.kappa
     e = 1.0 / (k + 4.0)
@@ -451,9 +458,49 @@ def gap_constants_reference(vecs):
     return c_second, float(cross.min()) if cross.size else math.inf
 
 
+# brentq's refinement of the grid scan's ends: |x - root| <= xtol + rtol |x|
+HULL_XTOL, HULL_RTOL = 1e-12, 4.0 * np.finfo(float).eps
+
+
+def _grid_scan(params, level: float, points: int):
+    """goodfn's f on `points` geometric points of [1, cap]: the points, the
+    mask f <= level, and brentq's root of f - level between points i and i+1."""
+    from scipy.optimize import brentq
+
+    from homodyn.goodfn import _WINDOW_CAP, eval_f
+
+    xs = np.geomspace(1.0, _WINDOW_CAP, points)
+    fn = lambda x: eval_f(params, x) - level  # noqa: E731
+    refine = lambda i: brentq(fn, xs[i], xs[i + 1], xtol=HULL_XTOL, rtol=HULL_RTOL)  # noqa: E731
+    return xs, eval_f(params, xs) <= level, refine
+
+
+def sublevel_hull_reference(params, level: float, points: int = 200001):
+    """Reference for goodfn._sublevel_hull, which assumes f quasi-convex: the
+    former grid scan.  The first and last grid points with f <= level, each
+    end inside the grid refined by brentq between its grid neighbours; None
+    when no grid point is in the set."""
+    xs, inside, refine = _grid_scan(params, level, points)
+    idx = np.flatnonzero(inside)
+    if not idx.size:
+        return None
+    i0, i1 = int(idx[0]), int(idx[-1])
+    return (float(xs[0]) if i0 == 0 else refine(i0 - 1),
+            float(xs[-1]) if i1 == points - 1 else refine(i1))
+
+
+def crossings_reference(params, level: float, points: int = 200001) -> list:
+    """Every x in [1, cap] where f - level changes sign between grid
+    neighbours (x = 1 too when f(1) <= level), refined by brentq."""
+    xs, inside, refine = _grid_scan(params, level, points)
+    return [1.0] * bool(inside[0]) + [refine(int(i)) for i in
+                                      np.flatnonzero(inside[1:] != inside[:-1])]
+
+
 def verify_good_reference(params, eps_grid, window_count: int = 50):
     """Reference for goodfn.verify_good, which evaluates one window per
-    anchor: the former sweep.  Per eps and anchor x1 it tries window_count
+    eps at its one anchor: the former sweep on grid-scanned sets.  Per eps
+    and anchor x1 (every crossing of f = rho) it tries window_count
     geometric right ends from x1 + 1 to the cap, plus the tightest end
     s1 + 1e-6 of the sublevel hull [s0, s1]."""
     from homodyn import goodfn
@@ -467,14 +514,9 @@ def verify_good_reference(params, eps_grid, window_count: int = 50):
                 "rho": params.rho, "case": params.case, "floor": floor},
         columns=["eps", "C_required", "sublevel_measure", "windows", "failed"],
     )
-    anchors = goodfn._anchors(params)
+    anchors = crossings_reference(params, params.rho)
     for eps in eps_grid:
-        if floor > 0.0 and eps < floor:
-            seg = None
-        elif params.case == "generic":
-            seg = goodfn._sublevel_interval(params, eps)
-        else:
-            seg = goodfn._sublevel_measure_grid(params, eps)
+        seg = sublevel_hull_reference(params, eps)
         if seg is None:  # empty sublevel set
             rep.add_row(eps, 0.0, 0.0, window_count, 0)
             continue

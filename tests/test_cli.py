@@ -459,6 +459,20 @@ def test_cli_dio_twist_prog_smoke(tmp_path, capsys, monkeypatch):
     assert run_cli(["prog", "--base", "golden", "--T", "100"]) == 0
 
 
+@pytest.mark.parametrize("base, tmax, kappa", [
+    # golden's float geodesic makes spurious cusp excursions from t ~ 38.5 on:
+    # fitted up to t = 60, without the cut at 35, it would read 1.0550326046834986
+    ("golden", "60", "1.0"), ("golden", "35", "1.0"),
+    # below the cut --tmax still acts
+    ("e", "20", "1.2108342459142365"), ("e", "35", "1.009619103558946"),
+])
+def test_cli_dio_fits_excursions_only_up_to_the_reliable_horizon(tmp_path, capsys, monkeypatch,
+                                                                base, tmax, kappa):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["dio", "--base", base, "--tmax", tmax, "--bound", "100"]) == 0
+    assert f"excursion_type,{kappa}\n" in capsys.readouterr().out
+
+
 def test_cli_csv_standard_reader(tmp_path, monkeypatch):
     import csv
 
@@ -827,6 +841,7 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  ["box", "--T", "inf"], ["prog", "--K-exponent", "0", "--K", "2", "--T", "inf"],
                  ["pieces", "--kappa", "-1", "--N", "100"],
                  ["goodfn", "--mu", "nan"], ["goodfn", "--mu", "inf"],
+                 ["goodfn", "--rho", "nan"],
                  # past the 5e7-element memory guard: refused before allocating
                  ["orbit", "--N", "100000000000"], ["curve", "--points", "100000000000"],
                  ["pieces", "--N", "100000000000"], ["box", "--T", "1e12"],
@@ -914,10 +929,16 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                                        "homodyn.report"])
 
 
-# commands that compute on a few floats: constants, and the default and
-# README runs of goodfn (the generic case) and mollify
+# goodfn's runs in its a < 0 and b >= mu cases, as tools/parity.py runs them
+_GOODFN_OPPOSITE_SIGNS = ["goodfn", "--a", "-1", "--b", "1e-5", "--gamma", "0.02",
+                          "--nu", "1e-6"]
+_GOODFN_B_FLOOR = ["goodfn", "--a", "5", "--b", "0.5", "--kappa", "2", "--gamma", "0.02",
+                   "--nu", "1e-3", "--rho", "10.25"]
+# commands that compute on a few floats: constants, the default and README
+# runs of goodfn (the generic case) and its two other cases, and mollify
 _SCALAR_RUNS = [["constants", "--kappa", "1", "3"], ["goodfn"],
-                ["goodfn", "--a", "1", "--b", "1e-5", "--rho", "1e-4"], ["mollify"],
+                ["goodfn", "--a", "1", "--b", "1e-5", "--rho", "1e-4"],
+                _GOODFN_OPPOSITE_SIGNS, _GOODFN_B_FLOOR, ["mollify"],
                 ["mollify", "--delta", "0.05", "--n", "2", "--gamma-box", "0.5"]]
 
 
@@ -941,21 +962,22 @@ _GOODFN_HEAD = "# kappa = {}\n# gamma = 0.02\n# mu = 0.5\n# nu = {}\n# rho = {}\
 
 
 @pytest.mark.parametrize("argv, out", [
-    pytest.param(["goodfn", "--a", "-1", "--b", "1e-5", "--gamma", "0.02", "--nu", "1e-6"],
+    pytest.param(_GOODFN_OPPOSITE_SIGNS,
      "# a = -1.0\n# b = 1e-05\n" + _GOODFN_HEAD.format(1.0, 1e-06, 0.25)
      + "# case = opposite_signs\n# floor = 1e-06\n"
-     "0.0625,1.9835723306221258,127718.79744439445,50,0\n"
+     "0.0625,1.9835723306221253,127718.79744439393,50,0\n"
      "0.015625,0.0,0.0,50,0\n0.00390625,0.0,0.0,50,0\n", id="opposite_signs"),
-    pytest.param(["goodfn", "--a", "5", "--b", "0.5", "--kappa", "2", "--gamma", "0.02",
-                  "--nu", "1e-3", "--rho", "10.25"],
+    pytest.param(_GOODFN_B_FLOOR,
      "# a = 5.0\n# b = 0.5\n" + _GOODFN_HEAD.format(2.0, 0.001, 10.25)
      + "# case = b_floor\n# floor = 0.25\n"
-     "2.5625,1.2847867435038343,6.4732631114605805,50,0\n"
+     "2.5625,1.2847867434987115,6.473263111449295,50,0\n"
      "0.640625,0.0,0.0,50,0\n0.16015625,0.0,0.0,50,0\n", id="b_floor"),
 ])
 def test_cli_goodfn_grid_path_rows(tmp_path, monkeypatch, argv, out):
-    # the a < 0 and b >= mu cases scan 200,001 points in numpy; these rows
-    # are pinned from the runs before the generic path left numpy
+    # the a < 0 and b >= mu cases, whose sublevel sets the generic case's
+    # search finds too; a 50-digit reference reads C = 1.98357233062212552
+    # and 1.28478674349871159, measure 127718.797444393917 and
+    # 6.47326311144929765
     monkeypatch.chdir(tmp_path)
     assert _run_quiet(argv) == (0, out, "")
 
@@ -968,7 +990,7 @@ def test_cli_goodfn_grid_path_rows(tmp_path, monkeypatch, argv, out):
 ])
 def test_cli_goodfn_default_rho_is_f1_above_the_floor(tmp_path, monkeypatch, a, b, extra, case):
     # where min(f(1), 0.25) is not above f's floor, f never comes down to it:
-    # the default rho is then f(1), which _anchors anchors at x = 1
+    # the default rho is then f(1), and the hull of {f <= rho} starts at x = 1
     monkeypatch.chdir(tmp_path)
     code, out, err = _run_quiet(["goodfn", "--a", a, "--b", b, *extra])
     assert (code, err) == (0, "")

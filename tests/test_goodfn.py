@@ -12,9 +12,10 @@ import pytest
 import homodyn
 
 from homodyn.goodfn import (
+    _WINDOW_CAP,
     GoodFnParams,
+    _sublevel_hull,
     eval_f,
-    eval_g,
     sublevel_floor,
     verify_good,
 )
@@ -22,7 +23,16 @@ from homodyn.orbits import curve_hit_ratios
 from homodyn.psl2 import slope_base
 from homodyn.surface import reduce
 
-from helpers import eval_g_prime, hitting_frequency, verify_good_reference
+from helpers import (
+    HULL_RTOL,
+    HULL_XTOL,
+    eval_g,
+    eval_g_prime,
+    hitting_frequency,
+    rng,
+    sublevel_hull_reference,
+    verify_good_reference,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -93,6 +103,17 @@ def test_b_floor_case_empty_sublevels():
         assert row[1] == 0.0 and row[2] == 0.0
 
 
+def test_default_rho_is_f_at_one_as_eval_f_rounds_it():
+    # here (b - a)**2 + b**2 rounds one ulp below (b - a)*(b - a) + b*b, so
+    # a rho computed by ** would leave x = 1 outside {f <= rho} and f, which
+    # rises from x = 1, would meet rho nowhere: no window would be anchored
+    p = GoodFnParams(a=-0.4943141949908455, b=0.9286232690460166, kappa=1.0, gamma=0.1,
+                     mu=0.5, nu=1e-3)
+    assert (p.b - p.a) ** 2 + p.b ** 2 < p.f1() == eval_f(p, 1.0) == p.rho
+    rows = verify_good(p, [p.rho / 4.0]).rows
+    assert rows[0][1:3] == (0.0, 0.0)
+
+
 def test_opposite_signs_floor():
     p = GoodFnParams(a=-1.0, b=0.5, kappa=1.0, gamma=0.1, mu=0.6, nu=0.5)
     # normalization flips to b > 0 with a < 0 -> floor nu^(2/(kappa+1))
@@ -127,15 +148,15 @@ def test_generic_case_default_rho_regression():
 
 # (a, b, kappa, gamma, mu, nu, rho as a share of f(1); 0 = the default rho)
 _GOODFN_GRID = [
-    (2.0, 1e-3, 1.0, 0.02, 0.5, 1e-6, 0.0),     # generic: the interval path
+    (2.0, 1e-3, 1.0, 0.02, 0.5, 1e-6, 0.0),     # generic
     (5.0, 0.05, 1.0, 0.02, 0.5, 1e-6, 0.5),
     (2.0, 1e-5, 2.0, 0.1, 0.5, 1e-6, 0.0),
     (5.0, 0.05, 2.0, 0.1, 0.5, 0.1, 0.5),
     (1.0, 1e-5, 1.0, 0.05, 0.5, 5e-6, 0.0),     # the goodfn defaults
-    (5.0, 0.9, 1.0, 0.02, 0.5, 1e-3, 0.5),      # b_floor: the grid path
+    (5.0, 0.9, 1.0, 0.02, 0.5, 1e-3, 0.5),      # b_floor
     (5.0, 0.5, 2.0, 0.02, 0.5, 1e-3, 0.5),
     (0.3, 0.9, 1.0, 0.1, 0.5, 0.1, 1.0),        # b_floor, empty below the floor
-    (-1.0, 1e-5, 1.0, 0.02, 0.5, 1e-6, 0.0),    # opposite signs: the grid path
+    (-1.0, 1e-5, 1.0, 0.02, 0.5, 1e-6, 0.0),    # opposite signs
     (-1.0, 1e-5, 1.0, 0.02, 0.5, 1e-6, 0.5),
     (-1.0, 1e-5, 2.0, 0.02, 0.5, 1e-6, 0.0),
     (-3.0, 1e-5, 2.0, 0.1, 0.5, 1e-6, 0.5),
@@ -149,9 +170,70 @@ def _grid_params(a, b, kappa, gamma, mu, nu, share):
 
 @pytest.mark.parametrize("row", _GOODFN_GRID)
 def test_verify_good_tightest_window_matches_sweep(row):
+    # the reference's hull ends are brentq's, each within HULL_XTOL +
+    # HULL_RTOL x of the root: the measure may move by that at the anchor and
+    # at both ends of the hull [s0, s1], and C = m / (h (s1 + 1e-6 - x1)),
+    # whose denominator is at least m, by twice that relative to m
     p = _grid_params(*row)
     eps_grid = [p.rho / 4.0, p.rho / 16.0, p.rho / 64.0]
-    assert verify_good(p, eps_grid).rows == verify_good_reference(p, eps_grid).rows
+    rows = verify_good(p, eps_grid).rows
+    ref = verify_good_reference(p, eps_grid).rows
+    assert [(r[0], *r[3:]) for r in rows] == [(r[0], *r[3:]) for r in ref]
+    for (eps, c, m, *_), (_, c_ref, m_ref, *_) in zip(rows, ref):
+        if not m_ref:
+            assert (c, m) == (0.0, 0.0)
+            continue
+        tol = 3.0 * (HULL_XTOL + HULL_RTOL * _sublevel_hull(p, eps)[1])
+        assert abs(m - m_ref) <= tol and abs(c - c_ref) <= 2.0 * tol / m_ref * c_ref
+
+
+def _random_vector(r, case):
+    """A valid GoodFnParams of the given case: kappa log-uniform on
+    [1, 240], gamma up to its cap, |a|^kappa |b| finite."""
+    kappa = float(np.exp(r.uniform(0.0, np.log(240.0))))
+    gamma = float(r.uniform(0.01, 0.99)) / (kappa + 4.0)
+    mag = float(10.0 ** r.uniform(-1.0, min(2.0, 200.0 / kappa)))
+    if case == "b_floor":
+        a, b = float(r.choice([-1.0, 1.0])) * mag, float(r.uniform(0.5, 5.0))
+    else:
+        a, b = (mag if case == "generic" else -mag), float(10.0 ** r.uniform(-6.0, -1.0))
+    p = GoodFnParams(a, b, kappa, gamma, 0.5, abs(a) ** kappa * b / 2.0)
+    assert p.case == case
+    return p
+
+
+def _end_tolerance(p, level, x):
+    """How far apart two roots of the float f - level near x may lie: the
+    reference's brentq refinement, plus f's rounding noise (16 ulps of the
+    level) over f's slope at x, since a level near f's minimum meets a flat f."""
+    h = 1e-6 * x
+    slope = abs(eval_f(p, x + h) - eval_f(p, x - h)) / (2.0 * h)
+    return 2.0 * (HULL_XTOL + HULL_RTOL * x) + 16.0 * np.finfo(float).eps * level / slope
+
+
+_CASES = ("generic", "opposite_signs", "b_floor")
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_sublevel_hull_matches_the_grid_scan_on_random_vectors(case):
+    # the hull search assumes f quasi-convex: f sampled on a fine log grid
+    # falls, then rises, and the grid scan's hull is the search's, within
+    # the scan's refinement and f's rounding noise, at levels empty, narrow
+    # and wide, and at f(1)
+    r = rng(_CASES.index(case))
+    xs = np.geomspace(1.0, _WINDOW_CAP, 200001)  # the reference scan's grid
+    for _ in range(12):
+        p = _random_vector(r, case)
+        f = eval_f(p, xs)
+        i = int(np.argmin(f))
+        slack = 1e-13 * f[1:]
+        assert (np.diff(f)[:i] <= slack[:i]).all() and (np.diff(f)[i:] >= -slack[i:]).all()
+        for level in (f[i] / 2.0, f[i] * (1.0 + 10.0 ** r.uniform(-3.0, 0.0)),
+                      f[i] * 10.0 ** r.uniform(0.5, 3.0), p.f1()):
+            hull, ref = _sublevel_hull(p, level), sublevel_hull_reference(p, level)
+            assert (hull is None) == (ref is None), (p.a, p.b, p.kappa, p.gamma, level)
+            for x, x_ref in zip(hull or (), ref or ()):
+                assert x == x_ref or abs(x - x_ref) <= _end_tolerance(p, level, x_ref)
 
 
 def test_verify_good_grid_reaches_every_path():

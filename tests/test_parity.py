@@ -5,6 +5,8 @@ import shutil
 import sys
 from pathlib import Path
 
+from test_cli import _GOODFN_B_FLOOR, _GOODFN_OPPOSITE_SIGNS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 # two tiny commands: a CSV only, and a CSV plus an SVG
@@ -52,4 +54,7 @@ def test_parity_commands_cover_readme_and_benchmark(monkeypatch):
     texts = [["--help"], ["--version"]] + [[argv[0], "--help"]
                                            for argv in parity.readme_commands()]
     assert argvs[-len(texts):] == texts
-    assert len(argvs) == 79
+    # goodfn's a < 0 and b >= mu cases, which neither the README nor the
+    # benchmark runs, come before the parser's text: the runs test_cli pins
+    assert argvs[-len(texts) - 2:-len(texts)] == [_GOODFN_OPPOSITE_SIGNS, _GOODFN_B_FLOOR]
+    assert len(argvs) == 81

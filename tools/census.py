@@ -7,7 +7,8 @@ src/homodyn that these runs execute:
 
 - the commands of tools/parity.py (the README's CLI examples, every
   full-size benchmark command on the probe bases plus one random matrix,
-  and the parser's help and version texts), through ``homodyn.cli.main``;
+  goodfn in its a < 0 and b >= mu cases, and the parser's help and version
+  texts), through ``homodyn.cli.main``;
 - tests/test_acceptance.py, under pytest;
 - the benchmark's accuracy probe ``oracle.orbit_err_max`` and its
   microkernels (``tracing.microkernels``).

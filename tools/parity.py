@@ -3,10 +3,11 @@
     python3 tools/parity.py OLD_SRC NEW_SRC
 
 Runs the README's CLI examples, every full-size benchmark command
-(bench/workloads.py) on the probe bases plus one random matrix, and the
-parser's own text (--help, --version and each command's --help), once on
-each tree, each run in a fresh directory.  Lists every stdout, stderr, exit
-code and written file (CSV, SVG) that differs, and exits 1 if any does.
+(bench/workloads.py) on the probe bases plus one random matrix, goodfn in
+its a < 0 and b >= mu cases, and the parser's own text (--help, --version
+and each command's --help), once on each tree, each run in a fresh
+directory.  Lists every stdout, stderr, exit code and written file (CSV,
+SVG) that differs, and exits 1 if any does.
 OLD_SRC and NEW_SRC are directories that hold the ``homodyn`` package,
 such as ``src`` of two checkouts.
 """
@@ -28,6 +29,11 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import PROBE_BASES, WORKLOADS, base_for_seed, commands  # noqa: E402
 
 _MAIN = "import sys; from homodyn.cli import main; sys.exit(main())"
+# goodfn with a < 0 and with b >= mu (the README and the benchmark run the
+# generic case only)
+_GOODFN_CASES = [["goodfn", "--a", "-1", "--b", "1e-5", "--gamma", "0.02", "--nu", "1e-6"],
+                 ["goodfn", "--a", "5", "--b", "0.5", "--kappa", "2", "--gamma", "0.02",
+                  "--nu", "1e-3", "--rho", "10.25"]]
 _JOBS = 2
 _TIMEOUT_S = 600
 
@@ -47,14 +53,16 @@ def matrix_base() -> str:
 
 def all_commands() -> list:
     """README examples, then each full-size benchmark command once per base,
-    then --help, --version and the --help of each README command."""
+    then goodfn's runs in its two cases that neither runs, then --help,
+    --version and the --help of each README command."""
     argvs = readme_commands()
     for base in PROBE_BASES + (matrix_base(),):
         for workload in WORKLOADS:
             for _, argv in commands(workload, base, "full"):
                 if argv not in argvs:
                     argvs.append(argv)
-    return argvs + [["--help"], ["--version"]] + [[a[0], "--help"] for a in readme_commands()]
+    return (argvs + _GOODFN_CASES + [["--help"], ["--version"]]
+            + [[a[0], "--help"] for a in readme_commands()])
 
 
 def run(src, argv) -> dict:
