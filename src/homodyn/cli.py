@@ -28,7 +28,8 @@ _HELPERS = {
     "exponents": ("exponent_bundle",),
     "fractal": ("assembled_dimension", "build_tree", "cover_sum", "dimension_lower_bound"),
     "goodfn": ("GoodFnParams", "verify_good"),
-    "lattice": ("SectorQuery", "enumerate_orbit", "gap_constants", "sector_count"),
+    "lattice": ("SectorQuery", "check_half_plane", "enumerate_orbit", "gap_constants",
+                "primitive_count", "sector_count"),
     "mollify": ("MollifierSpec", "box_decay_report", "verify_mollifier",
                 "weighted_box_average"),
     "orbits": ("default_suite", "discrepancy", "height_band", "piece_decomposition",
@@ -209,11 +210,18 @@ def run_goodfn(args) -> ExperimentReport:
     return verify_good(params, eps_grid)
 
 
+_COUNT_L = (0.5, 1e6)  # count --l: rows b <= 2l, each a few microseconds
+
+
 def run_count(args) -> ExperimentReport:
-    q = SectorQuery(args.l, args.theta1, args.theta2)  # a bad sector is refused unenumerated
-    vecs = enumerate_orbit(2.0 * args.l)
-    n = sector_count(vecs, q)
-    c2, cx = gap_constants(vecs)
+    q = SectorQuery(args.l, args.theta1, args.theta2)
+    # the bound and the half-plane are checked before any counting
+    lo, hi = _COUNT_L
+    if not lo <= q.l <= hi:
+        raise ConfigError(f"--l must lie in [{lo:g}, {hi:g}], got {q.l:g}")
+    check_half_plane(q)
+    n = primitive_count(q)
+    c2, cx = gap_constants()
     rep = ExperimentReport(
         params={"l": args.l, "theta1": args.theta1, "theta2": args.theta2},
         columns=["count", "l2_dtheta", "ratio", "gap_second", "gap_cross"],

@@ -184,25 +184,46 @@ def test_svg_cap_refuses_before_sampling(tmp_path, monkeypatch):
             run_cli(argv)
 
 
-class _Enumerated(Exception):
+class _Counted(Exception):
     pass
+
+
+def _counted(*args):
+    raise _Counted
 
 
 def test_count_refuses_its_sector_before_enumerating(tmp_path, monkeypatch):
     import homodyn.cli as cli
 
-    def enumerated(*args):
-        raise _Enumerated
-
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "enumerate_orbit", enumerated)
-    for argv in (["count", "--theta1", "2", "--theta2", "1"], ["count", "--l", "-5"],
-                 ["count", "--l", "nan"]):
+    monkeypatch.setattr(cli, "primitive_count", _counted)
+    for argv, prefix in (
+            (["count", "--theta1", "2", "--theta2", "1"], "config error: need l > 0"),
+            (["count", "--l", "-5"], "config error: need l > 0"),
+            (["count", "--l", "nan"], "config error: need l > 0"),
+            (["count", "--l", "3000", "--theta1", "0.1", "--theta2", "3.5"],
+             "config error: sector must lie inside the canonical half-plane")):
         code, _, err = _run_quiet(argv)
         assert code == 1, argv
-        _assert_one_line(err, "config error: need l > 0", argv)
-    with pytest.raises(_Enumerated):
+        _assert_one_line(err, prefix, argv)
+    with pytest.raises(_Counted):
         run_cli(["count", "--l", "50"])
+
+
+def test_count_states_its_bound_on_l(tmp_path, monkeypatch):
+    # one line naming --l and its range, for l the user typed, refused uncounted
+    import homodyn.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "primitive_count", _counted)
+    for l, shown in (("0.49", "0.49"), ("1e-300", "1e-300"), ("1000000.5", "1e+06"),
+                     ("1e200", "1e+200"), ("inf", "inf")):
+        code, _, err = _run_quiet(["count", "--l", l])
+        assert code == 1, l
+        _assert_one_line(err, f"config error: --l must lie in [0.5, 1e+06], got {shown}", l)
+    for l in ("0.5", "1e6"):
+        with pytest.raises(_Counted):
+            run_cli(["count", "--l", l])
 
 
 # a launcher between pytest and the command: the child's ru_maxrss holds
@@ -213,6 +234,7 @@ subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 _SVG_EXTRA_MB = 10.0  # the f-string writer added 29 MB at this N
+_COUNT_MB = 60.0  # count --l 1000 peaked at 96.3 MB when it enumerated
 _MOLLIFY_EXTRA_MB = 10.0  # the n-fold midpoint grid added 247 MB at n = 3
 
 
@@ -237,6 +259,13 @@ def test_mollify_box_dimension_adds_bounded_memory(tmp_path):
     one = _peak_mb(tmp_path, "mollify", "--n", "1")
     three = _peak_mb(tmp_path, "mollify", "--n", "3")
     assert three - one <= _MOLLIFY_EXTRA_MB, (one, three)
+
+
+def test_count_runs_in_bounded_memory(tmp_path):
+    # the row-by-row count holds no vector: l = 4000 was refused at the
+    # memory guard when count enumerated its 6.1e7 vectors
+    assert _peak_mb(tmp_path, "count", "--l", "1000") <= _COUNT_MB
+    assert _peak_mb(tmp_path, "count", "--l", "4000") <= _COUNT_MB
 
 
 def test_cli_constants_table(capsys, tmp_path, monkeypatch):
@@ -934,12 +963,14 @@ _GOODFN_OPPOSITE_SIGNS = ["goodfn", "--a", "-1", "--b", "1e-5", "--gamma", "0.02
                           "--nu", "1e-6"]
 _GOODFN_B_FLOOR = ["goodfn", "--a", "5", "--b", "0.5", "--kappa", "2", "--gamma", "0.02",
                    "--nu", "1e-3", "--rho", "10.25"]
-# commands that compute on a few floats: constants, the default and README
-# runs of goodfn (the generic case) and its two other cases, and mollify
+# commands that compute on a few floats or integers: constants, the default
+# and README runs of goodfn (the generic case) and its two other cases,
+# mollify, and count (a small and the README's run)
 _SCALAR_RUNS = [["constants", "--kappa", "1", "3"], ["goodfn"],
                 ["goodfn", "--a", "1", "--b", "1e-5", "--rho", "1e-4"],
                 _GOODFN_OPPOSITE_SIGNS, _GOODFN_B_FLOOR, ["mollify"],
-                ["mollify", "--delta", "0.05", "--n", "2", "--gamma-box", "0.5"]]
+                ["mollify", "--delta", "0.05", "--n", "2", "--gamma-box", "0.5"],
+                ["count", "--l", "50"], ["count", "--l", "1000"]]
 
 
 @pytest.mark.parametrize("argv", _SCALAR_RUNS, ids=" ".join)

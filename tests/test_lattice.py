@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homodyn.lattice import (
     _BLOCK,
@@ -15,6 +17,7 @@ from homodyn.lattice import (
     enumerate_orbit,
     gap_constants,
     primes_upto,
+    primitive_count,
     sector_count,
 )
 
@@ -159,6 +162,8 @@ def test_sector_rejections():
         sector_count(s, SectorQuery(80.0, 0.0, 1.0))  # 2l beyond radius
     with pytest.raises(SectorError):
         sector_count(s, SectorQuery(10.0, 1.0, 3.5))  # crosses the half-plane
+    with pytest.raises(SectorError, match="canonical half-plane"):
+        primitive_count(SectorQuery(10.0, 1.0, 3.5))
 
 
 def test_enumerate_and_sector_count_memory():
@@ -189,7 +194,7 @@ def test_gap_constants():
     # the theorem's (1, 1) against the arctan2 sort-and-scan over the members
     for R in (1.0, 1.5, 2.0, 7.7, 60.0, 800.0):
         s = enumerate_orbit(R)
-        assert gap_constants(s) == gap_constants_reference(s) == (1.0, 1.0), R
+        assert gap_constants() == gap_constants_reference(s) == (1.0, 1.0), R
 
 
 def test_primes_upto():
@@ -217,3 +222,73 @@ def test_enumerate_matches_gcd_loop(R):
     m, n = primitive_pairs_reference(int(R))
     inside = m * m + n * n <= R * R
     assert np.array_equal(s.alphas, m[inside]) and np.array_equal(s.betas, n[inside])
+
+
+def _oracle_count(q, theta=np.arctan2):
+    """The annular sector's members among enumerate_orbit(2l), by the float
+    tests on the whole arrays; theta is the angle function applied to
+    (betas, alphas)."""
+    s = enumerate_orbit(max(1.0, 2.0 * q.l))
+    a, b = s.alphas.astype(float), s.betas.astype(float)
+    r2, th = a * a + b * b, np.asarray(theta(b, a))
+    return int(((r2 >= q.l * q.l) & (r2 <= 4.0 * q.l * q.l)
+                & (th > q.theta1) & (th < q.theta2)).sum())
+
+
+def _math_atan2(b, a):
+    return [math.atan2(y, x) for y, x in zip(b.tolist(), a.tolist())]
+
+
+@pytest.mark.parametrize("l, theta1, theta2, expect", [
+    (1.0, math.pi / 4, math.pi / 2, 0),  # (1, 1) on the ray theta1, inside the annulus
+    (1.0, 0.0, math.pi, 3),  # (1, 1), (0, 1), (-1, 1); (1, 0) has theta 0
+    (1.5, math.atan2(1, 2), math.pi / 2, 1),  # (2, 1) on the ray theta1: (1, 2) only
+    (1.5, 0.0, math.atan2(1, 2), 0),  # (2, 1) on the ray theta2
+    (5.0, 0.0, math.pi, None),  # (±3, 4) and (±4, 3) on the inner circle
+    (5.0, 0.9, 0.95, 1),  # (3, 4) on the inner circle, (6, 8) not primitive
+    (2.5, 0.0, math.pi, None),  # the same on the outer circle, 4l^2 = 25
+    (2.5, 0.9, 0.95, 1),
+    (0.5, 0.0, math.pi, 1),  # 2l = 1: (0, 1) on the outer circle only
+    (0.5, math.pi / 2, math.pi / 2, 0),  # theta1 = theta2: an empty sector
+    (30.0, 1.0, 1.0, 0),
+    (2.0, math.pi / 4, math.pi / 4, 0),
+])
+def test_primitive_count_edge_cases(l, theta1, theta2, expect):
+    q = SectorQuery(l, theta1, theta2)
+    got = primitive_count(q)
+    assert got == _oracle_count(q) == _oracle_count(q, _math_atan2)
+    if expect is not None:
+        assert got == expect
+
+
+# sector scales l <= 150: any float, integers and half-integers (circles
+# through lattice points), and square roots of integers (l*l rounds near n)
+_L = st.one_of(st.floats(0.01, 150.0), st.integers(1, 300).map(lambda k: k / 2.0),
+               st.integers(1, 22500).map(math.sqrt))
+# rays through lattice points, the angles math.atan2 gives them
+_RAY = st.tuples(st.integers(-40, 40), st.integers(0, 40)).filter(
+    lambda v: v != (0, 0)).map(lambda v: math.atan2(v[1], v[0]))
+
+
+def _sector(draw, theta):
+    l = draw(_L)
+    t1, t2 = sorted((draw(theta), draw(theta)))
+    return SectorQuery(l, t1, t2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_primitive_count_matches_the_arctan2_oracle(data):
+    theta = st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi]))
+    q = _sector(data.draw, theta)
+    assert primitive_count(q) == _oracle_count(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_primitive_count_on_rays_through_lattice_points(data):
+    # on a ray the strict test decides a member by its float angle: the one
+    # math.atan2 gives.  numpy's arctan2 may differ from it by an ulp (its
+    # SIMD loop on some CPUs), so the oracle here applies math.atan2
+    q = _sector(data.draw, st.one_of(_RAY, st.floats(0.0, math.pi)))
+    assert primitive_count(q) == _oracle_count(q, _math_atan2)

@@ -45,3 +45,23 @@ def test_startup_header_names_the_bytecode_state(monkeypatch, capsys, tmp_path):
         head = capsys.readouterr().out.splitlines()[0]
         assert head == f"# {package / '__pycache__'}: {state} at the start"
         (package / "__pycache__").mkdir(exist_ok=True)
+
+
+def test_startup_only_runs_the_named_commands(monkeypatch, capsys, tmp_path):
+    # --only CMD,... keeps the commands of those subcommands, --help runs
+    # included; a name outside the list is the usage and exit 2
+    startup = _startup(monkeypatch)
+    ran = []
+    monkeypatch.setattr(startup, "all_commands", lambda: [
+        ["count", "--l", "50"], ["dim"], ["constants"], ["count", "--help"], ["--version"]])
+    monkeypatch.setattr(startup, "child",
+                        lambda src, argv: ran.append(argv) or dict.fromkeys(startup.PHASES, 1e-3))
+    for only in (["--only", "count,dim"], ["--only=dim,count"]):
+        ran.clear()
+        assert startup.main([str(SRC), "1", *only]) == 0
+        assert ran == [["count", "--l", "50"], ["dim"], ["count", "--help"]]
+        assert "median of 3 commands" in capsys.readouterr().out
+    for only in (["--only", "count,nope"], ["--only", ""], ["--only"], ["--only", "--version"]):
+        assert startup.main([str(SRC), *only]) == 2, only
+        assert capsys.readouterr().err.startswith("usage: python3 tools/startup.py SRC [N]\n")
+    assert ran == [["count", "--l", "50"], ["dim"], ["count", "--help"]]

@@ -1,10 +1,11 @@
 """Where the CPU time of a homodyn process goes.
 
-    python3 tools/startup.py SRC [N]
+    python3 tools/startup.py SRC [N] [--only CMD,...]
 
-For each command of tools/parity.py's list, runs N fresh children on the
-``homodyn`` package in SRC (such as ``src`` of a checkout) and prints the
-median CPU milliseconds of four phases:
+For each command of tools/parity.py's list (with --only, each whose
+subcommand is one of CMD,..., such as ``--only count,dim``), runs N fresh
+children on the ``homodyn`` package in SRC (such as ``src`` of a checkout)
+and prints the median CPU milliseconds of four phases:
 
 - start: interpreter start and ``site``, up to the first line of the child
 - imports: ``from homodyn.cli import main``
@@ -72,20 +73,41 @@ def medians_ms(src, argv, n: int) -> dict:
     return {phase: 1e3 * statistics.median(r[phase] for r in runs) for phase in PHASES}
 
 
+def _split_only(args):
+    """args without --only CMD,... (or --only=CMD,...), and the subcommands
+    it names: None without it, an empty set when it names none."""
+    rest, only = [], None
+    it = iter(args)
+    for arg in it:
+        if arg == "--only" or arg.startswith("--only="):
+            value = arg[len("--only="):] if "=" in arg else next(it, "")
+            only = {name for name in value.split(",") if name}
+        else:
+            rest.append(arg)
+    return rest, only
+
+
 def main(args=None) -> int:
-    args = sys.argv[1:] if args is None else args
+    args, only = _split_only(sys.argv[1:] if args is None else args)
+    argvs = all_commands()
+    known = {argv[0] for argv in argvs if not argv[0].startswith("-")}
     if (len(args) not in (1, 2) or (len(args) == 2 and not (args[1].isdigit() and int(args[1])))
-            or not (Path(args[0]) / "homodyn" / "cli.py").is_file()):
+            or not (Path(args[0]) / "homodyn" / "cli.py").is_file()
+            or (only is not None and not (only and only <= known))):
         print("usage: python3 tools/startup.py SRC [N]\n"
-              "SRC holds the homodyn package (SRC/homodyn/cli.py); N >= 1 children per command",
+              "       python3 tools/startup.py SRC [N] --only CMD,...\n"
+              "SRC holds the homodyn package (SRC/homodyn/cli.py); N >= 1 children per command;\n"
+              f"CMD is one of {', '.join(sorted(known))}",
               file=sys.stderr)
         return 2
     src, n = args[0], int(args[1]) if len(args) == 2 else 5
+    if only is not None:
+        argvs = [argv for argv in argvs if argv[0] in only]
     rows = []
     cache = Path(src) / "homodyn" / "__pycache__"
     print(f"# {cache}: {'exists' if cache.is_dir() else 'absent'} at the start")
     print(" ".join(f"{p:>9}" for p in PHASES) + "  command (median CPU ms)")
-    for argv in all_commands():
+    for argv in argvs:
         row = medians_ms(src, argv, n)
         rows.append(row)
         print(" ".join(f"{row[p]:9.1f}" for p in PHASES) + f"  {shlex.join(argv)}")
