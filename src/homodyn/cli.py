@@ -17,46 +17,28 @@ from . import __version__
 from .psl2 import GroupElement, golden_ratio, identity, slope_base
 from .report import ExperimentReport, check_capacity, emit_csv
 
-# module -> the names the runners call from it.  A command imports only the
-# modules of its experiment (see _RUNNERS): their names are bound into this
-# module's globals on first use.  numpy comes with those modules: cli itself
-# never imports it, so constants, which computes on scalars, runs without.
-_HELPERS = {
-    "diophantine": ("DivergentOrbitError", "OpenExcursionError", "cf_expand",
-                    "cf_from_quotients", "excursion_type_estimate", "planted_quotients",
-                    "point_type_check", "type_estimate"),
-    "exponents": ("exponent_bundle",),
-    "fractal": ("assembled_dimension", "build_tree", "cover_sum", "dimension_lower_bound"),
-    "goodfn": ("GoodFnParams", "verify_good"),
-    "lattice": ("SectorQuery", "check_half_plane", "enumerate_orbit", "gap_constants",
-                "primitive_count", "sector_count"),
-    "mollify": ("MollifierSpec", "box_decay_report", "verify_mollifier",
-                "weighted_box_average"),
-    "orbits": ("default_suite", "discrepancy", "height_band", "piece_decomposition",
-               "progression_average", "sample_curve", "sample_sparse", "twisted_average"),
-    "surface": ("reduce",),
-    "svg": ("emit_svg",),
-}
-_HOME = {name: module for module, names in _HELPERS.items() for name in names}
-
-
 def _bind(*modules) -> None:
-    """Import ``modules`` and bind their helper names here.  A name already
-    bound keeps its value, so a function set on this module from outside
-    (a test's fake, the benchmark's span wrapper) stays in place."""
+    """Import ``modules``, an entry's of _RUNNERS (numpy comes with them, cli
+    never imports it), and bind here every public function and class each
+    defines.  A bound name keeps its value: a function set on this module
+    from outside (a test's fake, the benchmark's span wrapper) stays."""
     names = globals()
     for module in modules:
         mod = importlib.import_module(f".{module}", __package__)
-        for name in _HELPERS[module]:
-            names.setdefault(name, getattr(mod, name))
+        for name, value in vars(mod).items():
+            if not name.startswith("_") and getattr(value, "__module__", None) == mod.__name__:
+                names.setdefault(name, value)
 
 
 def __getattr__(name):
-    """Every helper is an attribute of this module, bound on first lookup."""
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_HOME[name])
-    return globals()[name]
+    """What an experiment's module defines is an attribute here: a lookup
+    binds the modules of every entry, in declaration order."""
+    if not name.startswith("_"):
+        for _, modules, _, _ in _RUNNERS.values():
+            _bind(*modules)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -80,7 +62,7 @@ def parse_base(text: str) -> GroupElement:
         _bind("diophantine")
         zeta = float(m.group(1))
         return slope_base(cf_from_quotients(planted_quotients(zeta)).x)
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")  # a blank field is refused, not dropped
     if len(parts) == 4:
         try:
             return GroupElement(*(float(p) for p in parts))
@@ -165,8 +147,8 @@ def run_prog(args) -> ExperimentReport:
         params={"base": args.base, "K_exponent": args.K_exponent, "band": args.band},
         columns=["T", "K", "centered_average"],
     )
-    if not args.K_exponent and args.K is None:
-        raise ConfigError("prog needs --K when --K-exponent is 0")
+    if (args.K is None) == (not args.K_exponent):  # else K = T^exponent
+        raise ConfigError("prog takes --K if and only if --K-exponent is 0")
     for T in args.T:
         K = T ** args.K_exponent if args.K_exponent else args.K
         rep.add_row(T, K, progression_average(p, K, T, f))
@@ -318,7 +300,7 @@ def number_list(text: str) -> list:
             f"{text!r} is not a comma-separated list of numbers (--schedule)") from None
 
 
-# experiment -> (runner, the modules whose helpers it calls, help summary,
+# experiment -> (runner, the modules whose names it calls, help summary,
 # flags).  A flag is (name, default[, type[, help]]), see _add_flag; every
 # experiment also takes the _FILES flags.
 _SAMPLED = (("--svg", None, None, "SVG scatter path"), ("--threads", 1, positive_int))

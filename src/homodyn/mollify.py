@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .report import ExperimentReport, check_capacity
+from .report import ExperimentReport
 
 _BOX_DIM_CAP = 3
 _STEP = 0.02  # node spacing of the box-average quadratures
@@ -130,16 +130,12 @@ def verify_mollifier(spec: MollifierSpec) -> tuple[float, float]:
 
 def box_average(p: SurfacePoint, T: float, f: TestFunction) -> float:
     """(1/T) int_0^T f(p u(t)) dt by composite midpoint quadrature."""
-    import numpy as np
-
-    from .orbits import horocycle_points
+    from .orbits import midpoint_values
 
     if not (10.0 <= T < math.inf):
         raise ValueError("need finite T >= 10")
     m = int(math.ceil(T / _STEP))
-    check_capacity(m, "quadrature nodes")
-    h = T / m
-    return float(f.values(*horocycle_points(p, (np.arange(m) + 0.5) * h)).sum()) / m
+    return float(midpoint_values(p, 0.0, T, m, f)[1].sum()) / m
 
 
 def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
@@ -150,20 +146,15 @@ def weighted_box_average(p: SurfacePoint, T: float, f: TestFunction,
     the reference value is (Haar mean of f) x (mass of the weight) =
     haar_mean * gamma.
     """
-    import numpy as np
-
-    from .orbits import horocycle_points
+    from .orbits import midpoint_values
 
     if spec.n != 1:
         raise ValueError("weighted averages implemented for the 1-d box")
     if not (10.0 <= T < math.inf):
         raise ValueError("need finite T >= 10")
     lo, hi = -spec.delta * T, (spec.gamma + spec.delta) * T
-    m = int(math.ceil((hi - lo) / _STEP))
-    check_capacity(m, "quadrature nodes")
-    h = (hi - lo) / m
-    t = lo + (np.arange(m) + 0.5) * h
-    total = float((f.values(*horocycle_points(p, t)) * mollifier_profile(spec, t / T)).sum())
+    t, values, h = midpoint_values(p, lo, hi, int(math.ceil((hi - lo) / _STEP)), f)
+    total = float((values * mollifier_profile(spec, t / T)).sum())
     return total * h / T
 
 

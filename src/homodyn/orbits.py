@@ -130,6 +130,15 @@ def horocycle_points(p: SurfacePoint, times):
     return _points(lambda t: flow_entries(p.rep.entries, 1.0, t), times)
 
 
+def midpoint_values(q: SurfacePoint, lo: float, hi: float, m: int, f: TestFunction):
+    """The m composite-midpoint nodes t of [lo, hi], the values f(q u(t))
+    and the step h, as (t, values, h)."""
+    check_capacity(m, "quadrature nodes")
+    h = (hi - lo) / m
+    t = lo + (np.arange(m) + 0.5) * h
+    return t, f.values(*horocycle_points(q, t)), h
+
+
 def sample_sparse(p: SurfacePoint, gamma: float, N: int) -> OrbitSeries:
     """The orbit points p u(n^(1+gamma)) for n = 0..N-1, reduced."""
     if not (0.0 <= gamma <= 0.5) or N < 1:
@@ -180,11 +189,9 @@ def twisted_average(q: SurfacePoint, T: float, frequency: float, f: TestFunction
         raise ValueError("undersampled oscillation: need |frequency| * T <= 2e4")
     step_cap = 0.05 if frequency == 0.0 else min(0.05, 0.1 / abs(frequency))
     m = max(_QUAD_POINTS, int(math.ceil(T / step_cap)))
-    check_capacity(m, "quadrature nodes")
-    h = T / m
-    t = (np.arange(m) + 0.5) * h
+    t, values, h = midpoint_values(q, 0.0, T, m, f)
     w = 2.0 * math.pi * frequency
-    total = complex((np.exp(1j * w * t) * f.values(*horocycle_points(q, t))).sum())
+    total = complex((np.exp(1j * w * t) * values).sum())
     return total * (h / T)
 
 

@@ -2,7 +2,9 @@
 
 import argparse
 import contextlib
+import dis
 import gc
+import importlib
 import io
 import math
 import os
@@ -716,32 +718,50 @@ def test_cli_small_runs_in_fresh_processes_load_only_their_modules(tmp_path):
         assert out and last == " ".join(sorted(loaded)) + " True []", argv
 
 
-def _named_in(fn):
+def _globals_in(fn):
     """Global names the code of fn and of the nested code in it looks up."""
     names, codes = set(), [fn.__code__]
     while codes:
         code = codes.pop()
-        names |= set(code.co_names)
+        names |= {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
         codes += [c for c in code.co_consts if hasattr(c, "co_names")]
     return names
 
 
-def test_runners_name_only_helpers_of_their_modules():
-    # a helper is bound only when one of its experiment's modules is: the
-    # runner and the private cli functions it calls name no other
+def test_runners_look_up_only_cli_names_and_their_modules_definitions():
+    # _bind binds the public functions and classes an experiment's modules
+    # define.  So the runner, and the private cli functions it calls, look
+    # up only cli's own globals, builtins and those definitions, and each
+    # module of the entry gives at least one of them.  No two modules define
+    # one name, and none shadows a builtin or a cli global: binding order
+    # never decides what a name means
+    import builtins
+
     import homodyn.cli as cli
 
+    modules = sorted({m for _, ms, _, _ in cli._RUNNERS.values() for m in ms})
+    defs = {}
+    for module in modules:
+        mod = importlib.import_module(f"homodyn.{module}")
+        defs[module] = {n: v for n, v in vars(mod).items() if not n.startswith("_")
+                        and getattr(v, "__module__", None) == mod.__name__}
+    bound = {n: v for names in defs.values() for n, v in names.items()}
+    own = {n for n, v in vars(cli).items() if bound.get(n) is not v}
+    defined = [n for names in defs.values() for n in names]
+    assert len(defined) == len(set(defined))
+    assert not set(defined) & (own | set(dir(builtins)))
     for experiment, (runner, modules, _, _) in cli._RUNNERS.items():
         todo, seen, named = [runner], set(), set()
         while todo:
             fn = todo.pop()
             seen.add(fn)
-            names = _named_in(fn)
-            named |= names & set(cli._HOME)
+            names = _globals_in(fn)
+            named |= names
             todo += [f for n in names if n.startswith("_")
                      and hasattr(f := vars(cli).get(n), "__code__") and f not in seen]
-        assert named, experiment
-        strays = {n: cli._HOME[n] for n in named if cli._HOME[n] not in modules}
+        for module in modules:
+            assert named & set(defs[module]), (experiment, module)
+        strays = named - own - set(dir(builtins)) - {n for m in modules for n in defs[m]}
         assert not strays, (experiment, strays)
 
 
@@ -847,6 +867,7 @@ def test_cli_prog_zero_exponent_needs_K(tmp_path, capsys, monkeypatch):
 
 def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.cfg").write_text("K = 5\n")
     for argv in (["orbit", "--N", "0"], ["orbit", "--gamma", "nan", "--N", "100"],
                  ["box", "--T", "5"], ["dim", "--schedule", "100,50"],
                  ["mollify", "--delta", "nan"], ["mollify", "--delta", "inf"],
@@ -884,7 +905,16 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  # a type exponent that plants no quotient: q^(zeta - 1)
                  # already takes q past 10^9, or past the float range
                  ["dio", "--base", "liouville(30)"],
-                 ["orbit", "--base", "liouville(2000)", "--N", "2000"]):
+                 ["orbit", "--base", "liouville(2000)", "--N", "2000"],
+                 # a matrix base with a blank field: the others are no matrix
+                 ["orbit", "--base=0.8,,0.3,1.2,1.7", "--N", "50"],
+                 ["orbit", "--base=0.8,0.3,1.2,1.7,", "--N", "50"],
+                 ["orbit", "--base=,0.8,0.3,1.2,1.7", "--N", "50"],
+                 ["orbit", "--base=0.8, ,1.2,1.7", "--N", "50"],
+                 # a --K that a non-zero --K-exponent would leave unread
+                 ["prog", "--K", "5", "--T", "100"],
+                 ["prog", "--K", "5", "--K-exponent", "0.1", "--T", "100"],
+                 ["prog", "--config", str(tmp_path / "prog.cfg"), "--T", "100"]):
         code, _, err = _run_quiet(argv)
         assert code == 1, argv
         _assert_one_line(err, "config error: ", argv)
@@ -1142,12 +1172,23 @@ def test_cli_fuzz_liouville_contract(sub, k):
         _assert_one_line(err, "config error: ", argv)
 
 
-def test_tracing_wrapped_names_resolve(monkeypatch):
-    # bench/tracing.py rebinds these names for --trace 1; a rename would
-    # break the traced pass without failing any test under tests/
-    import importlib
+def test_tracing_wrapped_names_resolve(tmp_path, monkeypatch):
+    # bench/tracing.py rebinds these names for --trace 1; a rename, or a
+    # bind that replaced the span wrappers, would break the traced pass
+    # without failing any test under tests/
+    import homodyn.cli as cli
 
+    monkeypatch.chdir(tmp_path)
     tracing = _bench_module("tracing", monkeypatch)
     assert tracing.WRAPPED
     for mod_name, attr, _, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
+    originals = {attr: getattr(cli, attr) for mod_name, attr, _, _ in tracing.WRAPPED
+                 if mod_name == "homodyn.cli"}
+    with tracing.installed(tracing.Recorder()) as recorder:
+        for argv in (["orbit", "--N", "50"], ["count", "--l", "50"], ["constants"]):
+            assert _run_quiet(argv)[::2] == (0, ""), argv
+    assert {s.name for s in recorder.spans} >= {
+        "surface.reduce", "orbits.sample_sparse", "orbits.discrepancy", "report.emit_csv",
+        "lattice.gap_constants", "diophantine.exponent_bundle"}
+    assert all(getattr(cli, attr) is fn for attr, fn in originals.items())
