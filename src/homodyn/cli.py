@@ -59,7 +59,8 @@ def parse_base(text: str) -> GroupElement:
         return slope_base(math.e)
     m = re.fullmatch(r"liouville\((\d+(?:\.\d+)?)\)", t)
     if m:
-        _bind("diophantine")
+        from .diophantine import cf_from_quotients, planted_quotients
+
         zeta = float(m.group(1))
         return slope_base(cf_from_quotients(planted_quotients(zeta)).x)
     parts = text.split(",")  # a blank field is refused, not dropped
@@ -161,18 +162,22 @@ def run_pieces(args) -> ExperimentReport:
 
 
 def run_dio(args) -> ExperimentReport:
+    if args.x is not None and args.base is not None:
+        raise ConfigError("dio takes --x or --base, not both")
+    if args.x is None and args.depth is not None:
+        raise ConfigError("dio takes --depth only with --x")
+    depth = 20 if args.depth is None else args.depth
     rep = ExperimentReport(
-        params={"x": args.x, "depth": args.depth, "kappa": args.kappa,
-                "bound": args.bound},
+        params={"x": args.x, "depth": depth, "kappa": args.kappa, "bound": args.bound},
         columns=["quantity", "value"],
     )
     if args.x is not None:
-        cf = cf_expand(args.x, args.depth)
+        cf = cf_expand(args.x, depth)
         rep.add_row("type_estimate", type_estimate(cf))
         rep.add_row("quotient_count", len(cf.quotients))
         p = reduce(slope_base(args.x))
     else:
-        p = reduce(parse_base(args.base))
+        p = reduce(parse_base(args.base or "golden"))
     (witness,) = point_type_check(p, args.kappa, args.bound)
     rep.add_row("witness_mu", witness.mu)
     rep.add_row("witness_nu", witness.nu)
@@ -197,11 +202,9 @@ _COUNT_L = (0.5, 1e6)  # count --l: rows b <= 2l, each a few microseconds
 
 def run_count(args) -> ExperimentReport:
     q = SectorQuery(args.l, args.theta1, args.theta2)
-    # the bound and the half-plane are checked before any counting
-    lo, hi = _COUNT_L
+    lo, hi = _COUNT_L  # checked before primitive_count checks the half-plane
     if not lo <= q.l <= hi:
         raise ConfigError(f"--l must lie in [{lo:g}, {hi:g}], got {q.l:g}")
-    check_half_plane(q)
     n = primitive_count(q)
     c2, cx = gap_constants()
     rep = ExperimentReport(
@@ -322,7 +325,7 @@ _RUNNERS = {
                (("--base", "golden"), ("--gamma", 0.1), ("--eps", 0.1), ("--N", 50000),
                 ("--kappa", 1.0))),
     "dio": (run_dio, ("diophantine", "surface"), "continued-fraction and point-type reports",
-            (("--x", None, float), ("--base", "golden"), ("--depth", 20), ("--kappa", 1.0),
+            (("--x", None, float), ("--base", None), ("--depth", None, int), ("--kappa", 1.0),
              ("--bound", 1000), ("--tmax", 35.0))),
     "goodfn": (run_goodfn, ("goodfn",), "sublevel-measure constants",
                (("--a", 1.0), ("--b", 1e-5), ("--kappa", 1.0), ("--gamma", 0.05),

@@ -47,8 +47,8 @@ class GoodFnParams:
             raise ValueError("witness constants must be finite and positive")
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("vector coordinates must be finite")
-        if math.isnan(rho):
-            raise ValueError("rho must be a number")
+        if not rho >= 0.0:  # NaN and rho < 0 alike
+            raise ValueError("rho must be a positive number, or 0 for the default")
         try:
             ok = abs(b) >= mu or abs(a) ** kappa * abs(b) >= nu
         except OverflowError:
@@ -58,7 +58,7 @@ class GoodFnParams:
         if b < 0.0:
             a, b = -a, -b
         self.a, self.b, self.kappa, self.gamma, self.mu, self.nu = a, b, kappa, gamma, mu, nu
-        if rho <= 0.0:  # default min(f(1), 0.25), or f(1) if that is not above the floor
+        if rho == 0.0:  # default min(f(1), 0.25), or f(1) if that is not above the floor
             rho = min(self.f1(), 0.25)
             rho = self.f1() if rho <= sublevel_floor(self) else rho
         self.rho = rho
@@ -189,13 +189,3 @@ def verify_good(params: GoodFnParams, eps_grid) -> ExperimentReport:
         rep.add_row(eps, c_req, m, _WINDOWS_COLUMN, 0)
     return rep
 
-
-def __getattr__(name):
-    """curve_hit_ratios, whose home is orbits since piece_decomposition is
-    its one caller, is still importable from here; importing goodfn loads
-    neither orbits nor numpy."""
-    if name == "curve_hit_ratios":
-        from .orbits import curve_hit_ratios
-
-        return curve_hit_ratios
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

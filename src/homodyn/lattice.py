@@ -18,7 +18,7 @@ import math
 from array import array
 from itertools import compress
 
-from .report import CapacityError, check_capacity  # noqa: F401  (importable from here)
+from .report import CapacityError, check_capacity
 
 _RADIUS_GUARD = 1e5
 _BLOCK = 2**16  # vectors or mask cells per block of an enumeration, rows per block of a count
@@ -105,12 +105,6 @@ def enumerate_orbit(R: float) -> PrimitiveVectorSet:
     return PrimitiveVectorSet(radius=float(R), alphas=alphas, betas=betas)
 
 
-def check_half_plane(q: SectorQuery) -> None:
-    """Refuse a sector that leaves the canonical half-plane theta <= pi."""
-    if q.theta2 > math.pi:
-        raise SectorError("sector must lie inside the canonical half-plane")
-
-
 def _cot(theta: float) -> float:
     s = math.sin(theta)
     return math.cos(theta) / s if s else math.inf
@@ -147,8 +141,10 @@ def primitive_count(q: SectorQuery) -> int:
     the annulus' alpha range exactly, math.atan2 places the two angle ends,
     and the alpha coprime to b in the range are counted by Moebius inversion
     over the squarefree divisors of b.  The prime factors of the rows come
-    from one sieve, primes_upto, block by block of rows."""
-    check_half_plane(q)
+    from one sieve, primes_upto, block by block of rows.  A sector that
+    leaves the canonical half-plane theta <= pi is refused first."""
+    if q.theta2 > math.pi:
+        raise SectorError("sector must lie inside the canonical half-plane")
     inner2, outer2 = math.ceil(q.l * q.l), math.floor(4.0 * q.l * q.l)
     t1 = math.nextafter(q.theta1, math.inf)  # atan2 <= theta1 iff atan2 < t1
     cot1, cot2 = _cot(t1), _cot(q.theta2)

@@ -20,11 +20,12 @@ from homodyn.fractal import (
     cover_sum,
     dimension_lower_bound,
 )
-from homodyn.goodfn import GoodFnParams, curve_hit_ratios, eval_f, sublevel_floor, verify_good
+from homodyn.goodfn import GoodFnParams, eval_f, sublevel_floor, verify_good
 from homodyn.lattice import SectorQuery, enumerate_orbit, sector_count
 from homodyn.mollify import MollifierSpec, box_average, verify_mollifier
 from homodyn.orbits import (
     angle_weight,
+    curve_hit_ratios,
     default_suite,
     fejer_coefficient_check,
     height_band,

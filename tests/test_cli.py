@@ -60,6 +60,21 @@ def test_parse_base_rejects():
     # the second case: det = 1*4-2*3 = -2 < 0 -> GroupError -> ConfigError
 
 
+def test_parse_base_liouville_binds_nothing_into_cli(tmp_path):
+    # liouville(k) imports its two diophantine helpers itself: parsing a base
+    # leaves no definition of diophantine in cli's globals (only a command's
+    # _bind puts them there), and the element is the one it always was
+    code = ("import homodyn.cli as cli\n"
+            "g = cli.parse_base('liouville(2)')\n"
+            "print(sorted(n for n, v in vars(cli).items()\n"
+            "             if getattr(v, '__module__', None) == 'homodyn.diophantine'))\n"
+            "print((g.a, g.b, g.c, g.d))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["[]", "(0.4073569507575406, -1.0, 1.0, 0.0)"]
+
+
 def test_csv_format(tmp_path):
     rep = ExperimentReport(
         params={}, columns=["a", "b"],
@@ -195,10 +210,11 @@ def _counted(*args):
 
 
 def test_count_refuses_its_sector_before_enumerating(tmp_path, monkeypatch):
-    import homodyn.cli as cli
+    # primes_upto is primitive_count's first step after its checks
+    import homodyn.lattice as lattice
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "primitive_count", _counted)
+    monkeypatch.setattr(lattice, "primes_upto", _counted)
     for argv, prefix in (
             (["count", "--theta1", "2", "--theta2", "1"], "config error: need l > 0"),
             (["count", "--l", "-5"], "config error: need l > 0"),
@@ -488,6 +504,31 @@ def test_cli_dio_twist_prog_smoke(tmp_path, capsys, monkeypatch):
     assert run_cli(["twist", "--base", "golden", "--frequency", "0.25",
                     "--T", "50"]) == 0
     assert run_cli(["prog", "--base", "golden", "--T", "100"]) == 0
+
+
+def test_cli_dio_refuses_flags_it_would_ignore(tmp_path, monkeypatch):
+    # --x names the point, so a --base beside it would go unread, and --depth
+    # is the length of --x's expansion, read by nothing else: as a flag or
+    # from a config file, each is refused before any work, no CSV written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "both.cfg").write_text("x = 1.4\nbase = e\n")
+    (tmp_path / "depth.cfg").write_text("depth = 3\n")
+    both, depth = "config error: dio takes --x or --base", "config error: dio takes --depth only"
+    for argv, prefix in ((["--x", "1.4", "--base", "e"], both),
+                         (["--base", "e", "--depth", "3"], depth),
+                         (["--depth", "3"], depth),
+                         (["--config", "both.cfg"], both),
+                         (["--config", "depth.cfg", "--base", "e"], depth)):
+        code, out, err = _run_quiet(["dio", "--bound", "50", *argv])
+        assert (code, out) == (1, ""), argv
+        _assert_one_line(err, prefix, argv)
+    assert not list(tmp_path.glob("*.csv"))
+    # a base run reports the depth an --x run defaults to; golden is the default base
+    code, golden, err = _run_quiet(["dio", "--base", "golden", "--bound", "50"])
+    assert (code, err) == (0, "") and "# depth = 20\n" in golden
+    assert _run_quiet(["dio", "--bound", "50"]) == (0, golden, "")
+    code, out, err = _run_quiet(["dio", "--x", "1.4", "--depth", "3", "--bound", "50"])
+    assert (code, err) == (0, "") and "# depth = 3\n" in out
 
 
 @pytest.mark.parametrize("base, tmax, kappa", [
@@ -891,7 +932,7 @@ def test_cli_bad_parameters_exit_1(tmp_path, monkeypatch):
                  ["box", "--T", "inf"], ["prog", "--K-exponent", "0", "--K", "2", "--T", "inf"],
                  ["pieces", "--kappa", "-1", "--N", "100"],
                  ["goodfn", "--mu", "nan"], ["goodfn", "--mu", "inf"],
-                 ["goodfn", "--rho", "nan"],
+                 ["goodfn", "--rho", "nan"], ["goodfn", "--rho", "-1"],
                  # past the 5e7-element memory guard: refused before allocating
                  ["orbit", "--N", "100000000000"], ["curve", "--points", "100000000000"],
                  ["pieces", "--N", "100000000000"], ["box", "--T", "1e12"],

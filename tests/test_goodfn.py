@@ -271,21 +271,18 @@ def test_hitting_frequency_scaling():
     assert max(quad) / min(quad) <= 2.0
 
 
-def test_curve_hit_ratios_import_from_goodfn_loads_orbits_on_lookup():
-    # the acceptance suite imports curve_hit_ratios from goodfn, its former
-    # home: the name resolves to orbits' function, and goodfn's own import
-    # loads neither orbits nor numpy
+def test_goodfn_import_loads_neither_numpy_nor_orbits():
+    # curve_hit_ratios lives in orbits, its one caller's module, and only
+    # there: goodfn neither re-exports it nor imports orbits or numpy
     code = ("import sys\n"
             "import homodyn.goodfn as goodfn\n"
             "print(sorted({'numpy', 'homodyn.orbits'} & set(sys.modules)))\n"
-            "from homodyn.goodfn import curve_hit_ratios\n"
-            "import homodyn.orbits as orbits\n"
-            "print(curve_hit_ratios is orbits.curve_hit_ratios, hasattr(goodfn, 'curve_hits'))\n")
+            "print(hasattr(goodfn, 'curve_hit_ratios'))\n")
     src = str(Path(homodyn.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == ["[]", "True False"]
+    assert proc.stdout.splitlines() == ["[]", "False"]
 
 
 def test_hitting_deterministic():
